@@ -2,6 +2,8 @@
 
 Subcommands: check, color, partition, hamilton, survey, gen.  Machine
 output is JSON lines on stdout; a short human summary goes to stderr.
+`gen` writes only its instances to stdout and its report line to stderr,
+so its output is a valid input file.
 Exit codes: 0 = all checks passed, 1 = a check failed (the report carries
 a witness), 2 = bad input or usage.
 
@@ -82,9 +84,11 @@ class Report:
     def result(self, **payload: Any) -> None:
         self.out["result"].update(payload)
 
-    def emit(self) -> int:
+    def emit(self, stream=None) -> int:
+        """Print the report line (on stdout unless `stream` is given) and
+        the summary on stderr; return the exit code."""
         self.out["elapsed_ms"] = round(1000 * (time.monotonic() - self.t0), 1)
-        print(json.dumps(self.out, sort_keys=True))
+        print(json.dumps(self.out, sort_keys=True), file=stream or sys.stdout)
         failed = [c["name"] for c in self.out["checks"] if not c["passed"]]
         tag = "FAIL " + ", ".join(failed) if failed else "ok"
         print(f"{self.out['command']}: {tag}", file=sys.stderr)
@@ -332,7 +336,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
             count += 1
     rep.result(count=count)
     rep.check("generated", count > 0)
-    return rep.emit()
+    # stdout carries only the instances, so it feeds straight back into
+    # check, partition and hamilton
+    return rep.emit(sys.stderr)
 
 
 # --- entry point ----------------------------------------------------------

@@ -21,9 +21,10 @@ from .embed import (
     dual,
     tri_partition,
 )
-from .errors import CapExceeded, NotHamilton, NotTreePartition
+from .errors import BadEdge, CapExceeded, NotHamilton, NotTreePartition
 from .treesplit import (
     TreePartition,
+    _analyse,
     tree_partition_face_sparse,
     tree_partition_with_edge,
     verify_tree_partition,
@@ -100,7 +101,8 @@ def tree_partition_to_hamilton(
         a, b = adj[order[-1]]
         order.append(a if a != order[-2] else b)
     h = HamiltonCycle.of(order)
-    assert verify_hamilton(d.graph.abstract(), h)
+    if not verify_hamilton(d.graph.abstract(), h):
+        raise NotHamilton("cut edges do not close into one Hamilton cycle")
     return h
 
 
@@ -178,7 +180,7 @@ def primal_edge_of(g: EmbeddedGraph, d: DualGraph, e_star: tuple[int, int]) -> t
     for e, de in d.edge_map.items():
         if de == target:
             return e
-    raise ValueError(f"{e_star} is not an edge of the dual")
+    raise BadEdge(f"{e_star} is not an edge of the dual")
 
 
 def hamilton_avoiding_edge(
@@ -189,23 +191,23 @@ def hamilton_avoiding_edge(
     The edge must lie on a dual face of colour 3 and size >= 6, i.e. its
     primal edge must join a big class-3 vertex to a neighbour; keeping
     both primal ends on one side of the tree partition removes the edge
-    from the cut.
+    from the cut.  Any other edge raises `BadEdge`.
     """
     if d is None:
         d = dual(g)
     u, w = primal_edge_of(g, d, e_star)
-    tp = tri_partition(g)
-    bs = classify_big_small(g, tp)
-    b3_ends = [x for x in (u, w) if tp.class_of[x] == 3 and x in bs.big]
+    an = _analyse(g)
+    b3_ends = [x for x in (u, w) if an.tp.class_of[x] == 3 and x in an.bs.big]
     if not b3_ends:
-        raise ValueError(
+        raise BadEdge(
             f"dual edge {e_star} borders no face of colour 3 and size >= 6"
         )
     v = b3_ends[0]
     other = w if v == u else u
-    part = tree_partition_with_edge(g, v, other)
+    part = tree_partition_with_edge(g, v, other, analysis=an)
     h = tree_partition_to_hamilton(g, part, d)
-    assert d.edge_map[norm_edge(u, w)] not in h.edges
+    if d.edge_map[norm_edge(u, w)] in h.edges:
+        raise NotHamilton(f"cycle uses the dual edge {e_star} it should avoid")
     return h
 
 

@@ -153,7 +153,6 @@ class DualGraph:
 
     graph: EmbeddedGraph
     edge_map: Mapping[tuple[int, int], tuple[int, int]]   # primal edge -> dual edge
-    vertex_of_face: tuple[int, ...]                       # dual vertex (face id) -> sorted primal boundary (unused hook)
     primal_vertex_of_dual_face: tuple[int, ...]           # dual face id -> primal vertex
 
     def dual_edge(self, u: int, v: int) -> tuple[int, int]:
@@ -174,24 +173,16 @@ def dual(g: EmbeddedGraph) -> DualGraph:
     edge_map = {}
     for (a, b) in g.edges():
         edge_map[(a, b)] = norm_edge(fs.face_of[(a, b)], fs.face_of[(b, a)])
-    # dual face -> the primal vertex its boundary edges wind around
-    dfs = dg.faces
-    primal_of: list[int] = []
-    for walk in dfs.faces:
-        candidates: set[int] | None = None
-        for (f1, f2) in walk:
-            # recover a primal edge joining faces f1, f2
-            for (a, b) in fs.faces[f1]:
-                if fs.face_of[(b, a)] == f2:
-                    ends = {a, b}
-                    break
-            candidates = ends if candidates is None else candidates & ends
-        assert candidates is not None and len(candidates) == 1, "dual face winding broken"
-        primal_of.append(candidates.pop())
+    # the faces around v, in rotation order, are those of the directed
+    # edges (u, v); the dual edge from the face of (v, u) to the face of
+    # (u, v) runs along the dual face that winds around v
+    primal_of = [0] * g.n
+    for v in range(g.n):
+        u = g.rotation[v][0]
+        primal_of[dg.faces.face_of[(fs.face_of[(v, u)], fs.face_of[(u, v)])]] = v
     return DualGraph(
         graph=dg,
         edge_map=edge_map,
-        vertex_of_face=tuple(range(dg.n)),
         primal_vertex_of_dual_face=tuple(primal_of),
     )
 

@@ -67,6 +67,11 @@ class NotOn4Cycle(DualhamError):
 
 # --- partition machinery ---
 
+class BadEdge(DualhamError, ValueError):
+    """The chosen edge is not one the construction can keep or avoid: not
+    an edge at all, or not at a big class-3 vertex with a class-1/2 end."""
+
+
 class CaseUnmatched(DualhamError):
     """An instance fell outside a case analysis that should be exhaustive."""
 

@@ -23,11 +23,11 @@ from .embed import (
     BigSmall,
     EmbeddedGraph,
     TriPartition,
-    classify_big_small,
     is_even_triangulation,
     tri_partition,
 )
 from .errors import (
+    BadEdge,
     BipyramidSpecialCase,
     CaseUnmatched,
     ConditionViolated,
@@ -35,6 +35,7 @@ from .errors import (
     HComponentNot2Connected,
     HNotInFamily,
     NotEvenTriangulation,
+    NotTreePartition,
     SearchExhausted,
 )
 from .gen import big_vertex_graph, meets_h_hypothesis
@@ -92,19 +93,23 @@ def verify_tree_partition(
 
 
 def bipyramid_poles(g: EmbeddedGraph) -> tuple[int, int] | None:
-    """The two poles if g is a cycle joined with two extra vertices."""
+    """The two poles if g is a cycle joined with two extra vertices.
+
+    A pole sees every vertex but the other pole, so only vertices of
+    degree n - 2 qualify; a triangulation has at most six (2m = 6n - 12).
+    Two non-adjacent ones see all the rest, and the smallest such pair
+    whose rest is a single ring is returned.
+    """
     if g.n < 6 or g.n % 2 != 0:
         return None
-    for p in range(g.n):
-        for q in range(p + 1, g.n):
-            if g.has_edge(p, q):
-                continue
-            rest = [v for v in range(g.n) if v not in (p, q)]
-            if not all(g.has_edge(p, v) and g.has_edge(q, v) for v in rest):
-                continue
-            ring = g.abstract().subgraph(rest)
-            if all(ring.degree(v) == 2 for v in rest) and ring.is_connected():
-                return (p, q)
+    hubs = [v for v in range(g.n) if g.degree(v) == g.n - 2]
+    for p, q in itertools.combinations(hubs, 2):
+        if g.has_edge(p, q):
+            continue
+        rest = [v for v in range(g.n) if v not in (p, q)]
+        ring = g.abstract().subgraph(rest)
+        if all(ring.degree(v) == 2 for v in rest) and ring.is_connected():
+            return (p, q)
     return None
 
 
@@ -231,6 +236,30 @@ def families_R(
     return r, r_hat
 
 
+# --- one analysis per pipeline call --------------------------------------
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    """What a pipeline call derives from the triangulation alone.  Built
+    once per call and passed down; it is never kept beyond that call."""
+
+    ab: Graph
+    tp: TriPartition
+    bs: BigSmall
+    h: Graph
+    poles: tuple[int, int] | None
+    paths: tuple[FanPath, ...]   # empty for a bipyramid
+
+
+def _analyse(g: EmbeddedGraph) -> _Analysis:
+    tp = tri_partition(g)
+    h, bs = big_vertex_graph(g)
+    poles = bipyramid_poles(g)
+    paths = () if poles is not None else tuple(fan_paths(g, bs))
+    return _Analysis(g.abstract(), tp, bs, h, poles, paths)
+
+
 # --- the tree-partition solver -------------------------------------------
 
 
@@ -278,15 +307,22 @@ def tree_partition_solve(
     c: PartitionConstraint,
     *,
     enforce_path_condition: bool = True,
+    analysis: _Analysis | None = None,
 ) -> TreePartition:
     """Complete backtracking search for a two-tree partition extending the
     seeds.  On valid inputs a solution exists; running out of search space
     is surfaced as a hard failure, never papered over.
+
+    `analysis` is the calling pipeline's analysis of g; without one the
+    solver makes its own.
     """
-    ab = g.abstract()
-    _validate_constraint(g, ab, c, enforce_path_condition)
+    an = analysis if analysis is not None else _analyse(g)
+    ab = an.ab
+    _validate_constraint(an, c, enforce_path_condition)
     sides = [_Forest(), _Forest()]
     assign: dict[int, int] = {}
+    # assigned neighbours per vertex, kept in step with `assign`
+    placed_nbrs = dict.fromkeys(ab.adj, 0)
 
     def place(v: int, side: int) -> int | None:
         nbrs = [w for w in ab.adj[v] if assign.get(w) == side]
@@ -294,7 +330,15 @@ def tree_partition_solve(
         if mark is None:
             return None
         assign[v] = side
+        for w in ab.adj[v]:
+            placed_nbrs[w] += 1
         return mark
+
+    def unplace(v: int, side: int, mark: int) -> None:
+        del assign[v]
+        for w in ab.adj[v]:
+            placed_nbrs[w] -= 1
+        sides[side].undo(mark)
 
     for side, seed in enumerate((c.x, c.y)):
         for v in sorted(seed):
@@ -304,13 +348,12 @@ def tree_partition_solve(
     free = sorted(set(ab.adj) - set(assign))
 
     def choose() -> int | None:
+        """The free vertex with the most assigned neighbours, ties to the
+        smallest."""
         best, score = None, -1
         for v in free:
-            if v in assign:
-                continue
-            k = sum(1 for w in ab.adj[v] if w in assign)
-            if k > score:
-                best, score = v, k
+            if v not in assign and placed_nbrs[v] > score:
+                best, score = v, placed_nbrs[v]
         return best
 
     def search() -> bool:
@@ -327,8 +370,7 @@ def tree_partition_solve(
                 continue
             if search():
                 return True
-            del assign[v]
-            sides[side].undo(mark)
+            unplace(v, side, mark)
         return False
 
     if not search():
@@ -338,17 +380,17 @@ def tree_partition_solve(
         )
     s = frozenset(u for u, side in assign.items() if side == 0)
     part = TreePartition(s, frozenset(assign) - s)
-    assert verify_tree_partition(ab, part, c.x, c.y)
+    if not verify_tree_partition(ab, part, c.x, c.y):
+        raise NotTreePartition("solver output fails the two-tree audit")
     return part
 
 
 def _validate_constraint(
-    g: EmbeddedGraph, ab: Graph, c: PartitionConstraint, enforce_path_condition: bool
+    an: _Analysis, c: PartitionConstraint, enforce_path_condition: bool
 ) -> None:
     if c.x & c.y:
         raise ConstraintInvalid(f"seed sets overlap on {sorted(c.x & c.y)}")
-    tp = tri_partition(g)
-    bs = classify_big_small(g, tp)
+    ab, bs = an.ab, an.bs
     if not bs.b_of(1) <= c.x:
         raise ConstraintInvalid("big class-1 vertices must seed the first side")
     if not bs.b_of(2) <= c.y:
@@ -358,9 +400,9 @@ def _validate_constraint(
     for seed, name in ((c.x, "x"), (c.y, "y")):
         if not ab.subgraph(seed).is_acyclic():
             raise ConstraintInvalid(f"seed set {name} induces a cycle")
-    if enforce_path_condition and bipyramid_poles(g) is None:
+    if enforce_path_condition:
         xy = c.x | c.y
-        for fp in fan_paths(g, bs):
+        for fp in an.paths:
             inner = set(fp.interior)
             if inner & xy and not inner <= xy:
                 raise ConstraintInvalid(
@@ -576,14 +618,6 @@ def _mono_path_exists(l_graph: Graph, colours: Mapping[int, int], u: int, w: int
     c = colours[u]
     sub = l_graph.subgraph({x for x in l_graph.adj if colours.get(x) == c})
     return u in sub.adj and w in sub.bfs_dist(u)
-
-
-def _assert_no_mono_cycle(l_graph: Graph, colours: Mapping[int, int], step: int) -> None:
-    for c in (1, 2):
-        sub = l_graph.subgraph({x for x in l_graph.adj if colours.get(x) == c})
-        cyc = sub.find_cycle()
-        if cyc is not None:
-            raise ConditionViolated(step, f"monochromatic cycle {cyc} in colour {c}")
 
 
 # --- sequence extension (face-sparse pipeline) ---------------------------
@@ -809,32 +843,33 @@ def _local_search_step(
 # --- pipelines -----------------------------------------------------------
 
 
-def tree_partition_with_edge(g: EmbeddedGraph, v: int, w: int) -> TreePartition:
+def tree_partition_with_edge(
+    g: EmbeddedGraph, v: int, w: int, *, analysis: _Analysis | None = None
+) -> TreePartition:
     """Two induced trees with big class-1 vertices on the first side, big
     class-2 on the second, and the edge vw kept inside one side (chosen by
-    w's class)."""
+    w's class).  `analysis` is the caller's analysis of g, if it has one."""
     if not is_even_triangulation(g):
         raise NotEvenTriangulation("input is not an even plane triangulation")
-    tp = tri_partition(g)
-    bs = classify_big_small(g, tp)
+    an = analysis if analysis is not None else _analyse(g)
+    tp, bs, h = an.tp, an.bs, an.h
     if v not in bs.b_of(3):
-        raise ValueError(f"vertex {v} is not a big class-3 vertex")
+        raise BadEdge(f"vertex {v} is not a big class-3 vertex")
     if not g.has_edge(v, w):
-        raise ValueError(f"{v} and {w} are not adjacent")
+        raise BadEdge(f"{v} and {w} are not adjacent")
     target = tp.class_of[w]
     if target not in (1, 2):
-        raise ValueError(f"w={w} must lie in class 1 or 2")
+        raise BadEdge(f"w={w} must lie in class 1 or 2")
 
-    poles = bipyramid_poles(g)
-    if poles is not None:
-        part = _bipyramid_partition(g, poles, tp, keep_together=(v, w))
+    if an.poles is not None:
+        part = _bipyramid_partition(g, an.poles, tp, keep_together=(v, w))
         want_s = target == 1
         if (v in part.s) != want_s:
             part = TreePartition(part.t, part.s)
-        assert verify_tree_partition(g.abstract(), part) and (v in part.s) == (w in part.s)
-        return part
+        if not verify_tree_partition(an.ab, part):
+            raise NotTreePartition("bipyramid sides do not induce two trees")
+        return _kept_together(part, v, w)
 
-    h, _ = big_vertex_graph(g)
     if not is_multi4(h):
         raise HNotInFamily("a big-vertex cycle has length not 0 mod 4")
     a = _base_a(bs)
@@ -843,13 +878,12 @@ def tree_partition_with_edge(g: EmbeddedGraph, v: int, w: int) -> TreePartition:
         b = base_coloring(h, bs, pin=(v, target))
         x = frozenset(bs.b_of(1) | {u for u, c in b.items() if c == 1})
         y = frozenset(bs.b_of(2) | {u for u, c in b.items() if c == 2})
-        part = tree_partition_solve(g, PartitionConstraint(x, y))
-        assert (v in part.s) == (w in part.s)
-        return part
+        part = tree_partition_solve(g, PartitionConstraint(x, y), analysis=an)
+        return _kept_together(part, v, w)
 
     b0 = None
     last_err: Exception | None = None
-    for p_w in _choose_fan_paths(g, tp, bs, v, w):
+    for p_w in _choose_fan_paths(an, v, w):
         v3 = [u for u in (p_w.v0 | p_w.v1) if tp.class_of[u] == 3 and u in bs.big and u != v]
         # the opposite corner shares a 4-cycle with v exactly when they have
         # two common neighbours in H
@@ -866,7 +900,7 @@ def tree_partition_with_edge(g: EmbeddedGraph, v: int, w: int) -> TreePartition:
             x = frozenset(bs.b_of(1) | {u for u, c in b0.items() if c == 1})
             y = frozenset(bs.b_of(2) | {u for u, c in b0.items() if c == 2})
             try:
-                part = tree_partition_solve(g, PartitionConstraint(x, y))
+                part = tree_partition_solve(g, PartitionConstraint(x, y), analysis=an)
             except ConstraintInvalid as exc:
                 # usually a second fan path sharing inner vertices with the
                 # chosen one; the straddle rule only backs the existence
@@ -874,25 +908,30 @@ def tree_partition_with_edge(g: EmbeddedGraph, v: int, w: int) -> TreePartition:
                 last_err = exc
                 try:
                     part = tree_partition_solve(
-                        g, PartitionConstraint(x, y), enforce_path_condition=False
+                        g, PartitionConstraint(x, y), enforce_path_condition=False,
+                        analysis=an,
                     )
                 except (ConstraintInvalid, SearchExhausted) as exc2:
                     last_err = exc2
                     continue
-            assert (v in part.s) == (w in part.s)
-            return part
+            return _kept_together(part, v, w)
     raise last_err if last_err is not None else CaseUnmatched(
         f"no usable fan path through {w}"
     )
 
 
-def _choose_fan_paths(
-    g: EmbeddedGraph, tp: TriPartition, bs: BigSmall, v: int, w: int
-) -> list[FanPath]:
+def _kept_together(part: TreePartition, v: int, w: int) -> TreePartition:
+    if (v in part.s) != (w in part.s):
+        raise NotTreePartition(f"{v} and {w} landed on different sides")
+    return part
+
+
+def _choose_fan_paths(an: _Analysis, v: int, w: int) -> list[FanPath]:
     """Fan paths with w interior, v on the 4-cycle, and poles either all
     big or exactly {v, small class-3 vertex}; best candidates first."""
+    tp, bs = an.tp, an.bs
     candidates = []
-    for fp in fan_paths(g, bs):
+    for fp in an.paths:
         if w not in fp.interior:
             continue
         if v not in fp.v0 | fp.v1:
@@ -918,9 +957,8 @@ def tree_partition_face_sparse(
     """
     if not is_even_triangulation(g):
         raise NotEvenTriangulation("input is not an even plane triangulation")
-    tp = tri_partition(g)
-    bs = classify_big_small(g, tp)
-    h, _ = big_vertex_graph(g)
+    an = _analyse(g)
+    tp, bs, h = an.tp, an.bs, an.h
     if not is_multi4(h):
         raise HNotInFamily("a big-vertex cycle has length not 0 mod 4")
     if not meets_h_hypothesis(h, True):
@@ -929,14 +967,12 @@ def tree_partition_face_sparse(
         )
     a = _base_a(bs)
 
-    poles = bipyramid_poles(g)
-    if poles is not None:
-        part = _bipyramid_partition(g, poles, tp)
-        report = _face_sparse_report(g, tp, bs, h, part, special="bipyramid")
+    if an.poles is not None:
+        part = _bipyramid_partition(g, an.poles, tp)
+        report = _face_sparse_report(an, part, special="bipyramid")
         return part, report
 
-    paths = fan_paths(g, bs)
-    r, r_hat = families_R(g, tp, bs, paths)
+    r, r_hat = families_R(g, tp, bs, an.paths)
     bn = steps = None
     last_err: Exception | None = None
     for b in base_coloring_candidates(h, bs, strict=True):
@@ -951,23 +987,20 @@ def tree_partition_face_sparse(
         )
     x = frozenset(bs.b_of(1) | {u for u, c in bn.items() if c == 1})
     y = frozenset(bs.b_of(2) | {u for u, c in bn.items() if c == 2})
-    part = tree_partition_solve(g, PartitionConstraint(x, y))
-    report = _face_sparse_report(g, tp, bs, h, part, steps=steps)
+    part = tree_partition_solve(g, PartitionConstraint(x, y), analysis=an)
+    report = _face_sparse_report(an, part, steps=steps)
     return part, report
 
 
 def _face_sparse_report(
-    g: EmbeddedGraph,
-    tp: TriPartition,
-    bs: BigSmall,
-    h: Graph,
+    an: _Analysis,
     part: TreePartition,
     steps: Sequence[StepInfo] = (),
     special: str | None = None,
 ) -> dict:
     """Audit the two per-vertex implications on the final partition."""
-    ab = g.abstract()
-    cls = tp.class_of
+    ab, bs, h = an.ab, an.bs, an.h
+    cls = an.tp.class_of
     rows = []
     ok = True
     for v in sorted(bs.b_of(3)):

@@ -115,6 +115,17 @@ class TestPartitionAndHamilton:
         code, _, _ = run(capsys, ["partition", bipyr_file, "--with-edge", "6;0"])
         assert code == 2
 
+    def test_partition_with_ineligible_edge(self, capsys, bipyr_file):
+        # 0 is a small ring vertex, not a big class-3 one
+        code, rows, err = run(capsys, ["partition", bipyr_file, "--with-edge", "0,1"])
+        assert code == 2 and not rows
+        assert "BadEdge" in err and "Traceback" not in err
+
+    def test_hamilton_avoid_non_edge(self, capsys, bipyr_file):
+        code, rows, err = run(capsys, ["hamilton", bipyr_file, "--avoid-edge", "0,999"])
+        assert code == 2 and not rows
+        assert "BadEdge" in err
+
     def test_hamilton_face_sparse(self, capsys, bipyr_file, bipyramid6):
         code, rows, _ = run(capsys, ["hamilton", bipyr_file])
         assert code == 0
@@ -143,9 +154,26 @@ class TestGenAndSurvey:
         assert rows[0]["rotation"] == [list(r) for r in gen_bipyramid(3).rotation]
 
     def test_gen_even_tri(self, capsys):
-        code, rows, _ = run(capsys, ["gen", "--family", "even-tri", "--size", "8"])
+        code, rows, err = run(capsys, ["gen", "--family", "even-tri", "--size", "8"])
         assert code == 0
-        assert rows[-1]["result"]["count"] == 1
+        # stdout holds only the instance; the report line goes to stderr
+        assert len(rows) == 1 and "rotation" in rows[0]
+        assert json.loads(err.splitlines()[0])["result"]["count"] == 1
+
+    def test_gen_feeds_check_and_hamilton(self, capsys, tmp_path):
+        code, rows, _ = run(capsys, ["gen", "--family", "bipyramid", "--size", "3"])
+        assert code == 0
+        f = tmp_path / "bipyr.json"
+        f.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        code, rows, _ = run(capsys, ["check", str(f), "--family", "even-tri"])
+        assert code == 0 and rows[-1]["checks"][0]["passed"]
+        from dualham.embed import dual
+
+        e_star = dual(gen_bipyramid(3)).edge_map[(0, 6)]
+        code, rows, _ = run(
+            capsys, ["hamilton", str(f), "--avoid-edge", f"{e_star[0]},{e_star[1]}"]
+        )
+        assert code == 0 and all(c["passed"] for c in rows[-1]["checks"])
 
     def test_gen_multi4(self, capsys):
         code, rows, _ = run(

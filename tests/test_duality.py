@@ -18,7 +18,7 @@ from dualham.duality import (
     verify_hamilton,
 )
 from dualham.embed import EmbeddedGraph, classify_big_small, dual, tri_partition
-from dualham.errors import CapExceeded, NotHamilton, NotTreePartition
+from dualham.errors import BadEdge, CapExceeded, NotHamilton, NotTreePartition
 from dualham.gen import big_vertex_graph, meets_h_hypothesis
 from dualham.treesplit import TreePartition, verify_tree_partition
 from dualham.ugraph import Graph, norm_edge
@@ -145,6 +145,18 @@ class TestAvoidingEdge:
         e_star = next(iter(d.edge_map.values()))
         with pytest.raises(ValueError):
             hamilton_avoiding_edge(octahedron, e_star, d)
+
+    def test_bad_edges_raise_a_typed_error(self, octahedron, bipyramid6):
+        for g in (octahedron, bipyramid6):
+            d = dual(g)
+            with pytest.raises(BadEdge):
+                primal_edge_of(g, d, (0, 999))
+            with pytest.raises(BadEdge):
+                hamilton_avoiding_edge(g, (0, 999), d)
+        # a ring edge of the bipyramid touches no big class-3 vertex
+        d = dual(bipyramid6)
+        with pytest.raises(BadEdge):
+            hamilton_avoiding_edge(bipyramid6, d.edge_map[(0, 1)], d)
 
 
 class TestFaceSparse:

@@ -67,6 +67,28 @@ def test_dual_face_winds_around_its_primal_vertex(octahedron):
     assert sorted(d.primal_vertex_of_dual_face) == list(range(octahedron.n))
 
 
+def _primal_vertex_by_face_search(g, d):
+    """Reference map: the primal vertex shared by every primal edge that a
+    dual face's boundary crosses, found by searching the primal faces."""
+    fs = g.faces
+    out = []
+    for walk in d.graph.faces.faces:
+        common = None
+        for f1, f2 in walk:
+            (ends,) = [{a, b} for (a, b) in fs.faces[f1] if fs.face_of[(b, a)] == f2]
+            common = ends if common is None else common & ends
+        (v,) = common
+        out.append(v)
+    return tuple(out)
+
+
+def test_dual_face_map_matches_face_search(octahedron, catalog12):
+    graphs = [octahedron, gen_bipyramid(5), dual(octahedron).graph] + catalog12
+    for g in graphs + [g.mirror() for g in graphs]:
+        d = dual(g)
+        assert d.primal_vertex_of_dual_face == _primal_vertex_by_face_search(g, d)
+
+
 def test_tri_partition_is_proper(bipyramid6):
     tp = tri_partition(bipyramid6)
     for u, v in bipyramid6.edges():

@@ -1,9 +1,14 @@
 """Two-tree partitions: fan paths, the solver, and both pipelines."""
 
+import json
+import random
+from pathlib import Path
+
 import pytest
 
 from dualham.embed import classify_big_small, tri_partition
 from dualham.errors import (
+    BadEdge,
     BipyramidSpecialCase,
     ConstraintInvalid,
     NotEvenTriangulation,
@@ -14,6 +19,7 @@ from dualham.gen import (
     big_vertex_graph,
     gen_bipyramid,
     gen_even_triangulations,
+    gen_triangulations,
     meets_h_hypothesis,
 )
 from dualham.embed import EmbeddedGraph
@@ -41,7 +47,52 @@ def even10():
     raise AssertionError("expected instance missing")
 
 
+GOLDEN = Path(__file__).parent / "data" / "with_edge_golden.jsonl"
+
+
+def _poles_by_pair_scan(g):
+    """Reference for `bipyramid_poles`: every vertex pair, in order."""
+    if g.n < 6 or g.n % 2 != 0:
+        return None
+    for p in range(g.n):
+        for q in range(p + 1, g.n):
+            if g.has_edge(p, q):
+                continue
+            rest = [v for v in range(g.n) if v not in (p, q)]
+            if not all(g.has_edge(p, v) and g.has_edge(q, v) for v in rest):
+                continue
+            ring = g.abstract().subgraph(rest)
+            if all(ring.degree(v) == 2 for v in rest) and ring.is_connected():
+                return (p, q)
+    return None
+
+
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    rot = [None] * g.n
+    for v, nb in enumerate(g.rotation):
+        rot[perm[v]] = [perm[u] for u in nb]
+    return EmbeddedGraph.build(rot)
+
+
 class TestBipyramidDetection:
+    def test_matches_pair_scan(self, octahedron, catalog12):
+        rng = random.Random(5)
+        graphs = [octahedron] + [gen_bipyramid(l) for l in range(2, 41)] + catalog12
+        for g in graphs + [g.mirror() for g in graphs] + [_relabel(g, rng) for g in graphs]:
+            assert bipyramid_poles(g) == _poles_by_pair_scan(g)
+
+    def test_matches_pair_scan_on_all_8_vertex_triangulations(self):
+        tris = gen_triangulations(8)
+        crowded = 0
+        for g in tris:
+            assert bipyramid_poles(g) == _poles_by_pair_scan(g)
+            hubs = sum(1 for v in range(g.n) if g.degree(v) == g.n - 2)
+            crowded += hubs >= 3 and bipyramid_poles(g) is None
+        # degree n - 2 alone does not make a pole
+        assert crowded == 2
+
     def test_octahedron_and_larger(self, octahedron, bipyramid6):
         assert bipyramid_poles(octahedron) is not None
         assert set(bipyramid_poles(bipyramid6)) == {6, 7}
@@ -145,6 +196,12 @@ class TestWithEdgePipeline:
         with pytest.raises(ValueError):
             tree_partition_with_edge(octahedron, 0, 1)
 
+    def test_bad_edges_raise_a_typed_error(self, bipyramid6):
+        # 6 and 7 are the poles (big, class 3), 0 a small ring vertex
+        for v, w in ((6, 7), (6, 999), (0, 1)):
+            with pytest.raises(BadEdge):
+                tree_partition_with_edge(bipyramid6, v, w)
+
     def test_bipyramid_case(self, bipyramid6):
         tp = tri_partition(bipyramid6)
         bs = classify_big_small(bipyramid6, tp)
@@ -198,3 +255,37 @@ class TestFaceSparsePipeline:
                 assert (row["status"] == "branching-ok") == (
                     n1 <= part.s and n2 <= part.t
                 )
+
+
+class TestFrozenOutputs:
+    """Partitions frozen from the pair-scan, per-call-recomputing version
+    of the pipelines, on every even triangulation with n <= 12 and its
+    mirror; the pipelines must reproduce them exactly."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(GOLDEN) as f:
+            return [json.loads(line) for line in f]
+
+    def test_with_edge(self, golden):
+        assert sum(len(row["with_edge"]) for row in golden) == 296
+        for row in golden:
+            g = EmbeddedGraph.build(row["rotation"])
+            tp = tri_partition(g)
+            bs = classify_big_small(g, tp)
+            eligible = [[v, w] for v in sorted(bs.b_of(3)) for w in sorted(g.rotation[v])
+                        if tp.class_of[w] in (1, 2)]
+            assert eligible == [[v, w] for v, w, _, _ in row["with_edge"]]
+            for v, w, s, t in row["with_edge"]:
+                part = tree_partition_with_edge(g, v, w)
+                assert (sorted(part.s), sorted(part.t)) == (s, t)
+
+    def test_face_sparse(self, golden):
+        assert sum(row["face_sparse"] is not None for row in golden) == 20
+        for row in golden:
+            g = EmbeddedGraph.build(row["rotation"])
+            h, _ = big_vertex_graph(g)
+            assert meets_h_hypothesis(h, True) == (row["face_sparse"] is not None)
+            if row["face_sparse"] is not None:
+                part, _ = tree_partition_face_sparse(g)
+                assert [sorted(part.s), sorted(part.t)] == row["face_sparse"]
