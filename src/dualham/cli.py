@@ -140,6 +140,8 @@ def cmd_color(args: argparse.Namespace) -> int:
     bp = structure.TypedBipartition(
         alpha=frozenset(a), beta=frozenset(set(g.adj) - set(a))
     )
+    if not bp.beta:
+        raise ParseError('every vertex is in "a": no beta vertex is left to colour')
     if args.pin:
         try:
             vs, cs = args.pin.split("=")
@@ -148,12 +150,13 @@ def cmd_color(args: argparse.Namespace) -> int:
             raise ParseError(f"--pin expects V=1 or V=2, got {args.pin!r}") from exc
         if pin_vertex in bp.alpha:
             raise ParseError(f"pin vertex {pin_vertex} is alpha-coloured already")
+        if pin_vertex not in bp.beta:
+            raise ParseError(f"pin vertex {pin_vertex} is not in the graph")
+        if pin_colour not in (1, 2):
+            raise ParseError(f"--pin expects V=1 or V=2, got {args.pin!r}")
     else:
         pin_vertex, pin_colour = min(bp.beta), 1
-    req = colorizer.ColoringRequest(
-        graph=g, bipartition=bp, a=a, pin_vertex=pin_vertex, pin_colour=pin_colour
-    )
-    b = colorizer.solve(req, cap=args.cap)
+    b = colorizer.color_beta(g, bp, a, pin_vertex, pin_colour, cap=args.cap)
     report = colorizer.verify_coloring(
         g, bp, colorizer.combine(a, b.colour_of), pin_vertex, pin_colour
     )

@@ -13,7 +13,7 @@ blocks along a minimal determined side of a cut pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import CaseUnmatched, NoCutPath, NotInFamilyH
@@ -28,10 +28,9 @@ from .ugraph import DEFAULT_CYCLE_CAP, Graph
 
 @dataclass(frozen=True)
 class TwoColoring:
-    """Partial colour map with a domain tag (alpha side, beta side, combined)."""
+    """Colour map of the beta side."""
 
     colour_of: Mapping[int, int]
-    domain: str = "beta"
 
     def __getitem__(self, v: int) -> int:
         return self.colour_of[v]
@@ -42,15 +41,6 @@ def combine(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     out = dict(a)
     out.update(b)
     return out
-
-
-@dataclass(frozen=True)
-class ColoringRequest:
-    graph: Graph
-    bipartition: TypedBipartition
-    a: Mapping[int, int]
-    pin_vertex: int
-    pin_colour: int
 
 
 def color_beta(
@@ -80,11 +70,7 @@ def color_beta(
             b.update(_color_connected(sub, bp, a, pin_vertex, pin_colour))
         else:
             b.update(_color_connected(sub, bp, a, None, None))
-    return TwoColoring(b, "beta")
-
-
-def solve(req: ColoringRequest, **kw) -> TwoColoring:
-    return color_beta(req.graph, req.bipartition, req.a, req.pin_vertex, req.pin_colour, **kw)
+    return TwoColoring(b)
 
 
 # --- recursive machinery -------------------------------------------------
@@ -407,7 +393,7 @@ def color_beta_4cycle(
             )
         else:
             b.update(_color_connected(g.subgraph(comp), bp, a, None, None))
-    return TwoColoring(b, "beta")
+    return TwoColoring(b)
 
 
 def _orient_opposite_pair(

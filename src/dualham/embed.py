@@ -292,39 +292,54 @@ def canonical_form(g: EmbeddedGraph) -> tuple:
     # the code starts with the root's rotation tuple, and a shorter tuple
     # sorts before any extension of it, so only minimum-degree roots can win
     min_deg = min(len(nb) for nb in g.rotation)
-    for h in (g, g.mirror()):
-        for v in range(h.n):
-            if len(h.rotation[v]) != min_deg:
+    for rot in (g.rotation, tuple(nb[::-1] for nb in g.rotation)):
+        for v, nb in enumerate(rot):
+            if len(nb) != min_deg:
                 continue
-            for u in h.rotation[v]:
-                code = _code_from(h, v, u)
-                if best is None or code < best:
+            for u in nb:
+                code = _code_from(rot, v, u, best)
+                if code is not None:
                     best = code
     return best
 
 
-def _code_from(g: EmbeddedGraph, root: int, first: int) -> tuple:
-    label = {root: 0, first: 1}
-    entry = {root: first, first: root}
+def _code_from(
+    rotation: Sequence[Sequence[int]], root: int, first: int, best: tuple | None
+) -> tuple | None:
+    """BFS code from the directed edge (root, first), or None unless it sorts
+    before `best`.
+
+    Row i lists the labels of vertex i's neighbours, starting from the one
+    it was reached from.  A label is fixed when its vertex is first reached,
+    so row i is final once vertex i is scanned and is compared with best[i]
+    at once: a larger row abandons the code, a smaller one ends comparing.
+    """
+    n = len(rotation)
+    label = [-1] * n
+    entry = [0] * n
+    label[root], label[first] = 0, 1
+    entry[root], entry[first] = first, root
     order = [root, first]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        nb = g.rotation[v]
+    code = []
+    smaller = best is None
+    for v in order:     # grows while it is scanned: this is the BFS queue
+        nb = rotation[v]
         k = nb.index(entry[v])
-        for j in range(len(nb)):
-            w = nb[(k + j) % len(nb)]
-            if w not in label:
+        row = []
+        for w in nb[k:] + nb[:k]:
+            if label[w] < 0:
                 label[w] = len(order)
                 entry[w] = v
                 order.append(w)
-    code = []
-    for v in order:
-        nb = g.rotation[v]
-        k = nb.index(entry[v])
-        code.append(tuple(label[nb[(k + j) % len(nb)]] for j in range(len(nb))))
-    return tuple(code)
+            row.append(label[w])
+        row = tuple(row)
+        if not smaller:
+            other = best[len(code)]
+            if row > other:
+                return None
+            smaller = row < other
+        code.append(row)
+    return tuple(code) if smaller else None
 
 
 def embedded_isomorphic(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:

@@ -23,6 +23,10 @@ class Disconnected(DualhamError):
     """The graph is not connected."""
 
 
+class NotTriangulation(DualhamError):
+    """A face that should be a triangle is not one."""
+
+
 class NotEvenTriangulation(DualhamError):
     """Not a simple even plane triangulation on >= 4 vertices."""
 

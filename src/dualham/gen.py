@@ -19,7 +19,15 @@ from .embed import (
     is_even_triangulation,
     tri_partition,
 )
-from .errors import NoneFound, ParseError, SizeOutOfRange, SizeTooSmall
+from .errors import (
+    NoneFound,
+    NotEvenTriangulation,
+    NotInFamilyH,
+    NotTriangulation,
+    ParseError,
+    SizeOutOfRange,
+    SizeTooSmall,
+)
 from .structure import is_multi4
 from .ugraph import Graph
 
@@ -39,7 +47,8 @@ def gen_bipyramid(l: int) -> EmbeddedGraph:
     rot.append(list(range(k)))          # pole 1
     rot.append(list(range(k))[::-1])    # pole 2, opposite orientation
     g = EmbeddedGraph.build(rot)
-    assert is_even_triangulation(g)
+    if not is_even_triangulation(g):
+        raise NotEvenTriangulation(f"bipyramid with l={l} is not an even triangulation")
     return g
 
 
@@ -75,9 +84,10 @@ def split_vertex(g: EmbeddedGraph, v: int, i: int, j: int) -> EmbeddedGraph:
         pos = nb.index(v)
         if nb[(pos + 1) % len(nb)] == mate:
             nb.insert(pos + 1, new)
-        else:
-            assert nb[(pos - 1) % len(nb)] == mate
+        elif nb[(pos - 1) % len(nb)] == mate:
             nb.insert(pos, new)
+        else:
+            raise NotTriangulation(f"no triangular face {v}-{w}-{mate}")
     return EmbeddedGraph.build(rot)
 
 
@@ -169,7 +179,8 @@ def gen_multi4(size: int, seed: int) -> Graph:
                 g = old
                 continue
             fresh += length - 1
-    assert is_multi4(g)
+    if not is_multi4(g):
+        raise NotInFamilyH(f"seed {seed} grew a cycle of length not 0 mod 4")
     return g
 
 

@@ -238,14 +238,6 @@ def naive_all_cycles(g: Graph) -> list[list[int]]:
     return out
 
 
-# --- blocks --------------------------------------------------------------
-
-
-def blocks(g: Graph) -> tuple[list[set[int]], set[int]]:
-    """Biconnected components and cut vertices; bridges are 2-vertex blocks."""
-    return g.blocks()
-
-
 # --- lemma-level operations ----------------------------------------------
 
 

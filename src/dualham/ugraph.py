@@ -279,30 +279,6 @@ class Graph:
                     elif w in allowed and w not in used:
                         stack.append((w, path + [w], used | {w}))
 
-    def girth_cycle_through(self, v: int) -> list[int] | None:
-        """Some shortest cycle through v, or None."""
-        best: list[int] | None = None
-        for s in sorted(self.adj[v]):
-            # shortest v-s path avoiding the edge v-s closes a cycle
-            g = self.remove_edge(v, s)
-            parent = {v: None}
-            queue = deque([v])
-            while queue:
-                u = queue.popleft()
-                if u == s:
-                    break
-                for w in g.adj[u]:
-                    if w not in parent:
-                        parent[w] = u
-                        queue.append(w)
-            if s in parent:
-                path = [s]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                if best is None or len(path) < len(best):
-                    best = path[::-1]
-        return best
-
     # --- degree-2 chains -------------------------------------------------
 
     def chains(self) -> list[list[int]]:

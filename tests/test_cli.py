@@ -91,6 +91,21 @@ class TestColor:
         code, _, err = run(capsys, ["color", squares_file, "--pin", "0=1"])
         assert code == 2
 
+    @pytest.mark.parametrize("pin", ["1=3", "1=0", "99=1"])
+    def test_pin_outside_contract_rejected(self, capsys, squares_file, pin):
+        code, rows, err = run(capsys, ["color", squares_file, "--pin", pin])
+        assert code == 2 and not rows
+        assert "--pin" in err or "not in the graph" in err
+        assert "Traceback" not in err
+
+    def test_no_beta_vertex_rejected(self, capsys, tmp_path):
+        p = tmp_path / "allalpha.json"
+        p.write_text(json.dumps({"edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+                                 "a": {0: 1, 1: 2, 2: 1, 3: 2}}))
+        code, rows, err = run(capsys, ["color", str(p)])
+        assert code == 2 and not rows
+        assert "Traceback" not in err
+
     def test_missing_alpha(self, capsys, tmp_path):
         p = tmp_path / "noa.json"
         p.write_text(json.dumps({"edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}))

@@ -1,5 +1,7 @@
 """Rotation systems, face tracing, duals, and canonical forms."""
 
+import random
+
 import pytest
 
 from dualham.embed import (
@@ -18,7 +20,8 @@ from dualham.errors import (
     NonPlanarEmbedding,
     NotEvenTriangulation,
 )
-from dualham.gen import TETRAHEDRON, gen_bipyramid
+from dualham import gen
+from dualham.gen import TETRAHEDRON, gen_bipyramid, gen_triangulations
 
 
 def test_build_rejects_asymmetric_adjacency():
@@ -131,6 +134,84 @@ def _permute(g: EmbeddedGraph, perm: list[int]) -> list[list[int]]:
     for v, nb in enumerate(g.rotation):
         rot[perm[v]] = [perm[u] for u in nb]
     return rot
+
+
+def _reference_canonical_form(g: EmbeddedGraph) -> tuple:
+    """Reference: the minimum of whole BFS codes, each built in full before
+    it is compared, as canonical forms were computed before row-by-row
+    early exit."""
+    best = None
+    min_deg = min(len(nb) for nb in g.rotation)
+    for h in (g, g.mirror()):
+        for v in range(h.n):
+            if len(h.rotation[v]) != min_deg:
+                continue
+            for u in h.rotation[v]:
+                code = _reference_code_from(h, v, u)
+                if best is None or code < best:
+                    best = code
+    return best
+
+
+def _reference_code_from(g: EmbeddedGraph, root: int, first: int) -> tuple:
+    label = {root: 0, first: 1}
+    entry = {root: first, first: root}
+    order = [root, first]
+    i = 0
+    while i < len(order):
+        v = order[i]
+        i += 1
+        nb = g.rotation[v]
+        k = nb.index(entry[v])
+        for j in range(len(nb)):
+            w = nb[(k + j) % len(nb)]
+            if w not in label:
+                label[w] = len(order)
+                entry[w] = v
+                order.append(w)
+    code = []
+    for v in order:
+        nb = g.rotation[v]
+        k = nb.index(entry[v])
+        code.append(tuple(label[nb[(k + j) % len(nb)]] for j in range(len(nb))))
+    return tuple(code)
+
+
+def test_canonical_form_matches_reference():
+    rng = random.Random(20)
+    checked = 0
+    for n in range(4, 10):
+        for g in gen_triangulations(n):
+            for h in (g, g.mirror()):
+                variants = [h]
+                for _ in range(2):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    variants.append(EmbeddedGraph.build(_permute(h, perm)))
+                for x in variants:
+                    assert canonical_form(x) == _reference_canonical_form(x)
+                    checked += 1
+    assert checked == 6 * (1 + 1 + 2 + 5 + 14 + 50)
+
+
+def test_canonical_form_matches_reference_off_triangulations(octahedron):
+    # plane graphs that are not triangulations: roots of degree 1 (a path),
+    # 2 (a cycle) and 3 (a wheel, the cube, cubic duals)
+    path = EmbeddedGraph.build([(1,), (0, 2), (1, 3), (2,)])
+    cycle = EmbeddedGraph.build([((i + 1) % 5, (i - 1) % 5) for i in range(5)])
+    wheel = EmbeddedGraph.build(
+        [((i + 1) % 5, 5, (i - 1) % 5) for i in range(5)] + [tuple(range(5))])
+    graphs = [path, cycle, wheel, dual(octahedron).graph]
+    graphs += [dual(g).graph for g in gen_triangulations(8)]
+    for g in graphs + [g.mirror() for g in graphs]:
+        assert canonical_form(g) == _reference_canonical_form(g)
+
+
+def test_gen_triangulations_unchanged_under_reference_dedup(monkeypatch):
+    got = [g.rotation for g in gen_triangulations(9)]
+    monkeypatch.setattr(gen, "canonical_form", _reference_canonical_form)
+    want = [g.rotation for g in gen_triangulations(9)]
+    assert got == want
 
 
 def test_different_embeddings_distinguished(octahedron, bipyramid6):

@@ -5,7 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualham.embed import canonical_form, is_even_triangulation, tri_partition
-from dualham.errors import NoneFound, ParseError, SizeOutOfRange, SizeTooSmall
+from dualham import gen
+from dualham.embed import dual
+from dualham.errors import (
+    NoneFound,
+    NotEvenTriangulation,
+    NotInFamilyH,
+    NotTriangulation,
+    ParseError,
+    SizeOutOfRange,
+    SizeTooSmall,
+)
 from dualham.gen import (
     gen_bipyramid,
     gen_even_triangulations,
@@ -13,6 +23,7 @@ from dualham.gen import (
     gen_thm24_instances,
     gen_triangulations,
     big_vertex_graph,
+    split_vertex,
     load_catalog,
     meets_h_hypothesis,
 )
@@ -34,6 +45,12 @@ class TestBipyramid:
     def test_too_small(self):
         with pytest.raises(SizeTooSmall):
             gen_bipyramid(1)
+
+    def test_output_check_raises(self, monkeypatch):
+        # the check stands without `assert`, so it survives `python -O`
+        monkeypatch.setattr(gen, "is_even_triangulation", lambda g: False)
+        with pytest.raises(NotEvenTriangulation):
+            gen_bipyramid(3)
 
 
 class TestExhaustiveTriangulations:
@@ -65,6 +82,11 @@ class TestExhaustiveTriangulations:
         (g,) = gen_even_triangulations(6)
         assert canonical_form(g) == canonical_form(octahedron)
 
+    def test_split_rejects_non_triangular_faces(self, octahedron):
+        cube = dual(octahedron).graph    # every face a 4-cycle
+        with pytest.raises(NotTriangulation):
+            split_vertex(cube, 0, 0, 1)
+
     def test_size_bounds(self):
         with pytest.raises(SizeOutOfRange):
             gen_triangulations(3)
@@ -86,6 +108,12 @@ def test_gen_multi4_always_in_family(seed, size):
     g = gen_multi4(size, seed)
     assert is_multi4(g)
     assert g.n <= size
+
+
+def test_gen_multi4_output_check_raises(monkeypatch):
+    monkeypatch.setattr(gen, "is_multi4", lambda g, **kw: False)
+    with pytest.raises(NotInFamilyH):
+        gen_multi4(16, 7)
 
 
 def test_gen_multi4_deterministic():
