@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from typing import Any, Callable
 
 from . import colorizer, duality, gen, structure, treesplit
@@ -226,18 +227,30 @@ def cmd_hamilton(args: argparse.Namespace) -> int:
 # --- survey ---------------------------------------------------------------
 
 
+def _failed(row: dict[str, Any], check: str, exc: Exception) -> None:
+    row["checks"][check] = False
+    row["error"] = f"{type(exc).__name__}: {exc}"
+
+
 def _survey_even_tri(g_json: str) -> dict[str, Any]:
-    """All certificates for one even triangulation; run in a worker."""
-    g = EmbeddedGraph.from_json(g_json)
-    tp = tri_partition(g)
-    bs = classify_big_small(g, tp)
-    ab = g.abstract()
-    d = dual(g)
-    row: dict[str, Any] = {"n": g.n, "checks": {}}
-    h, _ = gen.big_vertex_graph(g)
-    row["checks"]["h-in-family"] = structure.is_multi4(h)
-    hyp = gen.meets_h_hypothesis(h, True)
-    row["hypothesis"] = hyp
+    """All certificates for one even triangulation; run in a worker.  Any
+    exception fails the check it hit and is recorded in the row, so one
+    bad instance cannot sink the survey."""
+    row: dict[str, Any] = {"checks": {}}
+    try:
+        g = EmbeddedGraph.from_json(g_json)
+        row["n"] = g.n
+        tp = tri_partition(g)
+        bs = classify_big_small(g, tp)
+        ab = g.abstract()
+        d = dual(g)
+        h, _ = gen.big_vertex_graph(g, tp=tp)
+        row["checks"]["h-in-family"] = structure.is_multi4(h)
+        hyp = gen.meets_h_hypothesis(h, True)
+        row["hypothesis"] = hyp
+    except Exception as exc:
+        _failed(row, "instance", exc)
+        return row
     try:
         edges_ok = True
         n_edges = 0
@@ -252,9 +265,8 @@ def _survey_even_tri(g_json: str) -> dict[str, Any]:
                     n_edges += 1
         row["checks"]["avoid-edge"] = edges_ok
         row["eligible_edges"] = n_edges
-    except DualhamError as exc:
-        row["checks"]["avoid-edge"] = False
-        row["error"] = f"{type(exc).__name__}: {exc}"
+    except Exception as exc:
+        _failed(row, "avoid-edge", exc)
     if hyp:
         try:
             cyc, avoidance = duality.hamilton_face_sparse(g, d)
@@ -263,26 +275,31 @@ def _survey_even_tri(g_json: str) -> dict[str, Any]:
             row["checks"]["round-trip"] = duality.tree_partition_to_hamilton(
                 g, part, d
             ).edges == cyc.edges
-        except DualhamError as exc:
-            row["checks"]["face-sparse"] = False
-            row["error"] = f"{type(exc).__name__}: {exc}"
+        except Exception as exc:
+            _failed(row, "face-sparse", exc)
     return row
 
 
 def _survey_multi4(seed: int) -> dict[str, Any]:
-    g = gen.gen_multi4(16, seed)
-    bp = structure.bipartition_typed(g)
-    a = {u: 1 + (i % 2) for i, u in enumerate(sorted(bp.alpha))}
-    row: dict[str, Any] = {"seed": seed, "n": g.n, "checks": {}}
-    ok = True
-    for pin in sorted(bp.beta):
-        for colour in (1, 2):
-            b = colorizer.color_beta(g, bp, a, pin, colour)
-            rep = colorizer.verify_coloring(
-                g, bp, colorizer.combine(a, b.colour_of), pin, colour
-            )
-            ok &= rep.passed
-    row["checks"]["coloring-sound"] = ok
+    """Colour soundness for one seeded family member; run in a worker.  Any
+    exception fails the check and is recorded in the row."""
+    row: dict[str, Any] = {"seed": seed, "checks": {}}
+    try:
+        g = gen.gen_multi4(16, seed)
+        row["n"] = g.n
+        bp = structure.bipartition_typed(g)
+        a = {u: 1 + (i % 2) for i, u in enumerate(sorted(bp.alpha))}
+        ok = True
+        for pin in sorted(bp.beta):
+            for colour in (1, 2):
+                b = colorizer.color_beta(g, bp, a, pin, colour)
+                rep = colorizer.verify_coloring(
+                    g, bp, colorizer.combine(a, b.colour_of), pin, colour
+                )
+                ok &= rep.passed
+        row["checks"]["coloring-sound"] = ok
+    except Exception as exc:
+        _failed(row, "coloring-sound", exc)
     return row
 
 
@@ -302,13 +319,13 @@ def cmd_survey(args: argparse.Namespace) -> int:
                 instances.append(g.to_json())
         tasks = instances
         worker = _survey_even_tri
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(worker, tasks))
-    else:
-        rows = [worker(t) for t in tasks]
-    for row in rows:
-        print(json.dumps(row, sort_keys=True))
+    rows = []
+    pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext()
+    with pool:
+        # each row prints as soon as it and all rows before it are done
+        for row in (pool.map if args.jobs > 1 else map)(worker, tasks):
+            print(json.dumps(row, sort_keys=True), flush=True)
+            rows.append(row)
     all_ok = all(all(r["checks"].values()) for r in rows)
     rep.result(instances=len(rows))
     rep.check("all-instances-pass", all_ok,

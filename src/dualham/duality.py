@@ -14,17 +14,12 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .embed import (
-    DualGraph,
-    EmbeddedGraph,
-    classify_big_small,
-    dual,
-    tri_partition,
-)
+from .embed import DualGraph, EmbeddedGraph, dual
 from .errors import BadEdge, CapExceeded, NotHamilton, NotTreePartition
 from .treesplit import (
     TreePartition,
     _analyse,
+    _Analysis,
     tree_partition_face_sparse,
     tree_partition_with_edge,
     verify_tree_partition,
@@ -231,15 +226,17 @@ class AvoidanceReport:
 
 
 def face_avoidance_report(
-    g: EmbeddedGraph, h: HamiltonCycle, d: DualGraph | None = None
+    g: EmbeddedGraph, h: HamiltonCycle, d: DualGraph | None = None,
+    *, analysis: _Analysis | None = None,
 ) -> AvoidanceReport:
     """Classify every dual face of colour 3 and size >= 6 against the
     cycle: either exactly every second boundary edge is avoided, or at
-    most two are."""
+    most two are.  `analysis` is the caller's analysis of g, if it has
+    one."""
     if d is None:
         d = dual(g)
-    tp = tri_partition(g)
-    bs = classify_big_small(g, tp)
+    an = analysis if analysis is not None else _analyse(g)
+    tp, bs = an.tp, an.bs
     cycle_edges = h.edges
     rows = []
     for v in sorted(bs.big):
@@ -270,9 +267,10 @@ def hamilton_face_sparse(
     colour 3, with the per-face classification."""
     if d is None:
         d = dual(g)
-    part, _ = tree_partition_face_sparse(g)
+    an = _analyse(g)
+    part, _ = tree_partition_face_sparse(g, analysis=an)
     h = tree_partition_to_hamilton(g, part, d)
-    return h, face_avoidance_report(g, h, d)
+    return h, face_avoidance_report(g, h, d, analysis=an)
 
 
 # --- brute-force properties of cubic plane graphs -------------------------

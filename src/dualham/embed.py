@@ -209,9 +209,11 @@ class TriPartition:
 def tri_partition(g: EmbeddedGraph) -> TriPartition:
     """Canonical 3-colouring: vertex 0 -> 1, its rotation-first neighbour -> 2.
 
-    Propagates through triangular faces; the colouring of an even
-    triangulation is unique up to permutation, so propagation conflicts mean
-    the input was not an even triangulation.
+    One breadth-first pass: v and each rotation-consecutive pair of its
+    neighbours bound a face, so v's neighbours alternate between the other
+    two classes, and the neighbour v was reached from fixes which is which.
+    The colouring of an even triangulation is unique up to permutation, so
+    an improper result means the input was not an even triangulation.
     """
     if not is_even_triangulation(g):
         raise NotEvenTriangulation("faces or degrees are wrong")
@@ -219,23 +221,18 @@ def tri_partition(g: EmbeddedGraph) -> TriPartition:
     cls[0] = 1
     first = g.rotation[0][0]
     cls[first] = 2
-    # triangles incident to each vertex
-    tris = [tuple({a for e in f for a in e}) for f in g.faces.faces]
-    pending = True
-    while pending:
-        pending = False
-        for t in tris:
-            known = [v for v in t if cls[v]]
-            if len(known) == 3:
-                if len({cls[v] for v in t}) != 3:
-                    raise NotEvenTriangulation("3-colouring propagation conflict")
-            elif len(known) == 2:
-                a, b = known
-                if cls[a] == cls[b]:
-                    raise NotEvenTriangulation("3-colouring propagation conflict")
-                missing = next(v for v in t if not cls[v])
-                cls[missing] = 6 - cls[a] - cls[b]
-                pending = True
+    entry = [0] * g.n   # a coloured neighbour of each queued vertex
+    entry[0] = first
+    queue = [0, first]
+    for v in queue:     # grows while it is scanned
+        nb = g.rotation[v]
+        k = nb.index(entry[v])
+        pair = (cls[entry[v]], 6 - cls[v] - cls[entry[v]])
+        for i, u in enumerate(nb[k:] + nb[:k]):
+            if not cls[u]:
+                cls[u] = pair[i % 2]
+                entry[u] = v
+                queue.append(u)
     if any(c == 0 for c in cls):
         raise NotEvenTriangulation("3-colouring propagation incomplete")
     for u, v in g.edges():

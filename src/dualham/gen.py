@@ -14,6 +14,7 @@ from typing import Iterable, Iterator
 
 from .embed import (
     EmbeddedGraph,
+    TriPartition,
     canonical_form,
     classify_big_small,
     is_even_triangulation,
@@ -187,10 +188,14 @@ def gen_multi4(size: int, seed: int) -> Graph:
 # --- constrained even triangulations -------------------------------------
 
 
-def big_vertex_graph(g: EmbeddedGraph) -> tuple[Graph, "object"]:
+def big_vertex_graph(
+    g: EmbeddedGraph, *, tp: TriPartition | None = None
+) -> tuple[Graph, "object"]:
     """H = G[B1 u B3] + G[B2 u B3]: big vertices, minus class-1-to-class-2
-    edges.  Returns (H, big/small classification)."""
-    tp = tri_partition(g)
+    edges.  Returns (H, big/small classification).  `tp` is the caller's
+    3-colouring of g, if it has one."""
+    if tp is None:
+        tp = tri_partition(g)
     bs = classify_big_small(g, tp)
     keep = set(bs.big)
     edges = []

@@ -160,27 +160,43 @@ def _bipyramid_partition(
 
 def fan_paths(g: EmbeddedGraph, bs: BigSmall) -> list[FanPath]:
     """The family of all fan paths; every small vertex is interior to at
-    least one of them unless g is a bipyramid."""
+    least one of them unless g is a bipyramid.
+
+    A depth-first walk from each big vertex through small ones.  Each
+    partial path carries its candidate poles, the common neighbours of its
+    vertices off the path, and stays induced: a fan path's only possible
+    chord joins its two ends.  Both conditions only get worse as a path
+    grows, so a branch is dropped as soon as either fails.
+    """
     if bipyramid_poles(g) is not None:
         raise BipyramidSpecialCase("join of a cycle with two poles")
-    ab = g.abstract()
+    adj = g.abstract().adj
+    nbrs = {v: sorted(nb) for v, nb in adj.items()}
     small = bs.small
-    big = bs.big
     found: dict[tuple[int, ...], FanPath] = {}
-    for start in sorted(big):
-        stack: list[list[int]] = [[start, s] for s in sorted(ab.adj[start]) if s in small]
+    for start in sorted(bs.big):
+        stack = [([start, s], adj[start] & adj[s]) for s in nbrs[start] if s in small]
         while stack:
-            path = stack.pop()
-            last = path[-1]
-            for nxt in sorted(ab.adj[last]):
-                if nxt in path[1:] or nxt == start:
+            path, common = stack.pop()
+            last, prev = path[-1], path[-2]
+            for nxt in nbrs[last]:
+                # an induced path meets last's neighbourhood only at prev
+                if nxt == prev:
+                    continue
+                # never more than two: an inner vertex has degree 4 and
+                # two of its neighbours on the path
+                poles = common & adj[nxt]
+                if len(poles) < 2:
                     continue
                 if nxt in small:
-                    stack.append(path + [nxt])
-                elif len(path) >= 2:
-                    fp = _classify_fan_path(ab, big, tuple(path) + (nxt,))
-                    if fp is not None:
-                        found.setdefault(fp.path, fp)
+                    if adj[nxt].isdisjoint(path[:-1]):
+                        stack.append((path + [nxt], poles))
+                elif adj[nxt].isdisjoint(path[1:-1]):
+                    kind = "cycle-minus-edge" if start in adj[nxt] else "induced"
+                    p = tuple(path) + (nxt,) if start < nxt else (nxt, *path[::-1])
+                    found.setdefault(
+                        p, FanPath(p, frozenset(poles), frozenset({start, nxt}), kind)
+                    )
     covered = {u for fp in found.values() for u in fp.interior}
     missing = small - covered
     if missing:
@@ -189,32 +205,6 @@ def fan_paths(g: EmbeddedGraph, bs: BigSmall) -> list[FanPath]:
             "in a non-bipyramid triangulation"
         )
     return sorted(found.values(), key=lambda fp: fp.path)
-
-
-def _classify_fan_path(ab: Graph, big: frozenset[int], path: tuple[int, ...]) -> FanPath | None:
-    if path[0] > path[-1]:
-        path = path[::-1]
-    pset = set(path)
-    chords = [
-        (path[i], path[j])
-        for i in range(len(path))
-        for j in range(i + 2, len(path))
-        if ab.has_edge(path[i], path[j])
-    ]
-    if not chords:
-        kind = "induced"
-    elif chords == [(min(path[0], path[-1]), max(path[0], path[-1]))] or chords == [(path[0], path[-1])]:
-        kind = "cycle-minus-edge"
-    else:
-        return None
-    poles = set(ab.adj[path[0]])
-    for u in path[1:]:
-        poles &= ab.adj[u]
-    poles -= pset
-    if len(poles) != 2:
-        # a walk that turns a corner at some small vertex; not a fan
-        return None
-    return FanPath(path, frozenset(poles), frozenset({path[0], path[-1]}), kind)
 
 
 def families_R(
@@ -254,7 +244,7 @@ class _Analysis:
 
 def _analyse(g: EmbeddedGraph) -> _Analysis:
     tp = tri_partition(g)
-    h, bs = big_vertex_graph(g)
+    h, bs = big_vertex_graph(g, tp=tp)
     poles = bipyramid_poles(g)
     paths = () if poles is not None else tuple(fan_paths(g, bs))
     return _Analysis(g.abstract(), tp, bs, h, poles, paths)
@@ -948,16 +938,17 @@ def _choose_fan_paths(an: _Analysis, v: int, w: int) -> list[FanPath]:
 
 
 def tree_partition_face_sparse(
-    g: EmbeddedGraph,
+    g: EmbeddedGraph, *, analysis: _Analysis | None = None
 ) -> tuple[TreePartition, dict]:
     """Two induced trees such that every big class-3 vertex keeps almost
     all of its class-1 neighbours on the first side and class-2 on the
     second (branching vertices of H exactly; degree-2 vertices up to the
     two slack neighbours).  Returns the partition and a per-vertex report.
+    `analysis` is the caller's analysis of g, if it has one.
     """
     if not is_even_triangulation(g):
         raise NotEvenTriangulation("input is not an even plane triangulation")
-    an = _analyse(g)
+    an = analysis if analysis is not None else _analyse(g)
     tp, bs, h = an.tp, an.bs, an.h
     if not is_multi4(h):
         raise HNotInFamily("a big-vertex cycle has length not 0 mod 4")

@@ -1,5 +1,7 @@
 """Shared fixtures: canonical small instances and the frozen catalog."""
 
+import json
+import random
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from dualham.embed import EmbeddedGraph
 from dualham.gen import gen_bipyramid, golden_two_squares, load_catalog
 
 DATA = Path(__file__).parent / "data"
+LARGE = Path(__file__).parent.parent / "perfbench" / "data" / "large.jsonl"
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +39,29 @@ def catalog12() -> list[EmbeddedGraph]:
     the smaller sizes live)."""
     with open(DATA / "even_tri_12.jsonl") as f:
         return list(load_catalog(f))
+
+
+@pytest.fixture(scope="session")
+def even_tri_sweep(catalog12) -> list[EmbeddedGraph]:
+    """Even triangulations for checking a rewrite against its reference.
+
+    Every even triangulation with n <= 12 and its mirror (the rows of the
+    with-edge golden file), two seeded relabellings of each, the 12-vertex
+    catalog, and the four large instances frozen for the benchmark
+    (n = 152 and 302) with their mirrors.
+    """
+    rng = random.Random(12)
+    with open(DATA / "with_edge_golden.jsonl") as f:
+        small = [EmbeddedGraph.build(json.loads(line)["rotation"]) for line in f]
+    relabelled = []
+    for g in small:
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            rot = [None] * g.n
+            for v, nb in enumerate(g.rotation):
+                rot[perm[v]] = [perm[u] for u in nb]
+            relabelled.append(EmbeddedGraph.build(rot))
+    with open(LARGE) as f:
+        large = [EmbeddedGraph.build(json.loads(line)["rotation"]) for line in f]
+    return small + relabelled + catalog12 + large + [g.mirror() for g in large]

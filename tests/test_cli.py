@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dualham import cli
 from dualham.cli import main
 from dualham.gen import gen_bipyramid, golden_two_squares
 
@@ -217,3 +218,45 @@ class TestGenAndSurvey:
         )
         assert code == 0
         assert rows[-1]["result"]["instances"] == 3
+
+    def test_survey_streams_rows_past_a_bad_instance(self, capsys, monkeypatch):
+        real = cli.gen.gen_multi4
+        printed_before = []
+
+        def flaky(size, seed):
+            if seed == 12:
+                printed_before.append(capsys.readouterr().out)
+                raise RuntimeError("injected")
+            return real(size, seed)
+
+        monkeypatch.setattr(cli.gen, "gen_multi4", flaky)
+        code, rows, _ = run(capsys, ["survey", "--family", "multi4", "--count", "3",
+                                     "--seed", "11", "--jobs", "1"])
+        assert code == 1
+        # seed 11's row was out before seed 12 started
+        (early,) = [json.loads(line) for line in printed_before[0].splitlines()]
+        assert early["seed"] == 11 and all(early["checks"].values())
+        bad, good, summary = rows
+        assert bad == {"seed": 12, "checks": {"coloring-sound": False},
+                       "error": "RuntimeError: injected"}
+        assert good["seed"] == 13 and all(good["checks"].values())
+        assert summary["result"]["instances"] == 3
+        assert summary["checks"][0]["witness"] == [bad]
+
+    def test_survey_even_tri_survives_a_bad_instance(self, capsys, monkeypatch):
+        real = cli.dual
+
+        def flaky(g):
+            if g.n == 8:
+                raise RuntimeError("injected")
+            return real(g)
+
+        monkeypatch.setattr(cli, "dual", flaky)
+        code, rows, _ = run(capsys, ["survey", "--family", "even-tri", "--n-max", "8",
+                                     "--jobs", "1"])
+        assert code == 1
+        ok, bad, summary = rows
+        assert ok["n"] == 6 and all(ok["checks"].values())
+        assert bad == {"n": 8, "checks": {"instance": False},
+                       "error": "RuntimeError: injected"}
+        assert summary["result"]["instances"] == 2

@@ -6,6 +6,7 @@ import pytest
 
 from dualham.embed import (
     EmbeddedGraph,
+    TriPartition,
     canonical_form,
     classify_big_small,
     dual,
@@ -102,6 +103,64 @@ def test_tri_partition_is_proper(bipyramid6):
 def test_tri_partition_rejects_odd_triangulation():
     with pytest.raises(NotEvenTriangulation):
         tri_partition(EmbeddedGraph.build(TETRAHEDRON))
+
+
+def _reference_tri_partition(g):
+    """Reference for `tri_partition`: sweep every face until no colour
+    changes."""
+    if not is_even_triangulation(g):
+        raise NotEvenTriangulation("faces or degrees are wrong")
+    cls = [0] * g.n
+    cls[0] = 1
+    first = g.rotation[0][0]
+    cls[first] = 2
+    # triangles incident to each vertex
+    tris = [tuple({a for e in f for a in e}) for f in g.faces.faces]
+    pending = True
+    while pending:
+        pending = False
+        for t in tris:
+            known = [v for v in t if cls[v]]
+            if len(known) == 3:
+                if len({cls[v] for v in t}) != 3:
+                    raise NotEvenTriangulation("3-colouring propagation conflict")
+            elif len(known) == 2:
+                a, b = known
+                if cls[a] == cls[b]:
+                    raise NotEvenTriangulation("3-colouring propagation conflict")
+                missing = next(v for v in t if not cls[v])
+                cls[missing] = 6 - cls[a] - cls[b]
+                pending = True
+    if any(c == 0 for c in cls):
+        raise NotEvenTriangulation("3-colouring propagation incomplete")
+    for u, v in g.edges():
+        if cls[u] == cls[v]:
+            raise NotEvenTriangulation("improper 3-colouring")
+    return TriPartition(tuple(cls))
+
+
+def test_tri_partition_matches_reference(even_tri_sweep):
+    graphs = even_tri_sweep + [gen_bipyramid(l) for l in range(2, 9)]
+    for g in graphs:
+        assert tri_partition(g) == _reference_tri_partition(g)
+
+
+def test_both_tri_partitions_reject_odd_degrees():
+    for g in [EmbeddedGraph.build(TETRAHEDRON)] + gen_triangulations(7):
+        for impl in (tri_partition, _reference_tri_partition):
+            with pytest.raises(NotEvenTriangulation):
+                impl(g)
+
+
+def test_both_tri_partitions_reject_k7_on_the_torus():
+    # triangular faces and even degrees pass the gate, but K7 has no
+    # proper 3-colouring; `build` would refuse the torus, so bypass it
+    rot = tuple(tuple((i + d) % 7 for d in (1, 3, 2, 6, 4, 5)) for i in range(7))
+    g = EmbeddedGraph(7, rot)
+    assert is_even_triangulation(g)
+    for impl in (tri_partition, _reference_tri_partition):
+        with pytest.raises(NotEvenTriangulation):
+            impl(g)
 
 
 def test_classify_big_small(bipyramid6):

@@ -2,14 +2,16 @@
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from dualham.embed import classify_big_small, tri_partition
+from dualham.embed import BigSmall, canonical_form, classify_big_small, tri_partition
 from dualham.errors import (
     BadEdge,
     BipyramidSpecialCase,
+    CaseUnmatched,
     ConstraintInvalid,
     NotEvenTriangulation,
     SearchExhausted,
@@ -24,6 +26,7 @@ from dualham.gen import (
 )
 from dualham.embed import EmbeddedGraph
 from dualham.treesplit import (
+    FanPath,
     PartitionConstraint,
     TreePartition,
     bipyramid_poles,
@@ -65,6 +68,65 @@ def _poles_by_pair_scan(g):
             if all(ring.degree(v) == 2 for v in rest) and ring.is_connected():
                 return (p, q)
     return None
+
+
+def _reference_fan_paths(g, bs):
+    """Reference for `fan_paths`: every walk through small vertices is
+    followed to a big end, then classified whole."""
+    if bipyramid_poles(g) is not None:
+        raise BipyramidSpecialCase("join of a cycle with two poles")
+    ab = g.abstract()
+    small = bs.small
+    big = bs.big
+    found = {}
+    for start in sorted(big):
+        stack = [[start, s] for s in sorted(ab.adj[start]) if s in small]
+        while stack:
+            path = stack.pop()
+            last = path[-1]
+            for nxt in sorted(ab.adj[last]):
+                if nxt in path[1:] or nxt == start:
+                    continue
+                if nxt in small:
+                    stack.append(path + [nxt])
+                elif len(path) >= 2:
+                    fp = _reference_classify_fan_path(ab, big, tuple(path) + (nxt,))
+                    if fp is not None:
+                        found.setdefault(fp.path, fp)
+    covered = {u for fp in found.values() for u in fp.interior}
+    missing = small - covered
+    if missing:
+        raise CaseUnmatched(
+            f"small vertices {sorted(missing)} lie on no fan path "
+            "in a non-bipyramid triangulation"
+        )
+    return sorted(found.values(), key=lambda fp: fp.path)
+
+
+def _reference_classify_fan_path(ab, big, path):
+    if path[0] > path[-1]:
+        path = path[::-1]
+    pset = set(path)
+    chords = [
+        (path[i], path[j])
+        for i in range(len(path))
+        for j in range(i + 2, len(path))
+        if ab.has_edge(path[i], path[j])
+    ]
+    if not chords:
+        kind = "induced"
+    elif chords == [(min(path[0], path[-1]), max(path[0], path[-1]))] or chords == [(path[0], path[-1])]:
+        kind = "cycle-minus-edge"
+    else:
+        return None
+    poles = set(ab.adj[path[0]])
+    for u in path[1:]:
+        poles &= ab.adj[u]
+    poles -= pset
+    if len(poles) != 2:
+        # a walk that turns a corner at some small vertex; not a fan
+        return None
+    return FanPath(path, frozenset(poles), frozenset({path[0], path[-1]}), kind)
 
 
 def _relabel(g, rng):
@@ -136,6 +198,52 @@ class TestFanPaths:
             assert fp.v0 <= bs.big and (fp.v0 | fp.v1) & b3
         for fp in r_hat:
             assert fp.v0 & b3 and fp.v0 & bs.s_of(3)
+
+
+class TestFanPathsMatchReference:
+    def test_golden_rows_are_every_even_triangulation_up_to_12(self):
+        with open(GOLDEN) as f:
+            graphs = [EmbeddedGraph.build(json.loads(line)["rotation"]) for line in f]
+        classes = {canonical_form(g): g.n for g in graphs}
+        assert sorted(classes.values()) == [6, 8, 9, 10, 10, 11, 11] + [12] * 8
+
+    def test_same_paths_and_kinds(self, even_tri_sweep):
+        kinds = Counter()
+        for g in even_tri_sweep:
+            bs = classify_big_small(g, tri_partition(g))
+            if bipyramid_poles(g) is not None:
+                continue
+            paths = fan_paths(g, bs)
+            assert paths == _reference_fan_paths(g, bs)
+            kinds.update(fp.kind for fp in paths)
+        # both kinds occur, so the end-to-end chord is exercised
+        assert kinds["induced"] and kinds["cycle-minus-edge"]
+
+    def test_same_on_all_triangulations_up_to_10(self):
+        # odd triangulations too, with big and small split by degree alone:
+        # degree-5 vertices then end paths, and separating triangles occur
+        for n in range(6, 11):
+            for g in gen_triangulations(n):
+                for h in (g, g.mirror()):
+                    big = frozenset(v for v in range(h.n) if h.degree(v) >= 6)
+                    small = frozenset(v for v in range(h.n) if h.degree(v) == 4)
+                    none = frozenset()
+                    bs = BigSmall(big, small, (big, none, none), (small, none, none))
+                    outcomes = []
+                    for impl in (fan_paths, _reference_fan_paths):
+                        try:
+                            outcomes.append(impl(h, bs))
+                        except (BipyramidSpecialCase, CaseUnmatched) as exc:
+                            outcomes.append(type(exc))
+                    assert outcomes[0] == outcomes[1]
+
+    def test_both_refuse_bipyramids(self):
+        for l in range(2, 9):
+            g = gen_bipyramid(l)
+            bs = classify_big_small(g, tri_partition(g))
+            for impl in (fan_paths, _reference_fan_paths):
+                with pytest.raises(BipyramidSpecialCase):
+                    impl(g, bs)
 
 
 class TestSolver:
