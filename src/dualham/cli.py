@@ -58,8 +58,10 @@ def _load_abstract(text: str) -> tuple[Graph, dict[int, int]]:
     try:
         data = json.loads(text)
         edges = [(int(u), int(v)) for u, v in data["edges"]]
-        a = {int(k): int(v) for k, v in data.get("a", {}).items()}
-        return Graph.from_edges(edges), a
+        a = data.get("a", {})
+        if not isinstance(a, dict) or any(c not in (1, 2) for c in a.values()):
+            raise ValueError('"a" must map vertices to colours 1 or 2')
+        return Graph.from_edges(edges), {int(k): int(c) for k, c in a.items()}
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph JSON: {exc}") from exc
 

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import CaseUnmatched, NoCutPath, NotInFamilyH
-from .structure import (
-    TypedBipartition,
-    bipartition_typed,
-    is_multi4,
-    minimal_determined_side,
-)
+from .structure import TypedBipartition, is_multi4, minimal_determined_side
 from .ugraph import DEFAULT_CYCLE_CAP, Graph
 
 
@@ -41,6 +36,16 @@ def combine(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     out = dict(a)
     out.update(b)
     return out
+
+
+def mono_cycle(g: Graph, colours: Mapping[int, int]) -> list[int] | None:
+    """A cycle of g whose vertices all have colour 1, else one in colour 2,
+    else None.  Uncoloured vertices lie on no such cycle."""
+    for c in (1, 2):
+        cyc = g.subgraph({v for v in g.adj if colours.get(v) == c}).find_cycle()
+        if cyc is not None:
+            return cyc
+    return None
 
 
 def color_beta(
@@ -416,12 +421,7 @@ def _orient_opposite_pair(
     y_colour = 3 - v_colour
 
     def ok(b: dict[int, int]) -> bool:
-        comb = combine(a, b)
-        for col in (1, 2):
-            sub = block.subgraph({u for u in block.adj if comb.get(u) == col})
-            if sub.find_cycle() is not None:
-                return False
-        return True
+        return mono_cycle(block, combine(a, b)) is None
 
     b1 = _color_block(block, bp, a, v, v_colour)
     if b1[y] == y_colour and ok(b1):
@@ -471,13 +471,8 @@ def verify_coloring(
     missing = set(g.adj) - set(combined)
     if missing:
         raise ValueError(f"combined colouring misses {sorted(missing)}")
-    witness_cycle = None
-    for col in (1, 2):
-        sub = g.subgraph({v for v in g.adj if combined[v] == col})
-        cyc = sub.find_cycle()
-        if cyc is not None:
-            witness_cycle = tuple(cyc)
-            break
+    cyc = mono_cycle(g, combined)
+    witness_cycle = tuple(cyc) if cyc is not None else None
     witness_path = None
     for walk in g.chains():
         closed = walk[0] == walk[-1] and len(walk) > 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     AsymmetricAdjacency,
@@ -120,9 +120,14 @@ class EmbeddedGraph:
     @staticmethod
     def from_json(text: str) -> "EmbeddedGraph":
         data = json.loads(text)
-        if data.get("n") != len(data.get("rotation", [])):
+        rotation = data.get("rotation") if isinstance(data, dict) else None
+        if not isinstance(rotation, list) or not all(
+            isinstance(nb, list) and all(type(u) is int for u in nb) for nb in rotation
+        ):
+            raise ValueError('expected an object whose "rotation" is a list of lists of ints')
+        if data.get("n") != len(rotation):
             raise ValueError("n does not match rotation length")
-        return EmbeddedGraph.build(data["rotation"])
+        return EmbeddedGraph.build(rotation)
 
 
 def trace_faces(g: EmbeddedGraph) -> FaceSet:
@@ -154,9 +159,6 @@ class DualGraph:
     graph: EmbeddedGraph
     edge_map: Mapping[tuple[int, int], tuple[int, int]]   # primal edge -> dual edge
     primal_vertex_of_dual_face: tuple[int, ...]           # dual face id -> primal vertex
-
-    def dual_edge(self, u: int, v: int) -> tuple[int, int]:
-        return self.edge_map[norm_edge(u, v)]
 
 
 def dual(g: EmbeddedGraph) -> DualGraph:

@@ -32,9 +32,6 @@ class TypedBipartition:
     def is_beta(self, v: int) -> bool:
         return v in self.beta
 
-    def type_of(self, v: int) -> str:
-        return "beta" if v in self.beta else "alpha"
-
     def same_type(self, u: int, v: int) -> bool:
         return (u in self.beta) == (v in self.beta)
 

@@ -2,8 +2,10 @@
 
 The pipeline: colour the big class-3 vertices with the monochromatic-
 cycle-free colouring, extend it over the fans of small vertices (the case
-machines below), seed the two sides, and finish with a complete
-backtracking search that is guaranteed to succeed on valid inputs.
+machines below), seed the two sides, and finish with a complete search
+for the free vertices.  The search is one loop over a trail of
+placements, so no recursion limit bounds the instance size; on the
+seeds the pipelines give it, it has not yet had to take a placement back.
 
 Terminology used throughout: classes 1/2/3 come from the canonical proper
 3-colouring; big means degree >= 6, small means degree 4; H is the graph
@@ -15,17 +17,11 @@ to all of it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .colorizer import color_beta, color_beta_4cycle, combine
-from .embed import (
-    BigSmall,
-    EmbeddedGraph,
-    TriPartition,
-    is_even_triangulation,
-    tri_partition,
-)
+from .colorizer import color_beta, color_beta_4cycle, combine, mono_cycle
+from .embed import BigSmall, EmbeddedGraph, TriPartition, tri_partition
 from .errors import (
     BadEdge,
     BipyramidSpecialCase,
@@ -34,7 +30,6 @@ from .errors import (
     ConstraintInvalid,
     HComponentNot2Connected,
     HNotInFamily,
-    NotEvenTriangulation,
     NotTreePartition,
     SearchExhausted,
 )
@@ -58,10 +53,6 @@ class FanPath:
     @property
     def interior(self) -> tuple[int, ...]:
         return self.path[1:-1]
-
-    @property
-    def length(self) -> int:
-        return len(self.path) - 1
 
 
 @dataclass(frozen=True)
@@ -299,9 +290,20 @@ def tree_partition_solve(
     enforce_path_condition: bool = True,
     analysis: _Analysis | None = None,
 ) -> TreePartition:
-    """Complete backtracking search for a two-tree partition extending the
+    """Complete depth-first search for a two-tree partition extending the
     seeds.  On valid inputs a solution exists; running out of search space
     is surfaced as a hard failure, never papered over.
+
+    One loop over a trail of placements, so no recursion limit applies:
+    the next vertex has the most assigned neighbours (ties to the
+    smallest), side 0 is tried first, and a vertex refused on both sides
+    pops the trail and moves the popped vertex to its next side.
+
+    A full assignment needs no connectivity test.  In a plane triangulation
+    two forest sides are two trees: no face lies inside one side, so each
+    of the 2n - 4 faces has two of its edges across, 2n - 4 edges cross,
+    and the n - 2 edges left make forests on n vertices with exactly two
+    components, one per side.
 
     `analysis` is the calling pipeline's analysis of g; without one the
     solver makes its own.
@@ -346,28 +348,25 @@ def tree_partition_solve(
                 best, score = v, placed_nbrs[v]
         return best
 
-    def search() -> bool:
-        v = choose()
-        if v is None:
-            s = frozenset(u for u, side in assign.items() if side == 0)
-            t = frozenset(assign) - s
-            return (s and t
-                    and ab.subgraph(s).is_connected()
-                    and ab.subgraph(t).is_connected())
-        for side in (0, 1):
+    trail: list[tuple[int, int, int]] = []   # (vertex, side, undo mark)
+    v, side = choose(), 0
+    while v is not None:
+        if side < 2:
             mark = place(v, side)
             if mark is None:
-                continue
-            if search():
-                return True
+                side += 1
+            else:
+                trail.append((v, side, mark))
+                v, side = choose(), 0
+        elif trail:
+            v, side, mark = trail.pop()
             unplace(v, side, mark)
-        return False
-
-    if not search():
-        raise SearchExhausted(
-            f"no two-tree partition extends seeds x={sorted(c.x)} y={sorted(c.y)} "
-            f"on a {g.n}-vertex triangulation (potential counterexample)"
-        )
+            side += 1
+        else:
+            raise SearchExhausted(
+                f"no two-tree partition extends seeds x={sorted(c.x)} y={sorted(c.y)} "
+                f"on a {g.n}-vertex triangulation (potential counterexample)"
+            )
     s = frozenset(u for u, side in assign.items() if side == 0)
     part = TreePartition(s, frozenset(assign) - s)
     if not verify_tree_partition(ab, part, c.x, c.y):
@@ -380,16 +379,13 @@ def _validate_constraint(
 ) -> None:
     if c.x & c.y:
         raise ConstraintInvalid(f"seed sets overlap on {sorted(c.x & c.y)}")
-    ab, bs = an.ab, an.bs
+    bs = an.bs
     if not bs.b_of(1) <= c.x:
         raise ConstraintInvalid("big class-1 vertices must seed the first side")
     if not bs.b_of(2) <= c.y:
         raise ConstraintInvalid("big class-2 vertices must seed the second side")
     if not bs.b_of(3) <= c.x | c.y:
         raise ConstraintInvalid("big class-3 vertices must all be seeded")
-    for seed, name in ((c.x, "x"), (c.y, "y")):
-        if not ab.subgraph(seed).is_acyclic():
-            raise ConstraintInvalid(f"seed set {name} induces a cycle")
     if enforce_path_condition:
         xy = c.x | c.y
         for fp in an.paths:
@@ -452,10 +448,8 @@ def _base_conditions_ok(
     monochromatic cycle, degree->=3 second-neighbour pairs split, forced
     colours at degree-2 vertices between same-coloured neighbours.  The
     last two only when `strict`."""
-    comb = {**a, **b}
-    for c in (1, 2):
-        if h.subgraph({u for u in h.adj if comb.get(u) == c}).find_cycle():
-            return False
+    if mono_cycle(h, {**a, **b}) is not None:
+        return False
     if not strict:
         return True
     for u in h.vertices:
@@ -577,14 +571,7 @@ def extend_coloring_single_path(
     l_graph = ab.subgraph(bs.big).union(ab.subgraph(set(p_w.path) | p_w.v0))
 
     def audit(cand: dict[int, int]) -> bool:
-        if cand.get(w) != cand[v]:
-            return False
-        comb2 = combine(a, cand)
-        for c in (1, 2):
-            sub = l_graph.subgraph({u for u in l_graph.adj if comb2.get(u) == c})
-            if sub.find_cycle() is not None:
-                return False
-        return True
+        return cand.get(w) == cand[v] and mono_cycle(l_graph, combine(a, cand)) is None
 
     if audit(b0):
         return b0
@@ -787,10 +774,9 @@ def _audit_step(
     scope = set(fp.path) | fp.v0
     if any(u not in comb for u in scope):
         return "uncoloured vertex in scope"
-    for c in (1, 2):
-        sub = l_graph.subgraph({u for u in l_graph.adj if comb.get(u) == c})
-        if sub.find_cycle() is not None:
-            return f"monochromatic cycle in colour {c}"
+    cyc = mono_cycle(l_graph, comb)
+    if cyc is not None:
+        return f"monochromatic cycle in colour {comb[cyc[0]]}"
     for v in sorted(bs.b_of(3) & (fp.v0 | fp.v1)):
         dv = h.degree(v) if v in h.adj else 0
         local = scope & ab.adj[v]
@@ -839,8 +825,6 @@ def tree_partition_with_edge(
     """Two induced trees with big class-1 vertices on the first side, big
     class-2 on the second, and the edge vw kept inside one side (chosen by
     w's class).  `analysis` is the caller's analysis of g, if it has one."""
-    if not is_even_triangulation(g):
-        raise NotEvenTriangulation("input is not an even plane triangulation")
     an = analysis if analysis is not None else _analyse(g)
     tp, bs, h = an.tp, an.bs, an.h
     if v not in bs.b_of(3):
@@ -946,8 +930,6 @@ def tree_partition_face_sparse(
     two slack neighbours).  Returns the partition and a per-vertex report.
     `analysis` is the caller's analysis of g, if it has one.
     """
-    if not is_even_triangulation(g):
-        raise NotEvenTriangulation("input is not an even plane triangulation")
     an = analysis if analysis is not None else _analyse(g)
     tp, bs, h = an.tp, an.bs, an.h
     if not is_multi4(h):

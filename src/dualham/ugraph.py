@@ -62,9 +62,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return u in self.adj and v in self.adj[u]
 
-    def neighbors(self, v: int) -> set[int]:
-        return self.adj[v]
-
     def __contains__(self, v: int) -> bool:
         return v in self.adj
 

@@ -77,6 +77,22 @@ class TestCheck:
         assert "error" in err
 
 
+@pytest.mark.parametrize("command, text", [
+    (["check", "--family", "even-tri"], "[1, 2]"),
+    (["check", "--family", "even-tri"], '{"n": 2, "rotation": 5}'),
+    (["check", "--family", "even-tri"], '{"n": 1, "rotation": [null]}'),
+    (["color"], '{"edges": [[0, 1], [1, 2]], "a": [1]}'),
+    (["color"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "a": {"0": 1, "2": 7}}'),
+], ids=["not-an-object", "rotation-not-a-list", "row-not-a-list", "a-not-an-object",
+        "a-colour-7"])
+def test_malformed_input_exits_2(capsys, tmp_path, command, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code, rows, err = run(capsys, [command[0], str(p), *command[1:]])
+    assert code == 2 and not rows
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestColor:
     def test_default_pin(self, capsys, squares_file):
         code, rows, _ = run(capsys, ["color", squares_file])

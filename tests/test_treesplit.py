@@ -2,17 +2,20 @@
 
 import json
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from dualham.embed import BigSmall, canonical_form, classify_big_small, tri_partition
+from dualham.duality import hamilton_avoiding_edge, verify_hamilton
+from dualham.embed import BigSmall, canonical_form, classify_big_small, dual, tri_partition
 from dualham.errors import (
     BadEdge,
     BipyramidSpecialCase,
     CaseUnmatched,
     ConstraintInvalid,
+    DualhamError,
     NotEvenTriangulation,
     SearchExhausted,
 )
@@ -25,6 +28,7 @@ from dualham.gen import (
     meets_h_hypothesis,
 )
 from dualham.embed import EmbeddedGraph
+from dualham import treesplit
 from dualham.treesplit import (
     FanPath,
     PartitionConstraint,
@@ -51,6 +55,7 @@ def even10():
 
 
 GOLDEN = Path(__file__).parent / "data" / "with_edge_golden.jsonl"
+LARGE = Path(__file__).parent.parent / "perfbench" / "data" / "large.jsonl"
 
 
 def _poles_by_pair_scan(g):
@@ -127,6 +132,62 @@ def _reference_classify_fan_path(ab, big, path):
         # a walk that turns a corner at some small vertex; not a fan
         return None
     return FanPath(path, frozenset(poles), frozenset({path[0], path[-1]}), kind)
+
+
+def _reference_solve(g, c):
+    """Reference for `tree_partition_solve(g, c, enforce_path_condition=False)`:
+    the recursive search it replaced, with the seed-acyclicity check and the
+    leaf connectivity test.  Returns the partition or the error type, the
+    (vertex, side, accepted) placements tried after the seeds, and the
+    number of placements taken back."""
+    ab = g.abstract()
+    bs = classify_big_small(g, tri_partition(g))
+    if (c.x & c.y or not bs.b_of(1) <= c.x or not bs.b_of(2) <= c.y
+            or not bs.b_of(3) <= c.x | c.y
+            or not ab.subgraph(c.x).is_acyclic() or not ab.subgraph(c.y).is_acyclic()):
+        return ConstraintInvalid, [], 0
+    assign = {**dict.fromkeys(c.x, 0), **dict.fromkeys(c.y, 1)}
+    tried = []
+    backtracks = 0
+
+    def search():
+        nonlocal backtracks
+        free = [v for v in ab.adj if v not in assign]
+        if not free:
+            s = {u for u, side in assign.items() if side == 0}
+            t = set(assign) - s
+            return s and t and ab.subgraph(s).is_connected() and ab.subgraph(t).is_connected()
+        v = min(free, key=lambda v: (-sum(w in assign for w in ab.adj[v]), v))
+        for side in (0, 1):
+            fits = ab.subgraph({u for u in assign if assign[u] == side} | {v}).is_acyclic()
+            tried.append((v, side, fits))
+            if not fits:
+                continue
+            assign[v] = side
+            if search():
+                return True
+            del assign[v]
+            backtracks += 1
+        return False
+
+    if not search():
+        return SearchExhausted, tried, backtracks
+    s = frozenset(u for u, side in assign.items() if side == 0)
+    return TreePartition(s, frozenset(assign) - s), tried, backtracks
+
+
+def _random_constraint(g, rng):
+    """Big class-1 vertices in x, big class-2 in y, big class-3 split at
+    random, and each small vertex in x, in y or free."""
+    bs = classify_big_small(g, tri_partition(g))
+    x, y = set(bs.b_of(1)), set(bs.b_of(2))
+    for v in sorted(bs.b_of(3)):
+        (x if rng.random() < 0.5 else y).add(v)
+    for v in sorted(bs.small):
+        r = rng.random()
+        if r < 0.35:
+            (x if r < 0.175 else y).add(v)
+    return PartitionConstraint(frozenset(x), frozenset(y))
 
 
 def _relabel(g, rng):
@@ -294,6 +355,72 @@ class TestSolver:
         assert ok == s_tree
 
 
+class TestSolverMatchesReference:
+    def test_random_seed_sets(self, monkeypatch):
+        # observe the solver's placements: side s is the s-th forest made
+        forests, tried = [], []
+        init, add = treesplit._Forest.__init__, treesplit._Forest.add
+
+        def logged_init(self):
+            init(self)
+            forests.append(self)
+
+        def logged_add(self, v, nbrs):
+            mark = add(self, v, nbrs)
+            tried.append((v, forests.index(self), mark is not None))
+            return mark
+
+        monkeypatch.setattr(treesplit._Forest, "__init__", logged_init)
+        monkeypatch.setattr(treesplit._Forest, "add", logged_add)
+        with open(GOLDEN) as f:
+            graphs = [EmbeddedGraph.build(json.loads(line)["rotation"]) for line in f]
+        graphs += [gen_bipyramid(l) for l in range(2, 7)]
+        rng = random.Random(6)
+        outcomes = Counter()
+        for g in graphs:
+            for _ in range(200):
+                c = _random_constraint(g, rng)
+                want, want_tried, backtracks = _reference_solve(g, c)
+                forests.clear()
+                tried.clear()
+                try:
+                    got = tree_partition_solve(g, c, enforce_path_condition=False)
+                except DualhamError as exc:
+                    got = type(exc)
+                assert got == want, (g.rotation, c)
+                if want is not ConstraintInvalid:
+                    # the same placements in the same order, seeds aside
+                    assert tried[len(c.x) + len(c.y):] == want_tried, (g.rotation, c)
+                if want is SearchExhausted:
+                    # backtracking took every placement back, down to the seeds
+                    assert [set(f.parent) for f in forests] == [c.x, c.y]
+                outcomes[want if isinstance(want, type) else "solved"] += 1
+                outcomes["backtracked"] += backtracks > 0
+        # the sample reaches the search's backtracking and its exhaustion
+        assert outcomes["backtracked"] and outcomes[SearchExhausted], outcomes
+        assert outcomes["solved"] and outcomes[ConstraintInvalid], outcomes
+
+    def test_large_instance_within_a_shallow_stack(self):
+        # at n = 302 the solver places about 200 free vertices, more than a
+        # search recursing once per vertex could fit in 100 spare frames
+        with open(LARGE) as f:
+            row = next(r for r in map(json.loads, f) if r["n"] == 302)
+        g = EmbeddedGraph.build(row["rotation"])
+        d = dual(g)
+        v, w = row["small_w"][0]
+        e_star = d.edge_map[(min(v, w), max(v, w))]
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            cyc = hamilton_avoiding_edge(g, e_star, d)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert e_star not in cyc.edges and verify_hamilton(d.graph.abstract(), cyc)
+
+
 class TestWithEdgePipeline:
     def test_rejects_non_even_triangulation(self):
         g = EmbeddedGraph.build(TETRAHEDRON)
@@ -334,6 +461,10 @@ class TestWithEdgePipeline:
 
 
 class TestFaceSparsePipeline:
+    def test_rejects_non_even_triangulation(self):
+        with pytest.raises(NotEvenTriangulation):
+            tree_partition_face_sparse(EmbeddedGraph.build(TETRAHEDRON))
+
     def test_bipyramids(self, octahedron, bipyramid6):
         for g in (octahedron, bipyramid6):
             part, rep = tree_partition_face_sparse(g)
