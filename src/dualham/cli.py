@@ -140,11 +140,19 @@ def cmd_color(args: argparse.Namespace) -> int:
     g, a = _load_abstract(text)
     if not a:
         raise ParseError('input JSON must embed the alpha colouring as "a"')
+    outside = sorted(set(a) - set(g.adj))
+    if outside:
+        raise ParseError(f'"a" names vertex {outside[0]}, which is not in the graph')
     bp = structure.TypedBipartition(
         alpha=frozenset(a), beta=frozenset(set(g.adj) - set(a))
     )
     if not bp.beta:
         raise ParseError('every vertex is in "a": no beta vertex is left to colour')
+    for u, v in g.edges():
+        if (u in bp.alpha) == (v in bp.alpha):
+            ends = "both ends" if u in bp.alpha else "neither end"
+            raise ParseError(f'"a" is not one side of a bipartition: edge {u},{v} '
+                             f'has {ends} in it')
     if args.pin:
         try:
             vs, cs = args.pin.split("=")

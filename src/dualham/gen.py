@@ -1,9 +1,10 @@
 """Instance generators.
 
-Bipyramids, exhaustive small even triangulations (vertex-splitting with
-canonical-form dedup), random members of the mod-4 cycle family via a
-sound gluing grammar, and filtered even triangulations whose big-vertex
-graph H = G[B1 u B3] + G[B2 u B3] lies in that family.
+Bipyramids, exhaustive small even triangulations (vertex splitting; each
+candidate is deduplicated by canonical form first, and only the ones kept
+are validated), random members of the mod-4 cycle family via a sound
+gluing grammar, and filtered even triangulations whose big-vertex graph
+H = G[B1 u B3] + G[B2 u B3] lies in that family.
 """
 
 from __future__ import annotations
@@ -64,11 +65,17 @@ def split_vertex(g: EmbeddedGraph, v: int, i: int, j: int) -> EmbeddedGraph:
     The new vertex takes the neighbours from position j round to position i
     (both shared), plus v itself; two new triangles appear at the shared
     neighbours.
+
+    The result is returned unvalidated.  That is safe for a plane
+    triangulation g and two distinct positions: contracting the edge
+    between v and the new vertex gives back g, so the split is a plane
+    triangulation on n + 1 vertices.  If a face at v is not a triangle,
+    the mate check raises NotTriangulation.
     """
     rot = [list(nb) for nb in g.rotation]
     nb_v = rot[v]
     k = len(nb_v)
-    if i == j:
+    if i % k == j % k:
         raise ValueError("segments must both have length >= 1")
     seg1 = [nb_v[(i + t) % k] for t in range((j - i) % k + 1)]
     seg2 = [nb_v[(j + t) % k] for t in range((i - j) % k + 1)]
@@ -89,7 +96,7 @@ def split_vertex(g: EmbeddedGraph, v: int, i: int, j: int) -> EmbeddedGraph:
             nb.insert(pos, new)
         else:
             raise NotTriangulation(f"no triangular face {v}-{w}-{mate}")
-    return EmbeddedGraph.build(rot)
+    return EmbeddedGraph(new + 1, tuple(tuple(nb) for nb in rot))
 
 
 def gen_triangulations(n: int) -> list[EmbeddedGraph]:
@@ -97,8 +104,15 @@ def gen_triangulations(n: int) -> list[EmbeddedGraph]:
 
     Expansion by vertex splitting from the tetrahedron; every simple plane
     triangulation with more than four vertices contracts some edge, so the
-    closure is complete.  Counts for n = 4..10 match the simplicial
-    polyhedron numbers 1, 1, 2, 5, 14, 50, 233 (OEIS A000109).
+    closure is complete.  Counts for n = 4..11 match the simplicial
+    polyhedron numbers 1, 1, 2, 5, 14, 50, 233, 1249 (OEIS A000109).
+
+    Deduplicate, then validate: a candidate is built with
+    `EmbeddedGraph.build` only when its canonical form is new, and that
+    validated graph is the one kept.  A discarded candidate needs no
+    check: it is connected, and its BFS code lists every vertex's
+    rotation, so an equal code means an embedding isomorphic to one
+    already validated.
     """
     if not 4 <= n <= MAX_TRI_N:
         raise SizeOutOfRange(f"n must be in [4, {MAX_TRI_N}], got {n}")
@@ -117,7 +131,7 @@ def gen_triangulations(n: int) -> list[EmbeddedGraph]:
                         code = canonical_form(h)
                         if code not in seen:
                             seen.add(code)
-                            nxt.append(h)
+                            nxt.append(EmbeddedGraph.build(h.rotation))
         level = nxt
     return level
 

@@ -35,7 +35,7 @@ def two_squares():
 def catalog12() -> list[EmbeddedGraph]:
     """All eight 12-vertex even triangulations, generated once by
     `gen_even_triangulations(12)` and frozen (regeneration takes about
-    35 s on one core of a 2-vCPU VM with Python 3.11; test_gen re-derives
+    12 s on one core of a 2-vCPU VM with Python 3.11; test_gen re-derives
     the smaller sizes live)."""
     with open(DATA / "even_tri_12.jsonl") as f:
         return list(load_catalog(f))

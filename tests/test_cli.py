@@ -83,8 +83,11 @@ class TestCheck:
     (["check", "--family", "even-tri"], '{"n": 1, "rotation": [null]}'),
     (["color"], '{"edges": [[0, 1], [1, 2]], "a": [1]}'),
     (["color"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "a": {"0": 1, "2": 7}}'),
+    (["color"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "a": {"0": 1, "1": 2}}'),
+    (["color"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "a": {"0": 1, "99": 2}}'),
+    (["color"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "a": {"0": 1}}'),
 ], ids=["not-an-object", "rotation-not-a-list", "row-not-a-list", "a-not-an-object",
-        "a-colour-7"])
+        "a-colour-7", "a-adjacent-alpha", "a-vertex-not-in-graph", "a-adjacent-beta"])
 def test_malformed_input_exits_2(capsys, tmp_path, command, text):
     p = tmp_path / "bad.json"
     p.write_text(text)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualham.embed import canonical_form, is_even_triangulation, tri_partition
+from dualham.embed import EmbeddedGraph, canonical_form, is_even_triangulation, tri_partition
 from dualham import gen
 from dualham.embed import dual
 from dualham.errors import (
@@ -53,7 +53,50 @@ class TestBipyramid:
             gen_bipyramid(3)
 
 
+def _split_candidates(g):
+    """Every split the generator tries on g, in its order."""
+    for v in range(g.n):
+        for i in range(g.degree(v)):
+            for j in range(i + 1, g.degree(v)):
+                yield split_vertex(g, v, i, j)
+
+
+def _reference_gen_triangulations(n):
+    """The generator with every candidate validated before deduplication."""
+    level = [EmbeddedGraph.build(gen.TETRAHEDRON)]
+    for _ in range(n - 4):
+        seen = set()
+        nxt = []
+        for g in level:
+            for h in _split_candidates(g):
+                h = EmbeddedGraph.build(h.rotation)
+                code = canonical_form(h)
+                if code not in seen:
+                    seen.add(code)
+                    nxt.append(h)
+        level = nxt
+    return level
+
+
 class TestExhaustiveTriangulations:
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_same_as_validating_every_candidate(self, n):
+        want = [g.rotation for g in _reference_gen_triangulations(n)]
+        assert [g.rotation for g in gen_triangulations(n)] == want
+
+    def test_split_of_a_triangulation_is_a_triangulation(self):
+        # the lemma that lets the generator skip validating duplicates:
+        # every candidate on up to 9 vertices passes full validation as is
+        checked = 0
+        for n in range(4, 9):
+            for g in gen_triangulations(n):
+                for h in _split_candidates(g):
+                    assert h == EmbeddedGraph.build(h.rotation)
+                    assert h.m == 3 * h.n - 6
+                    assert all(len(f) == 3 for f in h.faces.faces)
+                    checked += 1
+        assert checked == 1328
+
     def test_counts_match_simplicial_polyhedra(self):
         # numbers of plane triangulations on n vertices (OEIS A000109);
         # an independent yardstick for the expansion's completeness
@@ -86,6 +129,11 @@ class TestExhaustiveTriangulations:
         cube = dual(octahedron).graph    # every face a 4-cycle
         with pytest.raises(NotTriangulation):
             split_vertex(cube, 0, 0, 1)
+
+    def test_split_needs_two_distinct_positions(self, octahedron):
+        # positions 0 and 4 of a degree-4 rotation are the same neighbour
+        with pytest.raises(ValueError):
+            split_vertex(octahedron, 0, 0, 4)
 
     def test_size_bounds(self):
         with pytest.raises(SizeOutOfRange):
