@@ -171,10 +171,11 @@ def enumerate_hamilton(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> list[HamiltonCy
 
 def primal_edge_of(g: EmbeddedGraph, d: DualGraph, e_star: tuple[int, int]) -> tuple[int, int]:
     """Invert the edge bijection."""
-    try:
-        return d.primal_edge[norm_edge(*e_star)]
-    except KeyError:
-        raise BadEdge(f"{e_star} is not an edge of the dual") from None
+    target = norm_edge(*e_star)
+    for e, de in d.edge_map.items():
+        if de == target:
+            return e
+    raise BadEdge(f"{e_star} is not an edge of the dual")
 
 
 def hamilton_avoiding_edge(

@@ -158,7 +158,6 @@ class DualGraph:
 
     graph: EmbeddedGraph
     edge_map: Mapping[tuple[int, int], tuple[int, int]]   # primal edge -> dual edge
-    primal_edge: Mapping[tuple[int, int], tuple[int, int]]  # dual edge -> primal edge
     primal_vertex_of_dual_face: tuple[int, ...]           # dual face id -> primal vertex
 
 
@@ -186,7 +185,6 @@ def dual(g: EmbeddedGraph) -> DualGraph:
     return DualGraph(
         graph=dg,
         edge_map=edge_map,
-        primal_edge={de: e for e, de in edge_map.items()},
         primal_vertex_of_dual_face=tuple(primal_of),
     )
 
