@@ -126,8 +126,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         h, bs = gen.big_vertex_graph(g)
         rep.result(n=g.n, big=sorted(bs.big), h_edges=h.edges())
         rep.check("even-triangulation", True)
-        rep.check("h-all-cycles-0-mod-4", structure.is_multi4(h, cap=args.cap))
-        rep.check("h-components-2-connected", gen.meets_h_hypothesis(h, True))
+        in_family = structure.is_multi4(h, cap=args.cap)
+        rep.check("h-all-cycles-0-mod-4", in_family)
+        rep.check("h-components-2-connected",
+                  in_family and gen.h_components_2connected(h))
     return rep.emit()
 
 
@@ -255,8 +257,9 @@ def _survey_even_tri(g_json: str) -> dict[str, Any]:
         ab = g.abstract()
         d = dual(g)
         h, _ = gen.big_vertex_graph(g, tp=tp)
-        row["checks"]["h-in-family"] = structure.is_multi4(h)
-        hyp = gen.meets_h_hypothesis(h, True)
+        in_family = structure.is_multi4(h)
+        row["checks"]["h-in-family"] = in_family
+        hyp = in_family and gen.h_components_2connected(h)
         row["hypothesis"] = hyp
     except Exception as exc:
         _failed(row, "instance", exc)
@@ -324,7 +327,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
             for g in gen.gen_even_triangulations(n):
                 if args.family == "barnette-hypothesis":
                     h, _ = gen.big_vertex_graph(g)
-                    if not gen.meets_h_hypothesis(h, True):
+                    if not gen.meets_h_hypothesis(h):
                         continue
                 instances.append(g.to_json())
         tasks = instances

@@ -219,23 +219,23 @@ def big_vertex_graph(
     return Graph.from_edges(edges, keep), bs
 
 
-def meets_h_hypothesis(h: Graph, require_2connected: bool) -> bool:
-    """H in the mod-4 family; optionally every multi-vertex component
-    2-connected (single vertices allowed, e.g. bipyramid poles)."""
-    if not is_multi4(h):
-        return False
-    if require_2connected:
-        for comp in h.components():
-            if len(comp) == 2:
-                return False
-            if len(comp) >= 3 and not h.subgraph(comp).is_biconnected():
-                return False
+def h_components_2connected(h: Graph) -> bool:
+    """Every multi-vertex component of H is 2-connected (single vertices
+    are allowed, e.g. bipyramid poles)."""
+    for comp in h.components():
+        if len(comp) == 2:
+            return False
+        if len(comp) >= 3 and not h.subgraph(comp).is_biconnected():
+            return False
     return True
 
 
-def gen_thm24_instances(
-    n: int, seed: int = 0, *, require_2connected: bool = True, limit: int | None = None
-) -> list[EmbeddedGraph]:
+def meets_h_hypothesis(h: Graph) -> bool:
+    """H in the mod-4 family with every multi-vertex component 2-connected."""
+    return is_multi4(h) and h_components_2connected(h)
+
+
+def gen_thm24_instances(n: int, seed: int = 0) -> list[EmbeddedGraph]:
     """Even triangulations on n vertices whose big-vertex graph meets the
     hypothesis.  Raises NoneFound when the exhaustive filter comes up empty.
     """
@@ -243,10 +243,8 @@ def gen_thm24_instances(
     out = []
     for g in gen_even_triangulations(n):
         h, _ = big_vertex_graph(g)
-        if meets_h_hypothesis(h, require_2connected):
+        if meets_h_hypothesis(h):
             out.append(g)
-            if limit is not None and len(out) >= limit:
-                return out
     if not out:
         raise NoneFound(f"no instance on {n} vertices meets the hypothesis")
     rng.shuffle(out)

@@ -33,7 +33,7 @@ from .errors import (
     NotTreePartition,
     SearchExhausted,
 )
-from .gen import big_vertex_graph, meets_h_hypothesis
+from .gen import big_vertex_graph, h_components_2connected
 from .structure import TypedBipartition, is_multi4
 from .ugraph import Graph
 
@@ -199,7 +199,7 @@ def fan_paths(g: EmbeddedGraph, bs: BigSmall) -> list[FanPath]:
 
 
 def families_R(
-    g: EmbeddedGraph, tp: TriPartition, bs: BigSmall, paths: Sequence[FanPath]
+    bs: BigSmall, paths: Sequence[FanPath]
 ) -> tuple[list[FanPath], list[FanPath]]:
     """The two constrained subfamilies feeding the extension sequence:
     poles all big with a big class-3 vertex somewhere on the fan, or poles
@@ -229,6 +229,7 @@ class _Analysis:
     tp: TriPartition
     bs: BigSmall
     h: Graph
+    a: Mapping[int, int]         # big class 1 -> colour 1, big class 2 -> 2
     poles: tuple[int, int] | None
     paths: tuple[FanPath, ...]   # empty for a bipyramid
 
@@ -236,9 +237,19 @@ class _Analysis:
 def _analyse(g: EmbeddedGraph) -> _Analysis:
     tp = tri_partition(g)
     h, bs = big_vertex_graph(g, tp=tp)
+    a = {**dict.fromkeys(bs.b_of(1), 1), **dict.fromkeys(bs.b_of(2), 2)}
     poles = bipyramid_poles(g)
     paths = () if poles is not None else tuple(fan_paths(g, bs))
-    return _Analysis(g.abstract(), tp, bs, h, poles, paths)
+    return _Analysis(g.abstract(), tp, bs, h, a, poles, paths)
+
+
+def _seeds(an: _Analysis, b: Mapping[int, int]) -> PartitionConstraint:
+    """Big class 1 and b's colour-1 vertices seed the first side, big
+    class 2 and b's colour-2 vertices the second."""
+    x, y = ({u for u, c in b.items() if c == colour} for colour in (1, 2))
+    return PartitionConstraint(
+        frozenset(an.bs.b_of(1) | x), frozenset(an.bs.b_of(2) | y)
+    )
 
 
 # --- the tree-partition solver -------------------------------------------
@@ -399,18 +410,8 @@ def _validate_constraint(
 # --- the base colouring on big class-3 vertices --------------------------
 
 
-def _h_bipartition(bs: BigSmall) -> TypedBipartition:
-    return TypedBipartition(
-        alpha=frozenset(bs.b_of(1) | bs.b_of(2)), beta=frozenset(bs.b_of(3))
-    )
-
-
-def _base_a(bs: BigSmall) -> dict[int, int]:
-    return {**{u: 1 for u in bs.b_of(1)}, **{u: 2 for u in bs.b_of(2)}}
-
-
 def base_coloring(
-    h: Graph, bs: BigSmall, pin: tuple[int, int] | None = None,
+    an: _Analysis, pin: tuple[int, int] | None = None,
     opposite: tuple[int, int, int] | None = None,
     degree2_rule: bool = False,
 ) -> dict[int, int]:
@@ -421,8 +422,8 @@ def base_coloring(
     degree-2 vertex whose two neighbours share a colour to the other
     colour (safe: both cycles through it pass those neighbours).
     """
-    bp = _h_bipartition(bs)
-    a = _base_a(bs)
+    h, a = an.h, an.a
+    bp = TypedBipartition(alpha=frozenset(a), beta=an.bs.b_of(3))
     if not bp.beta:
         return {}
     if opposite is not None:
@@ -440,14 +441,12 @@ def base_coloring(
     return b
 
 
-def _base_conditions_ok(
-    h: Graph, a: Mapping[int, int], b: Mapping[int, int], beta: frozenset[int],
-    strict: bool,
-) -> bool:
+def _base_conditions_ok(an: _Analysis, b: Mapping[int, int], strict: bool) -> bool:
     """The three base conditions on a big-class-3 colouring: no
     monochromatic cycle, degree->=3 second-neighbour pairs split, forced
     colours at degree-2 vertices between same-coloured neighbours.  The
     last two only when `strict`."""
+    h, a, beta = an.h, an.a, an.bs.b_of(3)
     if mono_cycle(h, {**a, **b}) is not None:
         return False
     if not strict:
@@ -466,7 +465,7 @@ def _base_conditions_ok(
 
 
 def base_coloring_candidates(
-    h: Graph, bs: BigSmall,
+    an: _Analysis,
     pin: tuple[int, int] | None = None,
     opposite: tuple[int, int, int] | None = None,
     strict: bool = False,
@@ -478,10 +477,8 @@ def base_coloring_candidates(
     library targets, so the sweep is cheap and every candidate is checked
     against the base conditions before being offered.
     """
-    beta = frozenset(bs.b_of(3))
-    a = _base_a(bs)
-    first = base_coloring(h, bs, pin=pin, opposite=opposite, degree2_rule=strict)
-    if _base_conditions_ok(h, a, first, beta, strict):
+    first = base_coloring(an, pin=pin, opposite=opposite, degree2_rule=strict)
+    if _base_conditions_ok(an, first, strict):
         yield first
     forced: dict[int, int] = {}
     if pin is not None:
@@ -489,12 +486,12 @@ def base_coloring_candidates(
     if opposite is not None:
         v, y, colour = opposite
         forced[v], forced[y] = colour, 3 - colour
-    free = sorted(beta - set(forced))
+    free = sorted(an.bs.b_of(3) - set(forced))
     for bits in itertools.product((1, 2), repeat=len(free)):
         b = {**forced, **dict(zip(free, bits))}
         if b == first:
             continue
-        if _base_conditions_ok(h, a, b, beta, strict):
+        if _base_conditions_ok(an, b, strict):
             yield b
 
 
@@ -502,14 +499,7 @@ def base_coloring_candidates(
 
 
 def extend_coloring_single_path(
-    g: EmbeddedGraph,
-    tp: TriPartition,
-    bs: BigSmall,
-    a: Mapping[int, int],
-    b: Mapping[int, int],
-    v: int,
-    w: int,
-    p_w: FanPath,
+    an: _Analysis, b: Mapping[int, int], v: int, w: int, p_w: FanPath
 ) -> dict[int, int]:
     """Extend the big-vertex colouring over one fan path so that the small
     vertex w inherits the colour of its big class-3 neighbour v.
@@ -517,8 +507,8 @@ def extend_coloring_single_path(
     Four shapes, keyed by where the class-3 corners of the fan's 4-cycle
     sit (poles or ends) and whether the second one is big or small.
     """
-    ab = g.abstract()
-    cls = tp.class_of
+    ab, bs, a = an.ab, an.bs, an.a
+    cls = an.tp.class_of
     b0 = dict(b)
     if v not in (p_w.v0 | p_w.v1) or cls[v] != 3 or v not in bs.big:
         raise CaseUnmatched(f"{v} is not a big class-3 corner of {p_w.path}")
@@ -608,13 +598,7 @@ class StepInfo:
 
 
 def extend_coloring_path_sequence(
-    g: EmbeddedGraph,
-    tp: TriPartition,
-    bs: BigSmall,
-    h: Graph,
-    a: Mapping[int, int],
-    b: Mapping[int, int],
-    paths: Sequence[FanPath],
+    an: _Analysis, b: Mapping[int, int], paths: Sequence[FanPath]
 ) -> tuple[dict[int, int], list[StepInfo]]:
     """Walk the constrained fan paths in order, extending the colouring one
     path at a time; after every step the no-monochromatic-cycle condition
@@ -625,46 +609,38 @@ def extend_coloring_path_sequence(
     the fresh vertices takes over — any choice passing the audit is as good
     as the prescribed one.
     """
-    ab = g.abstract()
-    cls = tp.class_of
+    ab = an.ab
+    cls = an.tp.class_of
     bn = dict(b)
-    big = bs.big
-    l_graph = ab.subgraph(big)
+    l_graph = ab.subgraph(an.bs.big)
     steps: list[StepInfo] = []
     for i, fp in enumerate(paths, 1):
         next_l = l_graph.union(ab.subgraph(set(fp.path) | fp.v0))
         fresh = [u for u in fp.path[1:-1] if u not in bn]
-        extra_pole = [u for u in fp.v0 if cls[u] == 3 and u in bs.small and u not in bn]
+        extra_pole = [u for u in fp.v0 if cls[u] == 3 and u in an.bs.small and u not in bn]
         fresh_all = fresh + extra_pole
-        case, assignment = _dispatch_sequence_case(
-            ab, h, tp, bs, a, bn, l_graph, fp
-        )
+        case, assignment = _dispatch_sequence_case(an, bn, l_graph, fp)
         trial = dict(bn)
         trial.update({u: c for u, c in assignment.items() if u in fresh_all or u in fresh})
-        err = _audit_step(ab, h, tp, bs, a, trial, next_l, fp, i)
-        if err is not None:
-            case, trial = _local_search_step(
-                ab, h, tp, bs, a, bn, next_l, fp, fresh_all, i
-            )
+        if _audit_step(an, trial, next_l, fp) is not None:
+            case, trial = _local_search_step(an, bn, next_l, fp, fresh_all, i)
         bn = trial
         l_graph = next_l
         steps.append(StepInfo(fp.path, case, tuple(sorted(fresh_all))))
     return bn, steps
 
 
-def _corner_layout(
-    ab: Graph, tp: TriPartition, bs: BigSmall, fp: FanPath
-) -> tuple[str, int, int, int, int]:
+def _corner_layout(an: _Analysis, fp: FanPath) -> tuple[str, int, int, int, int]:
     """Name the 4-cycle corners: (shape, v, y, x, z) with v big class 3.
 
     shape is "poles" when the class-3 diagonal is the pole pair, "ends"
     when it is the end pair.
     """
-    cls = tp.class_of
+    cls = an.tp.class_of
     p0 = sorted(fp.v0)
     p1 = sorted(fp.v1)
     if cls[p0[0]] == 3:
-        candidates = [u for u in p0 if u in bs.b_of(3)]
+        candidates = [u for u in p0 if u in an.bs.b_of(3)]
         if not candidates:
             raise CaseUnmatched(f"path {fp.path}: class-3 poles but none big")
         v = min(candidates)
@@ -681,18 +657,12 @@ def _corner_layout(
 
 
 def _dispatch_sequence_case(
-    ab: Graph,
-    h: Graph,
-    tp: TriPartition,
-    bs: BigSmall,
-    a: Mapping[int, int],
-    bn: Mapping[int, int],
-    l_prev: Graph,
-    fp: FanPath,
+    an: _Analysis, bn: Mapping[int, int], l_prev: Graph, fp: FanPath
 ) -> tuple[str, dict[int, int]]:
-    cls = tp.class_of
+    h, bs, a = an.h, an.bs, an.a
+    cls = an.tp.class_of
     comb = combine(a, bn)
-    shape, v, y, x, z = _corner_layout(ab, tp, bs, fp)
+    shape, v, y, x, z = _corner_layout(an, fp)
     interior = list(fp.interior)
     out: dict[int, int] = {}
     d = lambda u: h.degree(u) if u in h.adj else 0
@@ -758,26 +728,19 @@ def _dispatch_sequence_case(
 
 
 def _audit_step(
-    ab: Graph,
-    h: Graph,
-    tp: TriPartition,
-    bs: BigSmall,
-    a: Mapping[int, int],
-    trial: Mapping[int, int],
-    l_graph: Graph,
-    fp: FanPath,
-    step: int,
+    an: _Analysis, trial: Mapping[int, int], l_graph: Graph, fp: FanPath
 ) -> str | None:
     """Check the incremental conditions; return a reason string or None."""
-    cls = tp.class_of
-    comb = combine(a, trial)
+    ab, h = an.ab, an.h
+    cls = an.tp.class_of
+    comb = combine(an.a, trial)
     scope = set(fp.path) | fp.v0
     if any(u not in comb for u in scope):
         return "uncoloured vertex in scope"
     cyc = mono_cycle(l_graph, comb)
     if cyc is not None:
         return f"monochromatic cycle in colour {comb[cyc[0]]}"
-    for v in sorted(bs.b_of(3) & (fp.v0 | fp.v1)):
+    for v in sorted(an.bs.b_of(3) & (fp.v0 | fp.v1)):
         dv = h.degree(v) if v in h.adj else 0
         local = scope & ab.adj[v]
         if dv >= 3:
@@ -795,23 +758,15 @@ def _audit_step(
 
 
 def _local_search_step(
-    ab: Graph,
-    h: Graph,
-    tp: TriPartition,
-    bs: BigSmall,
-    a: Mapping[int, int],
-    bn: dict[int, int],
-    l_graph: Graph,
-    fp: FanPath,
-    fresh: list[int],
-    step: int,
+    an: _Analysis, bn: dict[int, int], l_graph: Graph, fp: FanPath,
+    fresh: list[int], step: int,
 ) -> tuple[str, dict[int, int]]:
     """Exhaust the 2^k colourings of the fresh vertices for one that passes
     the audit; k is tiny (a fan's interior)."""
     for bits in itertools.product((1, 2), repeat=len(fresh)):
         trial = dict(bn)
         trial.update(dict(zip(fresh, bits)))
-        if _audit_step(ab, h, tp, bs, a, trial, l_graph, fp, step) is None:
+        if _audit_step(an, trial, l_graph, fp) is None:
             return "local-search", trial
     raise ConditionViolated(step, f"no extension over {fp.path} passes the audit")
 
@@ -846,35 +801,30 @@ def tree_partition_with_edge(
 
     if not is_multi4(h):
         raise HNotInFamily("a big-vertex cycle has length not 0 mod 4")
-    a = _base_a(bs)
 
     if w in bs.big:
-        b = base_coloring(h, bs, pin=(v, target))
-        x = frozenset(bs.b_of(1) | {u for u, c in b.items() if c == 1})
-        y = frozenset(bs.b_of(2) | {u for u, c in b.items() if c == 2})
-        part = tree_partition_solve(g, PartitionConstraint(x, y), analysis=an)
+        b = base_coloring(an, pin=(v, target))
+        part = tree_partition_solve(g, _seeds(an, b), analysis=an)
         return _kept_together(part, v, w)
 
-    b0 = None
     last_err: Exception | None = None
     for p_w in _choose_fan_paths(an, v, w):
         v3 = [u for u in (p_w.v0 | p_w.v1) if tp.class_of[u] == 3 and u in bs.big and u != v]
         # the opposite corner shares a 4-cycle with v exactly when they have
         # two common neighbours in H
         if v3 and len(h.adj.get(v, set()) & h.adj.get(min(v3), set())) >= 2:
-            candidates = base_coloring_candidates(h, bs, opposite=(v, min(v3), target))
+            candidates = base_coloring_candidates(an, opposite=(v, min(v3), target))
         else:
-            candidates = base_coloring_candidates(h, bs, pin=(v, target))
+            candidates = base_coloring_candidates(an, pin=(v, target))
         for b in candidates:
             try:
-                b0 = extend_coloring_single_path(g, tp, bs, a, b, v, w, p_w)
+                b0 = extend_coloring_single_path(an, b, v, w, p_w)
             except (ConditionViolated, CaseUnmatched) as exc:
                 last_err = exc
                 continue
-            x = frozenset(bs.b_of(1) | {u for u, c in b0.items() if c == 1})
-            y = frozenset(bs.b_of(2) | {u for u, c in b0.items() if c == 2})
+            seeds = _seeds(an, b0)
             try:
-                part = tree_partition_solve(g, PartitionConstraint(x, y), analysis=an)
+                part = tree_partition_solve(g, seeds, analysis=an)
             except ConstraintInvalid as exc:
                 # usually a second fan path sharing inner vertices with the
                 # chosen one; the straddle rule only backs the existence
@@ -882,8 +832,7 @@ def tree_partition_with_edge(
                 last_err = exc
                 try:
                     part = tree_partition_solve(
-                        g, PartitionConstraint(x, y), enforce_path_condition=False,
-                        analysis=an,
+                        g, seeds, enforce_path_condition=False, analysis=an
                     )
                 except (ConstraintInvalid, SearchExhausted) as exc2:
                     last_err = exc2
@@ -931,26 +880,24 @@ def tree_partition_face_sparse(
     `analysis` is the caller's analysis of g, if it has one.
     """
     an = analysis if analysis is not None else _analyse(g)
-    tp, bs, h = an.tp, an.bs, an.h
-    if not is_multi4(h):
+    if not is_multi4(an.h):
         raise HNotInFamily("a big-vertex cycle has length not 0 mod 4")
-    if not meets_h_hypothesis(h, True):
+    if not h_components_2connected(an.h):
         raise HComponentNot2Connected(
             "a multi-vertex component of the big-vertex graph is not 2-connected"
         )
-    a = _base_a(bs)
 
     if an.poles is not None:
-        part = _bipyramid_partition(g, an.poles, tp)
+        part = _bipyramid_partition(g, an.poles, an.tp)
         report = _face_sparse_report(an, part, special="bipyramid")
         return part, report
 
-    r, r_hat = families_R(g, tp, bs, an.paths)
+    r, r_hat = families_R(an.bs, an.paths)
     bn = steps = None
     last_err: Exception | None = None
-    for b in base_coloring_candidates(h, bs, strict=True):
+    for b in base_coloring_candidates(an, strict=True):
         try:
-            bn, steps = extend_coloring_path_sequence(g, tp, bs, h, a, b, r + r_hat)
+            bn, steps = extend_coloring_path_sequence(an, b, r + r_hat)
             break
         except (ConditionViolated, CaseUnmatched) as exc:
             last_err = exc
@@ -958,9 +905,7 @@ def tree_partition_face_sparse(
         raise last_err if last_err is not None else CaseUnmatched(
             "no admissible base colouring exists"
         )
-    x = frozenset(bs.b_of(1) | {u for u, c in bn.items() if c == 1})
-    y = frozenset(bs.b_of(2) | {u for u, c in bn.items() if c == 2})
-    part = tree_partition_solve(g, PartitionConstraint(x, y), analysis=an)
+    part = tree_partition_solve(g, _seeds(an, bn), analysis=an)
     report = _face_sparse_report(an, part, steps=steps)
     return part, report
 

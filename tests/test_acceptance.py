@@ -259,7 +259,7 @@ def test_criterion_8_face_sparse(corpus, exhausted_log):
     instances = 0
     for g in corpus:
         h, _ = big_vertex_graph(g)
-        if not meets_h_hypothesis(h, True):
+        if not meets_h_hypothesis(h):
             continue
         try:
             cyc, rep = duality.hamilton_face_sparse(g)

@@ -1,6 +1,11 @@
 """The command-line surface: exit codes, JSON-lines output, error paths."""
 
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +284,20 @@ class TestGenAndSurvey:
         assert bad == {"n": 8, "checks": {"instance": False},
                        "error": "RuntimeError: injected"}
         assert summary["result"]["instances"] == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_block_runs(tmp_path):
+    """Every line of the README's CLI block exits 0 when run as written,
+    which takes `survey --jobs 4` through the process pool."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = f'dualham() {{ {shlex.quote(sys.executable)} -m dualham.cli "$@"; }}\n{block}'
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(["bash", "-e", "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "survey --family even-tri: ok" in proc.stderr

@@ -164,7 +164,7 @@ class TestFaceSparse:
         seen = set()
         for g in [bipyramid6] + catalog12:
             h, _ = big_vertex_graph(g)
-            if not meets_h_hypothesis(h, True):
+            if not meets_h_hypothesis(h):
                 continue
             cycle, rep = hamilton_face_sparse(g)
             assert verify_hamilton(dual(g).graph.abstract(), cycle)

@@ -23,6 +23,7 @@ from dualham.gen import (
     gen_thm24_instances,
     gen_triangulations,
     big_vertex_graph,
+    h_components_2connected,
     split_vertex,
     load_catalog,
     meets_h_hypothesis,
@@ -178,21 +179,24 @@ class TestHypothesisFilter:
                 assert {tp.class_of[u], tp.class_of[v]} != {1, 2}
 
     def test_meets_h_hypothesis(self):
-        assert meets_h_hypothesis(Graph.from_edges([], vertices=[0, 1]), True)
+        assert meets_h_hypothesis(Graph.from_edges([], vertices=[0, 1]))
         # a lone edge (a 2-vertex component) fails the 2-connectivity reading
-        assert not meets_h_hypothesis(Graph.from_edges([(0, 1)]), True)
-        assert meets_h_hypothesis(Graph.from_edges([(0, 1)]), False)
+        assert not meets_h_hypothesis(Graph.from_edges([(0, 1)]))
+        assert is_multi4(Graph.from_edges([(0, 1)]))
         c4 = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert meets_h_hypothesis(c4, True)
+        assert meets_h_hypothesis(c4)
         c6 = Graph.from_edges([(i, (i + 1) % 6) for i in range(6)])
-        assert not meets_h_hypothesis(c6, True)
+        assert not meets_h_hypothesis(c6)
+        # the 2-connectivity half alone: C6 passes it, a lone edge does not
+        assert h_components_2connected(c6)
+        assert not h_components_2connected(Graph.from_edges([(0, 1)]))
 
     def test_thm24_instances(self):
         got = gen_thm24_instances(10, seed=1)
         assert got
         for g in got:
             h, _ = big_vertex_graph(g)
-            assert meets_h_hypothesis(h, True)
+            assert meets_h_hypothesis(h)
         with pytest.raises(NoneFound):
             gen_thm24_instances(7)
 

@@ -252,7 +252,7 @@ class TestFanPaths:
         tp = tri_partition(even10)
         bs = classify_big_small(even10, tp)
         paths = fan_paths(even10, bs)
-        r, r_hat = families_R(even10, tp, bs, paths)
+        r, r_hat = families_R(bs, paths)
         assert not set(p.path for p in r) & set(p.path for p in r_hat)
         b3 = bs.b_of(3)
         for fp in r:
@@ -474,7 +474,7 @@ class TestFaceSparsePipeline:
     def test_all_hypothesis_instances(self, even10, catalog12):
         for g in [even10] + catalog12:
             h, bs = big_vertex_graph(g)
-            if not meets_h_hypothesis(h, True):
+            if not meets_h_hypothesis(h):
                 continue
             part, rep = tree_partition_face_sparse(g)
             assert verify_tree_partition(
@@ -521,10 +521,25 @@ class TestFrozenOutputs:
 
     def test_face_sparse(self, golden):
         assert sum(row["face_sparse"] is not None for row in golden) == 20
+        cases, statuses, special = Counter(), Counter(), Counter()
         for row in golden:
             g = EmbeddedGraph.build(row["rotation"])
             h, _ = big_vertex_graph(g)
-            assert meets_h_hypothesis(h, True) == (row["face_sparse"] is not None)
+            assert meets_h_hypothesis(h) == (row["face_sparse"] is not None)
             if row["face_sparse"] is not None:
-                part, _ = tree_partition_face_sparse(g)
+                part, report = tree_partition_face_sparse(g)
                 assert [sorted(part.s), sorted(part.t)] == row["face_sparse"]
+                assert report["all_ok"]
+                cases.update(step["case"] for step in report["steps"])
+                statuses.update(r["status"] for r in report["vertices"])
+                special[report["special_case"]] += 1
+        # the reports are pinned too: a miswired dispatch that happens to
+        # land on the same partitions still fails here
+        assert special == {None: 12, "bipyramid": 8}
+        assert cases == {
+            "end-pair-branching": 6, "end-pair-degree2-shielded": 1,
+            "end-pair-degree2-split": 4, "pole-pair-branching": 2,
+            "pole-pair-degree2-shielded": 5, "pole-pair-degree2-split": 6,
+            "small-pole-branching": 14, "small-pole-degree2": 9,
+        }
+        assert statuses == {"unconstrained": 6, "degree2-ok": 16, "branching-ok": 10}
