@@ -30,7 +30,7 @@ from .embed import (
     is_even_triangulation,
     tri_partition,
 )
-from .errors import DualhamError, IoError, ParseError
+from .errors import DualhamError, IoError, NotEvenTriangulation, ParseError
 from .ugraph import DEFAULT_CYCLE_CAP, Graph
 
 
@@ -217,6 +217,9 @@ def cmd_hamilton(args: argparse.Namespace) -> int:
     text = _read(args.path)
     rep = Report("hamilton", _digest(text))
     g = _load_embedded(text)
+    if not is_even_triangulation(g):
+        # the pipelines refuse it anyway; `dual` needs a 3-connected input
+        raise NotEvenTriangulation("faces or degrees are wrong")
     d = dual(g)
     if args.avoid_edge:
         e_star = _parse_edge(args.avoid_edge)
@@ -252,14 +255,12 @@ def _survey_even_tri(g_json: str) -> dict[str, Any]:
     try:
         g = EmbeddedGraph.from_json(g_json)
         row["n"] = g.n
-        tp = tri_partition(g)
-        bs = classify_big_small(g, tp)
-        ab = g.abstract()
+        an = treesplit._analyse(g)
+        tp, bs, ab = an.tp, an.bs, an.ab
         d = dual(g)
-        h, _ = gen.big_vertex_graph(g, tp=tp)
-        in_family = structure.is_multi4(h)
+        in_family = structure.is_multi4(an.h)
         row["checks"]["h-in-family"] = in_family
-        hyp = in_family and gen.h_components_2connected(h)
+        hyp = in_family and gen.h_components_2connected(an.h)
         row["hypothesis"] = hyp
     except Exception as exc:
         _failed(row, "instance", exc)
@@ -271,7 +272,8 @@ def _survey_even_tri(g_json: str) -> dict[str, Any]:
             for w in sorted(ab.adj[v]):
                 if tp.class_of[w] in (1, 2):
                     e_star = d.edge_map[(min(v, w), max(v, w))]
-                    cyc = duality.hamilton_avoiding_edge(g, e_star, d)
+                    part = treesplit.tree_partition_with_edge(g, v, w, analysis=an)
+                    cyc = duality.tree_partition_to_hamilton(g, part, d)
                     edges_ok &= e_star not in cyc.edges and duality.verify_hamilton(
                         d.graph.abstract(), cyc
                     )

@@ -164,14 +164,16 @@ class DualGraph:
 def dual(g: EmbeddedGraph) -> DualGraph:
     """Construct the dual: one vertex per face, adjacency across shared edges.
 
-    The dual rotation at a face follows that face's boundary walk, so the
-    result is again a valid embedding on the sphere.
+    The dual rotation at a face follows that face's boundary walk, so for
+    a 3-connected g (a triangulation, or the dual of one) the result is a
+    simple graph validly embedded on the sphere by construction and skips
+    `EmbeddedGraph.build`'s checks; the tests keep them.  Other inputs
+    give multiple edges, which a rotation system cannot represent.
     """
     fs = g.faces
-    rot: list[list[int]] = []
-    for walk in fs.faces:
-        rot.append([fs.face_of[(b, a)] for (a, b) in walk])
-    dg = EmbeddedGraph.build(rot)
+    dg = EmbeddedGraph(
+        len(fs.faces), tuple(tuple(fs.face_of[(b, a)] for (a, b) in walk) for walk in fs.faces)
+    )
     edge_map = {}
     for (a, b) in g.edges():
         edge_map[(a, b)] = norm_edge(fs.face_of[(a, b)], fs.face_of[(b, a)])

@@ -114,10 +114,6 @@ class CapExceeded(DualhamError):
     """Hamilton-cycle enumeration exceeded the partial-state cap."""
 
 
-class HNotInFamily(DualhamError):
-    """The big-vertex hypothesis graph has a cycle of length not 0 mod 4."""
-
-
 class HComponentNot2Connected(DualhamError):
     """A component of the big-vertex hypothesis graph is not 2-connected."""
 

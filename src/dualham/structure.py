@@ -145,17 +145,14 @@ class ChainDecomposition:
 def is_multi4(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
     """True iff every simple cycle has length congruent to 0 mod 4.
 
-    Fast necessary filters (bipartiteness, fundamental cycle lengths) run
-    first; the complete per-block cycle enumeration settles the answer.
-    Raises CycleCapExceeded when enumeration passes `cap` cycles.
+    A fast necessary filter (fundamental cycle lengths; an odd cycle
+    implies an odd fundamental cycle) runs first; the complete per-block
+    cycle enumeration settles the answer.  Raises CycleCapExceeded when
+    enumeration passes `cap` cycles.
     """
     if g.m < g.n:
         if g.is_acyclic():
             return True
-    try:
-        bipartition_typed(g)
-    except NotBipartite:
-        return False
     if not _fundamental_cycles_ok(g):
         return False
     blocks, _ = g.blocks()

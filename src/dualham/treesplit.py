@@ -12,6 +12,16 @@ Terminology used throughout: classes 1/2/3 come from the canonical proper
 on big vertices with the class-1-to-class-2 edges removed; a fan path has
 big ends, small inner vertices, and exactly two "pole" vertices adjacent
 to all of it.
+
+The fan-path lemma, which leaves the case rules below no other branches.
+In the proper 3-colouring of an even triangulation:
+- both poles of a fan path are adjacent to two consecutive path
+  vertices, so they share the third class;
+- the path vertices alternate between the other two classes;
+- every vertex has even degree >= 4, so each end (not small) is big.
+So the class-3 corners of a fan's 4-cycle (its poles and ends) are the
+two poles, or else the ends of class 3, if any; two class-3 corners are
+always opposite; and only a pole can be small.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from .errors import (
     ConditionViolated,
     ConstraintInvalid,
     HComponentNot2Connected,
-    HNotInFamily,
+    NotInFamilyH,
     NotTreePartition,
     SearchExhausted,
 )
@@ -505,7 +515,9 @@ def extend_coloring_single_path(
     vertex w inherits the colour of its big class-3 neighbour v.
 
     Four shapes, keyed by where the class-3 corners of the fan's 4-cycle
-    sit (poles or ends) and whether the second one is big or small.
+    sit (poles or ends) and whether the second one is big or small.  A
+    second big class-3 corner is opposite v (the fan-path lemma) and `b`
+    colours it apart from v.
     """
     ab, bs, a = an.ab, an.bs, an.a
     cls = an.tp.class_of
@@ -514,50 +526,27 @@ def extend_coloring_single_path(
         raise CaseUnmatched(f"{v} is not a big class-3 corner of {p_w.path}")
     interior = list(p_w.interior)
     fresh = [u for u in interior if u not in b0]
-    comb = combine(a, b0)
-
-    def prescribe() -> None:
-        if v in p_w.v0:
-            (y,) = [u for u in p_w.v0 if u != v]
-            if cls[y] != 3:
-                raise CaseUnmatched(f"poles {sorted(p_w.v0)} are not class-matched")
-            if y in bs.big:
-                # both poles big class 3, forced apart upstream
-                if b0[v] == b0[y]:
-                    raise CaseUnmatched(f"poles {v},{y} carry equal colours")
-            else:
-                # pole y is small class 3: it joins the opposite side
-                b0[y] = 3 - b0[v]
+    if v in p_w.v0:
+        (y,) = p_w.v0 - {v}
+        if y in bs.small:
+            # pole y is small class 3: it joins the opposite side
+            b0[y] = 3 - b0[v]
+        for u in fresh:
+            b0[u] = cls[u]
+    else:
+        (y,) = p_w.v1 - {v}
+        x, z = sorted(p_w.v0)
+        # with the far end big class 1/2 the poles share the other class;
+        # unless a one-colour path joins them, a class-3 interior vertex
+        # takes their colour (there is one: w, v's inner neighbour, is of
+        # class 1/2, and the path vertex after w is of class 3)
+        if cls[y] == 3 or _mono_path_exists(ab.subgraph(bs.big), combine(a, b0), x, z):
             for u in fresh:
-                b0[u] = cls[u]
+                b0[u] = b0[v]
         else:
-            (y,) = [u for u in p_w.v1 if u != v]
-            x, z = sorted(p_w.v0)
-            if cls[y] == 3:
-                if y not in bs.big or b0[v] == b0[y]:
-                    raise CaseUnmatched(f"ends {v},{y} not big class 3 coloured apart")
-                for u in fresh:
-                    b0[u] = b0[v]
-            else:
-                # far end big class 1/2; the poles share the other small class
-                big_graph = ab.subgraph(bs.big)
-                if _mono_path_exists(big_graph, comb, x, z):
-                    for u in fresh:
-                        b0[u] = b0[v]
-                else:
-                    s_candidates = [u for u in interior if cls[u] == 3 and u != w]
-                    if not s_candidates:
-                        raise CaseUnmatched(
-                            f"fan path {p_w.path}: no spare class-3 interior vertex"
-                        )
-                    s = min(s_candidates)
-                    for u in fresh:
-                        b0[u] = a[x] if u == s else b0[v]
-
-    try:
-        prescribe()
-    except CaseUnmatched:
-        pass  # the exhaustive fallback below still runs
+            s = min(u for u in interior if cls[u] == 3)
+            for u in fresh:
+                b0[u] = a[x] if u == s else b0[v]
     l_graph = ab.subgraph(bs.big).union(ab.subgraph(set(p_w.path) | p_w.v0))
 
     def audit(cand: dict[int, int]) -> bool:
@@ -566,8 +555,7 @@ def extend_coloring_single_path(
     if audit(b0):
         return b0
     # the prescribed rule missed; exhaust the handful of fresh choices
-    small_pole = [u for u in p_w.v0 if u in bs.small and cls[u] == 3]
-    free = sorted(set(fresh) | set(small_pole))
+    free = sorted(set(fresh) | {u for u in p_w.v0 if u in bs.small and cls[u] == 3})
     for bits in itertools.product((1, 2), repeat=len(free)):
         cand = dict(b)
         cand.update(dict(zip(free, bits)))
@@ -605,7 +593,7 @@ def extend_coloring_path_sequence(
     and the local neighbour-balance conditions are re-audited.
 
     Each path is handled by the seven-way dispatch below; if a prescribed
-    rule fails its audit (or no rule matches), a bounded local search over
+    rule fails its audit (or the shape is mixed), a bounded local search over
     the fresh vertices takes over — any choice passing the audit is as good
     as the prescribed one.
     """
@@ -621,7 +609,7 @@ def extend_coloring_path_sequence(
         fresh_all = fresh + extra_pole
         case, assignment = _dispatch_sequence_case(an, bn, l_graph, fp)
         trial = dict(bn)
-        trial.update({u: c for u, c in assignment.items() if u in fresh_all or u in fresh})
+        trial.update({u: c for u, c in assignment.items() if u in fresh_all})
         if _audit_step(an, trial, next_l, fp) is not None:
             case, trial = _local_search_step(an, bn, next_l, fp, fresh_all, i)
         bn = trial
@@ -634,23 +622,19 @@ def _corner_layout(an: _Analysis, fp: FanPath) -> tuple[str, int, int, int, int]
     """Name the 4-cycle corners: (shape, v, y, x, z) with v big class 3.
 
     shape is "poles" when the class-3 diagonal is the pole pair, "ends"
-    when it is the end pair.
+    when it is the end pair.  Every path of `families_R` has such a v: a
+    big pole when the poles are class 3, else a class-3 end, which the
+    fan-path lemma makes big.
     """
     cls = an.tp.class_of
     p0 = sorted(fp.v0)
     p1 = sorted(fp.v1)
     if cls[p0[0]] == 3:
-        candidates = [u for u in p0 if u in an.bs.b_of(3)]
-        if not candidates:
-            raise CaseUnmatched(f"path {fp.path}: class-3 poles but none big")
-        v = min(candidates)
+        v = min(u for u in p0 if u in an.bs.big)
         y = next(u for u in p0 if u != v)
         x, z = p1
         return "poles", v, y, x, z
-    b3_ends = [u for u in p1 if cls[u] == 3]
-    if not b3_ends:
-        raise CaseUnmatched(f"path {fp.path}: no class-3 corner")
-    v = min(b3_ends)
+    v = min(u for u in p1 if cls[u] == 3)
     y = next(u for u in p1 if u != v)
     x, z = p0
     return "ends", v, y, x, z
@@ -667,7 +651,8 @@ def _dispatch_sequence_case(
     out: dict[int, int] = {}
     d = lambda u: h.degree(u) if u in h.adj else 0
 
-    if shape == "poles" and cls[y] == 3 and y in bs.big:
+    # by the fan-path lemma both poles are class 3 and both ends big
+    if shape == "poles" and y in bs.big:
         if d(v) >= 3 and d(y) >= 3:
             # opposite big poles branch apart; interiors follow their class
             for u in interior:
@@ -686,7 +671,7 @@ def _dispatch_sequence_case(
                 out[u] = c if u == s else 3 - c
             return "pole-pair-degree2-split", out
         return "pole-pair-mixed", {}
-    if shape == "ends" and cls[y] == 3 and y in bs.big:
+    if shape == "ends" and cls[y] == 3:
         if d(v) >= 3 and d(y) >= 3:
             for u in interior:
                 out[u] = 3 - a[x]
@@ -703,28 +688,26 @@ def _dispatch_sequence_case(
                 out[u] = 3 - c if u == s else c
             return "end-pair-degree2-split", out
         return "end-pair-mixed", {}
-    if shape == "ends" and cls[y] != 3:
+    if shape == "ends":
         if _mono_path_exists(l_prev, comb, x, z):
             for u in interior:
                 out[u] = a[y]
             return "far-end-shielded", out
         c = comb[v]
-        spare = [u for u in interior if cls[u] == 3]
-        s = min(spare) if spare else None
+        s = min(u for u in interior if cls[u] == 3)
         for u in interior:
             out[u] = 3 - c if u == s else c
         return "far-end-split", out
-    if shape == "poles" and cls[y] == 3 and y in bs.small:
-        if d(v) >= 3:
-            out[y] = 3 - comb[v]
-            for u in interior:
-                out[u] = cls[u] if cls[u] in (1, 2) else 3 - comb[v]
-            return "small-pole-branching", out
-        out[y] = comb[v]
+    # what is left: the poles, the other one y small
+    if d(v) >= 3:
+        out[y] = 3 - comb[v]
         for u in interior:
-            out[u] = 3 - comb[v]
-        return "small-pole-degree2", out
-    return "unmatched", {}
+            out[u] = cls[u] if cls[u] in (1, 2) else 3 - comb[v]
+        return "small-pole-branching", out
+    out[y] = comb[v]
+    for u in interior:
+        out[u] = 3 - comb[v]
+    return "small-pole-degree2", out
 
 
 def _audit_step(
@@ -781,7 +764,7 @@ def tree_partition_with_edge(
     class-2 on the second, and the edge vw kept inside one side (chosen by
     w's class).  `analysis` is the caller's analysis of g, if it has one."""
     an = analysis if analysis is not None else _analyse(g)
-    tp, bs, h = an.tp, an.bs, an.h
+    tp, bs = an.tp, an.bs
     if v not in bs.b_of(3):
         raise BadEdge(f"vertex {v} is not a big class-3 vertex")
     if not g.has_edge(v, w):
@@ -799,48 +782,35 @@ def tree_partition_with_edge(
             raise NotTreePartition("bipyramid sides do not induce two trees")
         return _kept_together(part, v, w)
 
-    if not is_multi4(h):
-        raise HNotInFamily("a big-vertex cycle has length not 0 mod 4")
+    if not is_multi4(an.h):
+        raise NotInFamilyH("a big-vertex cycle has length not 0 mod 4")
 
     if w in bs.big:
         b = base_coloring(an, pin=(v, target))
         part = tree_partition_solve(g, _seeds(an, b), analysis=an)
         return _kept_together(part, v, w)
 
-    last_err: Exception | None = None
-    for p_w in _choose_fan_paths(an, v, w):
-        v3 = [u for u in (p_w.v0 | p_w.v1) if tp.class_of[u] == 3 and u in bs.big and u != v]
-        # the opposite corner shares a 4-cycle with v exactly when they have
-        # two common neighbours in H
-        if v3 and len(h.adj.get(v, set()) & h.adj.get(min(v3), set())) >= 2:
-            candidates = base_coloring_candidates(an, opposite=(v, min(v3), target))
-        else:
-            candidates = base_coloring_candidates(an, pin=(v, target))
-        for b in candidates:
-            try:
-                b0 = extend_coloring_single_path(an, b, v, w, p_w)
-            except (ConditionViolated, CaseUnmatched) as exc:
-                last_err = exc
-                continue
-            seeds = _seeds(an, b0)
-            try:
-                part = tree_partition_solve(g, seeds, analysis=an)
-            except ConstraintInvalid as exc:
-                # usually a second fan path sharing inner vertices with the
-                # chosen one; the straddle rule only backs the existence
-                # argument, not the solver, so retry without it last
-                last_err = exc
-                try:
-                    part = tree_partition_solve(
-                        g, seeds, enforce_path_condition=False, analysis=an
-                    )
-                except (ConstraintInvalid, SearchExhausted) as exc2:
-                    last_err = exc2
-                    continue
-            return _kept_together(part, v, w)
-    raise last_err if last_err is not None else CaseUnmatched(
-        f"no usable fan path through {w}"
-    )
+    p_w = _choose_fan_path(an, v, w)
+    # by the fan-path lemma another big class-3 corner is opposite v on the
+    # fan's 4-cycle, the two corners left big class 1/2 vertices joined to
+    # both in H, so the base colouring puts the pair apart
+    v3 = [u for u in (p_w.v0 | p_w.v1) if u in bs.b_of(3) and u != v]
+    if v3:
+        candidates = base_coloring_candidates(an, opposite=(v, min(v3), target))
+    else:
+        candidates = base_coloring_candidates(an, pin=(v, target))
+    b = next(candidates, None)
+    if b is None:
+        raise CaseUnmatched("no admissible base colouring exists")
+    seeds = _seeds(an, extend_coloring_single_path(an, b, v, w, p_w))
+    try:
+        part = tree_partition_solve(g, seeds, analysis=an)
+    except ConstraintInvalid:
+        # usually a second fan path sharing inner vertices with the chosen
+        # one; the straddle rule only backs the existence argument, not the
+        # solver, so retry without it
+        part = tree_partition_solve(g, seeds, enforce_path_condition=False, analysis=an)
+    return _kept_together(part, v, w)
 
 
 def _kept_together(part: TreePartition, v: int, w: int) -> TreePartition:
@@ -849,25 +819,19 @@ def _kept_together(part: TreePartition, v: int, w: int) -> TreePartition:
     return part
 
 
-def _choose_fan_paths(an: _Analysis, v: int, w: int) -> list[FanPath]:
-    """Fan paths with w interior, v on the 4-cycle, and poles either all
-    big or exactly {v, small class-3 vertex}; best candidates first."""
-    tp, bs = an.tp, an.bs
-    candidates = []
-    for fp in an.paths:
-        if w not in fp.interior:
-            continue
-        if v not in fp.v0 | fp.v1:
-            continue
-        s3_pole = [u for u in fp.v0 if tp.class_of[u] == 3 and u in bs.small]
-        if fp.v0 <= bs.big or (v in fp.v0 and len(s3_pole) == 1):
-            candidates.append(fp)
+def _choose_fan_path(an: _Analysis, v: int, w: int) -> FanPath:
+    """The fan path with w interior and v on the 4-cycle, either as a pole
+    (the other pole then class 3, big or small) or as an end with both
+    poles big; poles before ends, then the smallest path."""
+    candidates = [
+        fp for fp in an.paths
+        if w in fp.interior and (v in fp.v0 or (v in fp.v1 and fp.v0 <= an.bs.big))
+    ]
     if not candidates:
         raise CaseUnmatched(
             f"no fan path through {w} exposes {v} with the required pole shape"
         )
-    candidates.sort(key=lambda fp: (v not in fp.v0, fp.path))
-    return candidates
+    return min(candidates, key=lambda fp: (v not in fp.v0, fp.path))
 
 
 def tree_partition_face_sparse(
@@ -881,7 +845,7 @@ def tree_partition_face_sparse(
     """
     an = analysis if analysis is not None else _analyse(g)
     if not is_multi4(an.h):
-        raise HNotInFamily("a big-vertex cycle has length not 0 mod 4")
+        raise NotInFamilyH("a big-vertex cycle has length not 0 mod 4")
     if not h_components_2connected(an.h):
         raise HComponentNot2Connected(
             "a multi-vertex component of the big-vertex graph is not 2-connected"

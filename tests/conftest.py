@@ -65,3 +65,24 @@ def even_tri_sweep(catalog12) -> list[EmbeddedGraph]:
     with open(LARGE) as f:
         large = [EmbeddedGraph.build(json.loads(line)["rotation"]) for line in f]
     return small + relabelled + catalog12 + large + [g.mirror() for g in large]
+
+
+@pytest.fixture(scope="session")
+def h_not_in_family() -> EmbeddedGraph:
+    """An even triangulation on 13 vertices whose H has the 6-cycle
+    2-4-9-12-7-8; 4 is big class 3 and 2 big class 2."""
+    return EmbeddedGraph.build([
+        [1, 12, 10, 8], [0, 8, 7, 12], [4, 5, 6, 7, 8, 11], [4, 10, 12, 9],
+        [2, 11, 10, 3, 9, 5], [2, 4, 9, 6], [2, 5, 9, 7], [2, 6, 9, 12, 1, 8],
+        [10, 11, 2, 7, 1, 0], [7, 6, 5, 4, 3, 12], [8, 0, 12, 3, 4, 11],
+        [8, 10, 4, 2], [3, 10, 0, 1, 7, 9],
+    ])
+
+
+@pytest.fixture(scope="session")
+def h_not_2connected() -> EmbeddedGraph:
+    """The even triangulation on 9 vertices (first golden row with n = 9):
+    H is in the mod-4 family, but a component of it is not 2-connected."""
+    with open(DATA / "with_edge_golden.jsonl") as f:
+        rows = [json.loads(line)["rotation"] for line in f]
+    return EmbeddedGraph.build(next(r for r in rows if len(r) == 9))

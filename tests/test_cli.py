@@ -186,6 +186,28 @@ class TestPartitionAndHamilton:
         edges = {tuple(sorted((cycle[i], cycle[(i + 1) % k]))) for i in range(k)}
         assert tuple(sorted(e_star)) not in edges
 
+    def test_partition_refuses_h_outside_the_family(self, capsys, tmp_path, h_not_in_family):
+        p = tmp_path / "n13.json"
+        p.write_text(h_not_in_family.to_json())
+        code, rows, err = run(capsys, ["partition", str(p), "--with-edge", "4,2"])
+        assert code == 2 and not rows
+        assert "NotInFamilyH" in err and "Traceback" not in err
+
+    def test_partition_refuses_h_not_2connected(self, capsys, tmp_path, h_not_2connected):
+        p = tmp_path / "n9.json"
+        p.write_text(h_not_2connected.to_json())
+        code, rows, err = run(capsys, ["partition", str(p)])
+        assert code == 2 and not rows
+        assert "HComponentNot2Connected" in err and "Traceback" not in err
+
+    def test_hamilton_refuses_a_non_triangulation(self, capsys, tmp_path):
+        # checked before the dual is built: a 4-cycle's dual has multiple edges
+        p = tmp_path / "c4.json"
+        p.write_text(json.dumps({"n": 4, "rotation": [[1, 3], [2, 0], [3, 1], [0, 2]]}))
+        code, rows, err = run(capsys, ["hamilton", str(p)])
+        assert code == 2 and not rows
+        assert "NotEvenTriangulation" in err
+
 
 class TestGenAndSurvey:
     def test_gen_bipyramid(self, capsys):
@@ -235,6 +257,24 @@ class TestGenAndSurvey:
         assert summary["result"]["instances"] == 2
         for row in rows[:-1]:
             assert all(row["checks"].values())
+
+    def test_survey_row_analyses_its_instance_twice(self, monkeypatch, catalog12):
+        from dualham import duality, treesplit
+
+        real = treesplit._analyse
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(treesplit, "_analyse", counted)
+        monkeypatch.setattr(duality, "_analyse", counted)
+        row = cli._survey_even_tri(catalog12[-1].to_json())
+        assert row["hypothesis"] and row["eligible_edges"] == 12
+        assert all(row["checks"].values())
+        # one for the row and its 12 avoided edges, one in the face-sparse pipeline
+        assert calls == [12, 12]
 
     def test_survey_multi4(self, capsys):
         code, rows, _ = run(

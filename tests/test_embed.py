@@ -93,6 +93,13 @@ def test_dual_face_map_matches_face_search(octahedron, catalog12):
         assert d.primal_vertex_of_dual_face == _primal_vertex_by_face_search(g, d)
 
 
+def test_dual_passes_the_checks_it_skips(even_tri_sweep):
+    # `dual` builds its graph without validation; `build` must accept it
+    for g in even_tri_sweep:
+        d = dual(g)
+        assert EmbeddedGraph.build(d.graph.rotation) == d.graph
+
+
 def test_tri_partition_is_proper(bipyramid6):
     tp = tri_partition(bipyramid6)
     for u, v in bipyramid6.edges():

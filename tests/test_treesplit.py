@@ -14,9 +14,12 @@ from dualham.errors import (
     BadEdge,
     BipyramidSpecialCase,
     CaseUnmatched,
+    ConditionViolated,
     ConstraintInvalid,
     DualhamError,
+    HComponentNot2Connected,
     NotEvenTriangulation,
+    NotInFamilyH,
     SearchExhausted,
 )
 from dualham.gen import (
@@ -459,8 +462,38 @@ class TestWithEdgePipeline:
                     assert verify_tree_partition(ab, part, bs.b_of(1), bs.b_of(2))
                     assert (v in part.s) == (w in part.s)
 
+    def test_rejects_h_outside_the_family(self, h_not_in_family):
+        with pytest.raises(NotInFamilyH):
+            tree_partition_with_edge(h_not_in_family, 4, 2)
+
+    def test_a_failed_extension_is_raised_not_retried(self, even10, monkeypatch):
+        # one fan path and one base colouring per call: a construction
+        # failure surfaces as its typed error after a single attempt
+        calls = []
+
+        def failing(an, b, v, w, p_w):
+            calls.append(p_w.path)
+            raise ConditionViolated(0, "injected")
+
+        monkeypatch.setattr(treesplit, "extend_coloring_single_path", failing)
+        # w = 7 is small and lies inside two fan paths through v = 1
+        bs = classify_big_small(even10, tri_partition(even10))
+        through = [fp for fp in fan_paths(even10, bs) if 7 in fp.interior and 1 in fp.v0 | fp.v1]
+        assert len(through) == 2
+        with pytest.raises(ConditionViolated):
+            tree_partition_with_edge(even10, 1, 7)
+        assert len(calls) == 1
+
 
 class TestFaceSparsePipeline:
+    def test_rejects_h_outside_the_family(self, h_not_in_family):
+        with pytest.raises(NotInFamilyH):
+            tree_partition_face_sparse(h_not_in_family)
+
+    def test_rejects_h_not_2connected(self, h_not_2connected):
+        with pytest.raises(HComponentNot2Connected):
+            tree_partition_face_sparse(h_not_2connected)
+
     def test_rejects_non_even_triangulation(self):
         with pytest.raises(NotEvenTriangulation):
             tree_partition_face_sparse(EmbeddedGraph.build(TETRAHEDRON))
