@@ -57,11 +57,14 @@ def _load_abstract(text: str) -> tuple[Graph, dict[int, int]]:
     """Abstract graph plus optional alpha-colouring `a` from the input."""
     try:
         data = json.loads(text)
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
+        edges = [(u, v) for u, v in data["edges"]]
+        if not all(type(u) is int and type(v) is int for u, v in edges):
+            raise ValueError('"edges" must be a list of pairs of ints')
         a = data.get("a", {})
-        if not isinstance(a, dict) or any(c not in (1, 2) for c in a.values()):
+        if not isinstance(a, dict) or any(k != str(int(k)) or type(c) is not int
+                                          or c not in (1, 2) for k, c in a.items()):
             raise ValueError('"a" must map vertices to colours 1 or 2')
-        return Graph.from_edges(edges), {int(k): int(c) for k, c in a.items()}
+        return Graph.from_edges(edges), {int(k): c for k, c in a.items()}
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph JSON: {exc}") from exc
 
@@ -258,7 +261,7 @@ def _survey_even_tri(g_json: str) -> dict[str, Any]:
         an = treesplit._analyse(g)
         tp, bs, ab = an.tp, an.bs, an.ab
         d = dual(g)
-        in_family = structure.is_multi4(an.h)
+        in_family = an.in_family
         row["checks"]["h-in-family"] = in_family
         hyp = in_family and gen.h_components_2connected(an.h)
         row["hypothesis"] = hyp

@@ -5,18 +5,32 @@ of the alpha side and a pinned beta vertex, build a colouring `b` of the
 beta side so that under the combined colouring no cycle is monochromatic
 and degree-2 beta-to-beta stretches alternate.
 
-The construction is recursive: glue over the block-cut tree, handle blocks
-whose branching vertices are all beta by distance parity, blocks whose
-branching vertices are all alpha by chain alternation, and split mixed
-blocks along a minimal determined side of a cut pair.
+The construction walks the block-cut tree of each component outward from
+the block that holds the anchor (the pin, or the 4-cycle of
+`color_beta_4cycle`).  A block whose branching vertices are all beta is
+coloured by distance parity, one whose branching vertices are all alpha
+by chain alternation, and a mixed block is split along a minimal
+determined side of a cut pair.
+
+Every edge joins alpha to beta, so every block with an edge holds a beta
+vertex.  The branches left out rest on one lemma:
+
+- A block with >= 3 vertices is 2-connected.  So every vertex in it has
+  degree >= 2, and a block with a branching vertex is not a cycle.
+- Chain alternation runs in two places: on a block whose branching
+  vertices are all alpha, and on the alpha side C of a cut pair.  A chain
+  in C ends at vertices that branch in g and never leaves C.
+- In both places every beta vertex has ambient degree 2 and lies inside
+  exactly one chain, and every chain is open, has two branching ends and
+  carries at least one beta vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .errors import CaseUnmatched, NoCutPath, NotInFamilyH
+from .errors import CaseUnmatched, NoCutPath, NotInFamilyH, NotOn4Cycle
 from .structure import TypedBipartition, is_multi4, minimal_determined_side
 from .ugraph import DEFAULT_CYCLE_CAP, Graph
 
@@ -68,58 +82,63 @@ def color_beta(
         raise ValueError(f"alpha colouring misses {sorted(missing)}")
     if check_family and not is_multi4(g, cap=cap):
         raise NotInFamilyH("a cycle has length not congruent to 0 mod 4")
-    b: dict[int, int] = {}
-    for comp in sorted(g.components(), key=min):
-        sub = g.subgraph(comp)
-        if pin_vertex in comp:
-            b.update(_color_connected(sub, bp, a, pin_vertex, pin_colour))
-        else:
-            b.update(_color_connected(sub, bp, a, None, None))
-    return TwoColoring(b)
+    return TwoColoring(_color_components(
+        g, bp, a, {pin_vertex},
+        lambda block: _color_block(block, bp, a, pin_vertex, pin_colour),
+    ))
 
 
 # --- recursive machinery -------------------------------------------------
 
 
-def _color_connected(
+RootColouring = Callable[[Graph], dict[int, int]]
+
+
+def _color_components(
     g: Graph,
     bp: TypedBipartition,
     a: Mapping[int, int],
-    pin_v: int | None,
-    pin_c: int | None,
+    anchor: set[int],
+    colour_root: RootColouring,
 ) -> dict[int, int]:
-    """Colour a connected graph by gluing block colourings over the cut tree."""
-    betas = set(g.adj) & bp.beta
-    if not betas:
-        return {}
-    if pin_v is None:
-        pin_v, pin_c = min(betas), 1
-    comps, cuts = g.blocks()
-    comps = [frozenset(c) for c in comps]
-    root = min((i for i, c in enumerate(comps) if pin_v in c),
-               key=lambda i: sorted(comps[i]))
-    return _glue_blocks(g, bp, a, comps, root, pin_v, pin_c, None)
+    """Colour each component: the one holding `anchor` from the block
+    `colour_root` colours, every other from its lowest beta vertex."""
+    b: dict[int, int] = {}
+    for comp in sorted(g.components(), key=min):
+        sub = g.subgraph(comp)
+        betas = comp & bp.beta
+        if anchor <= comp:
+            b.update(_glue_blocks(sub, bp, a, anchor, colour_root))
+        elif betas:
+            b.update(_color_connected(sub, bp, a, min(betas), 1))
+    return b
+
+
+def _color_connected(
+    g: Graph, bp: TypedBipartition, a: Mapping[int, int], pin_v: int, pin_c: int
+) -> dict[int, int]:
+    """Colour a connected graph with the beta vertex pin_v at colour pin_c."""
+    return _glue_blocks(
+        g, bp, a, {pin_v}, lambda block: _color_block(block, bp, a, pin_v, pin_c)
+    )
 
 
 def _glue_blocks(
     g: Graph,
     bp: TypedBipartition,
     a: Mapping[int, int],
-    comps: list[frozenset[int]],
-    root: int,
-    pin_v: int | None,
-    pin_c: int | None,
-    root_colours: dict[int, int] | None,
+    anchor: set[int],
+    colour_root: RootColouring,
 ) -> dict[int, int]:
-    """BFS the block tree outward from `root`, pinning each new block at the
-    cut vertex it hangs from (or, for a degree-2 alpha cut vertex, at the
-    beta neighbour just past it, to keep chain alternation intact).
+    """Colour the lowest block holding `anchor` with `colour_root`, then BFS
+    the block tree outward from it, pinning each new block at the cut
+    vertex it hangs from (or, for a degree-2 alpha cut vertex, at the beta
+    neighbour just past it, to keep chain alternation intact).
     """
-    b: dict[int, int] = {}
-    if root_colours is not None:
-        b.update(root_colours)
-    else:
-        b.update(_color_block(g.subgraph(comps[root]), bp, a, pin_v, pin_c))
+    comps = [frozenset(c) for c in g.blocks()[0]]
+    root = min((i for i, c in enumerate(comps) if anchor <= c),
+               key=lambda i: sorted(comps[i]))
+    b = colour_root(g.subgraph(comps[root]))
     done = {root}
     frontier = [root]
     while frontier:
@@ -142,14 +161,12 @@ def _glue_blocks(
                     here = next(w for w in g.adj[c] if w in comps[j])
                     sub_pin, sub_col = here, 3 - b[prev]
                 else:
-                    block_betas = set(block.adj) & bp.beta
-                    sub_pin, sub_col = (min(block_betas), 1) if block_betas else (None, None)
-                if sub_pin is not None:
-                    sub = _color_block(block, bp, a, sub_pin, sub_col)
-                    for v, col in sub.items():
-                        if v in b and b[v] != col:
-                            raise CaseUnmatched(f"block gluing conflict at {v}")
-                    b.update(sub)
+                    sub_pin, sub_col = min(set(block.adj) & bp.beta), 1
+                sub = _color_block(block, bp, a, sub_pin, sub_col)
+                for v, col in sub.items():
+                    if v in b and b[v] != col:
+                        raise CaseUnmatched(f"block gluing conflict at {v}")
+                b.update(sub)
                 done.add(j)
                 nxt.append(j)
         frontier = nxt
@@ -160,15 +177,12 @@ def _color_block(
     g: Graph,
     bp: TypedBipartition,
     a: Mapping[int, int],
-    pin_v: int | None,
-    pin_c: int | None,
+    pin_v: int,
+    pin_c: int,
 ) -> dict[int, int]:
-    """Colour one block (2-connected, or a bridge edge)."""
+    """Colour one block (2-connected, a bridge edge or a lone vertex) with
+    its beta vertex pin_v at colour pin_c."""
     betas = set(g.adj) & bp.beta
-    if not betas:
-        return {}
-    if pin_v is None:
-        pin_v, pin_c = min(betas), 1
     if g.m <= 1:
         return {v: (pin_c if v == pin_v else 1) for v in betas}
     branch_beta = any(g.degree(v) >= 3 for v in betas)
@@ -189,10 +203,7 @@ def _procedure_distance_parity(
     congruent mod 4.
     """
     betas = sorted(set(g.adj) & bp.beta)
-    if not betas:
-        return {}
-    w = betas[0]
-    dist = g.bfs_dist(w)
+    dist = g.bfs_dist(betas[0])
     b = {u: 1 + (dist[u] // 2) % 2 for u in betas}
     if pin_v is not None and b[pin_v] != pin_c:
         b = {u: 3 - col for u, col in b.items()}
@@ -213,77 +224,42 @@ def _procedure_chain_alternate(
 
     Degrees that decide what counts as a chain are taken in `ambient`
     (the graph the recursion is currently working inside), which may be a
-    supergraph of `l_graph`.
+    supergraph of `l_graph`.  By the module's lemma the chains are open,
+    end at branching vertices and hold every beta vertex exactly once.
     """
     b: dict[int, int] = {}
     deg2 = {v for v in l_graph.adj if ambient.degree(v) == 2}
     seen: set[int] = set()
-    walks: list[tuple[list[int], bool]] = []  # (walk, closed)
     for v in sorted(deg2):
         if v in seen:
             continue
         walk = _chain_walk(l_graph, deg2, v)
-        closed = walk[0] == walk[-1] and len(walk) > 2
-        seen.update(w for w in walk if w in deg2)
-        walks.append((walk, closed))
-    # isolated beta vertices of degree != 2 in ambient but <= 2 in l_graph:
-    # in this procedure every beta vertex has ambient degree <= 2, so the
-    # walks cover all betas except ambient-degree-<2 strays
-    for walk, closed in walks:
-        beta_seq = [v for v in walk if v in bp.beta]
-        if closed and walk[0] == walk[-1] and walk[0] in bp.beta:
-            beta_seq = beta_seq[:-1]
-        if not beta_seq:
+        seen.update(walk)
+        beta_seq = [u for u in walk if u in bp.beta]
+        if len(beta_seq) == 1 and beta_seq[0] != pin_v:
+            b[beta_seq[0]] = 3 - a[min(walk[0], walk[-1])]
             continue
-        if len(beta_seq) == 1:
-            (u,) = beta_seq
-            if u == pin_v:
-                b[u] = pin_c
-                continue
-            ends = [walk[0], walk[-1]]
-            if all(ambient.degree(e) >= 3 for e in ends) and not closed:
-                b[u] = 3 - a[min(ends)]
-            else:
-                b[u] = 1
-            continue
-        colours = {v: 1 + i % 2 for i, v in enumerate(beta_seq)}
+        colours = {u: 1 + i % 2 for i, u in enumerate(beta_seq)}
         if pin_v in colours and colours[pin_v] != pin_c:
-            colours = {v: 3 - col for v, col in colours.items()}
-        for u, col in colours.items():
-            if u in b and b[u] != col:
-                raise CaseUnmatched(f"chain alternation conflict at {u}")
+            colours = {u: 3 - col for u, col in colours.items()}
         b.update(colours)
-    # beta strays not on any chain (ambient degree <= 1)
-    for v in (set(l_graph.adj) & bp.beta) - set(b):
-        b[v] = pin_c if v == pin_v else 1
-    if pin_v is not None and pin_v in b and b[pin_v] != pin_c:
-        raise CaseUnmatched(f"pin {pin_v} unreachable in chain procedure")
     return b
 
 
 def _chain_walk(g: Graph, deg2: set[int], v: int) -> list[int]:
-    """Maximal walk through degree-2 vertices containing v; may be closed."""
-    left = [v]
-    prev = None
-    cur = v
+    """The chain through v, from the end past v's lower neighbour to the
+    end past its higher one."""
+    lo, hi = sorted(g.adj[v])
+    return _run_to_end(g, deg2, v, lo)[::-1] + [v] + _run_to_end(g, deg2, v, hi)
+
+
+def _run_to_end(g: Graph, deg2: set[int], prev: int, cur: int) -> list[int]:
+    """The walk from prev's neighbour cur on to the first vertex not in deg2."""
+    out = [cur]
     while cur in deg2:
-        nbs = sorted(w for w in g.adj[cur] if w != prev)
-        if not nbs:
-            break
-        prev, cur = cur, nbs[0]
-        left.append(cur)
-        if cur == v:
-            return left  # closed cycle
-    right: list[int] = []
-    prev = left[1] if len(left) > 1 else None
-    cur = v
-    while cur in deg2:
-        nbs = [w for w in g.adj[cur] if w != prev]
-        if not nbs:
-            break
-        prev, cur = cur, nbs[0]
-        right.append(cur)
-    return left[::-1][:-1] + [v] + right if right else left[::-1]
+        prev, cur = cur, next(w for w in g.adj[cur] if w != prev)
+        out.append(cur)
+    return out
 
 
 def _split_on_cut_pair(
@@ -303,30 +279,21 @@ def _split_on_cut_pair(
         )
     c_side, d_side = pair.side_c, pair.side_d
     p, q = pair.p, pair.q
-    x1, y1, x2, y2 = p.x, p.y, q.x, q.y
     path_edges = [
         (u, v)
         for pr in (p, q)
         for u, v in zip(pr.vertices, pr.vertices[1:])
     ]
-    side_is_beta = all(
-        bp.is_beta(v) for v in c_side if g.degree(v) >= 3
-    )
-    if side_is_beta:
+    paths = set(p.vertices) | set(q.vertices)
+    if all(bp.is_beta(v) for v in c_side if g.degree(v) >= 3):
         # near side beta: colour C plus both paths by distance parity,
         # the far component independently
-        k_vertices = set(c_side) | set(p.vertices) | set(q.vertices)
-        k_edges = [e for e in g.subgraph(c_side).edges()] + path_edges
-        k_graph = Graph.from_edges(k_edges, k_vertices)
-        for v in k_graph.adj:
-            if k_graph.degree(v) >= 3 and not bp.is_beta(v):
-                raise CaseUnmatched(
-                    f"alpha branching vertex {v} inside the beta-side union"
-                )
+        k_graph = Graph.from_edges(g.subgraph(c_side).edges() + path_edges,
+                                   set(c_side) | paths)
         d_graph = g.subgraph(d_side)
-        if pin_v in bp.beta & set(k_graph.adj):
+        if pin_v in k_graph.adj:
             k = _procedure_distance_parity(k_graph, bp, pin_v, pin_c)
-            d = _color_connected(d_graph, bp, a, None, None)
+            d = _color_connected(d_graph, bp, a, min(d_side & bp.beta), 1)
         else:
             k = _procedure_distance_parity(k_graph, bp, None, None)
             d = _color_connected(d_graph, bp, a, pin_v, pin_c)
@@ -334,16 +301,14 @@ def _split_on_cut_pair(
     # near side alpha: colour C by chain alternation, recurse on the far
     # component together with both paths
     l_graph = g.subgraph(c_side)
-    dpq_vertices = set(d_side) | set(p.vertices) | set(q.vertices)
-    dpq_edges = [e for e in g.subgraph(d_side).edges()] + path_edges
-    dpq_graph = Graph.from_edges(dpq_edges, dpq_vertices)
-    if pin_v in set(dpq_graph.adj) & bp.beta:
+    dpq_graph = Graph.from_edges(g.subgraph(d_side).edges() + path_edges,
+                                 set(d_side) | paths)
+    if pin_v in dpq_graph.adj:
         c1 = _color_connected(dpq_graph, bp, a, pin_v, pin_c)
         l = _procedure_chain_alternate(l_graph, g, bp, a, None, None)
     else:
-        c2 = _color_connected(dpq_graph, bp, a, y1, 3 - a[x1])
+        c1 = _color_connected(dpq_graph, bp, a, p.y, 3 - a[p.x])
         l = _procedure_chain_alternate(l_graph, g, bp, a, pin_v, pin_c)
-        c1 = c2
     return _merge_disjoint(l, c1)
 
 
@@ -373,32 +338,17 @@ def color_beta_4cycle(
     """Colour the beta side so no cycle is monochromatic, with the two beta
     vertices of a 4-cycle forced to opposite colours (b(v) = v_colour).
     """
-    from .errors import NotOn4Cycle
-
     if v == y or y not in bp.beta or v not in bp.beta:
         raise NotOn4Cycle("need two distinct beta vertices")
-    common = sorted(g.adj[v] & g.adj[y])
-    if len(common) < 2:
+    if len(g.adj[v] & g.adj[y]) < 2:
         raise NotOn4Cycle(f"{v} and {y} are not opposite on a 4-cycle")
     if check_family and not is_multi4(g, cap=cap):
         raise NotInFamilyH("a cycle has length not congruent to 0 mod 4")
-    x, z = common[0], common[1]
-    comps, cuts = g.blocks()
-    comps = [frozenset(c) for c in comps]
-    root = next(i for i, c in enumerate(comps) if {v, x, y, z} <= c)
-    block = g.subgraph(comps[root])
-    b0 = _orient_opposite_pair(block, bp, a, v, y, x, z, v_colour)
-    b: dict[int, int] = dict(b0)
-    for comp in sorted(g.components(), key=min):
-        if v in comp:
-            local = [c for c in comps if c <= comp]
-            b.update(
-                _glue_blocks(g.subgraph(comp), bp, a, local,
-                             local.index(comps[root]), None, None, b0)
-            )
-        else:
-            b.update(_color_connected(g.subgraph(comp), bp, a, None, None))
-    return TwoColoring(b)
+    # v and y lie on a common cycle, so exactly one block holds both
+    return TwoColoring(_color_components(
+        g, bp, a, {v, y},
+        lambda block: _orient_opposite_pair(block, bp, a, v, y, v_colour),
+    ))
 
 
 def _orient_opposite_pair(
@@ -407,38 +357,19 @@ def _orient_opposite_pair(
     a: Mapping[int, int],
     v: int,
     y: int,
-    x: int,
-    z: int,
     v_colour: int,
 ) -> dict[int, int]:
     """Colour the 4-cycle's block with b(v) = v_colour != b(y).
 
-    Pin one of the pair and repair the other by recolouring when it has
-    degree 2 (then every cycle through it passes both 4-cycle corners);
-    fall back to pinning the other end.  Every branch is verified before
-    being returned.
+    Pin v; if y then shares v's colour and has degree 2, recolour y (every
+    cycle through it passes both 4-cycle corners).  The result is verified
+    before it is returned.
     """
-    y_colour = 3 - v_colour
-
-    def ok(b: dict[int, int]) -> bool:
-        return mono_cycle(block, combine(a, b)) is None
-
-    b1 = _color_block(block, bp, a, v, v_colour)
-    if b1[y] == y_colour and ok(b1):
-        return b1
-    if block.degree(y) == 2:
-        b1 = dict(b1)
-        b1[y] = y_colour
-        if ok(b1):
-            return b1
-    b2 = _color_block(block, bp, a, y, y_colour)
-    if b2[v] == v_colour and ok(b2):
-        return b2
-    if block.degree(v) == 2:
-        b2 = dict(b2)
-        b2[v] = v_colour
-        if ok(b2):
-            return b2
+    b = _color_block(block, bp, a, v, v_colour)
+    if b[y] == v_colour and block.degree(y) == 2:
+        b[y] = 3 - v_colour
+    if b[y] != v_colour and mono_cycle(block, combine(a, b)) is None:
+        return b
     raise CaseUnmatched(
         f"could not orient beta pair ({v}, {y}) on its 4-cycle"
     )

@@ -438,23 +438,22 @@ def minimal_determined_side(
     candidates = cut_path_candidates(g, bp)
     if not candidates:
         raise NoCutPath("no path satisfies the cut-path condition")
-    sides: list[tuple[frozenset[int], PathRec, PathRec]] = []
+    # (side, other side, p, q) for both sides of every cut pair
+    sides: list[tuple[frozenset[int], frozenset[int], PathRec, PathRec]] = []
     for p, q in itertools.combinations(candidates, 2):
         got = cuts_graph(g, bp, p, q)
         if got is None:
             continue
         c, d = got
-        sides.append((c, p, q))
-        sides.append((d, p, q))
+        sides.append((c, d, p, q))
+        sides.append((d, c, p, q))
     if not sides:
         raise NoCutPath("no pair of cut paths splits the graph")
     minimal = [
         s for s in sides if not any(t[0] < s[0] for t in sides)
     ]
-    minimal.sort(key=lambda s: (len(s[0]), sorted(s[0]), s[1].vertices, s[2].vertices))
-    side, p, q = minimal[0]
-    c, d = cuts_graph(g, bp, p, q)
-    other = d if side == c else c
+    minimal.sort(key=lambda s: (len(s[0]), sorted(s[0]), s[2].vertices, s[3].vertices))
+    side, other, p, q = minimal[0]
     # orient both paths so their first ends sit in the minimal side
     if p.x not in side:
         p = p.reversed()

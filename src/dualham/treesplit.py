@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .colorizer import color_beta, color_beta_4cycle, combine, mono_cycle
@@ -233,7 +234,8 @@ def families_R(
 @dataclass(frozen=True)
 class _Analysis:
     """What a pipeline call derives from the triangulation alone.  Built
-    once per call and passed down; it is never kept beyond that call."""
+    once per call and passed down; a survey row builds one and passes it
+    to each of its with-edge calls."""
 
     ab: Graph
     tp: TriPartition
@@ -242,6 +244,11 @@ class _Analysis:
     a: Mapping[int, int]         # big class 1 -> colour 1, big class 2 -> 2
     poles: tuple[int, int] | None
     paths: tuple[FanPath, ...]   # empty for a bipyramid
+
+    @cached_property
+    def in_family(self) -> bool:
+        """Whether every cycle of H has length 0 mod 4; run on first use."""
+        return is_multi4(self.h)
 
 
 def _analyse(g: EmbeddedGraph) -> _Analysis:
@@ -782,7 +789,7 @@ def tree_partition_with_edge(
             raise NotTreePartition("bipyramid sides do not induce two trees")
         return _kept_together(part, v, w)
 
-    if not is_multi4(an.h):
+    if not an.in_family:
         raise NotInFamilyH("a big-vertex cycle has length not 0 mod 4")
 
     if w in bs.big:
@@ -844,7 +851,7 @@ def tree_partition_face_sparse(
     `analysis` is the caller's analysis of g, if it has one.
     """
     an = analysis if analysis is not None else _analyse(g)
-    if not is_multi4(an.h):
+    if not an.in_family:
         raise NotInFamilyH("a big-vertex cycle has length not 0 mod 4")
     if not h_components_2connected(an.h):
         raise HComponentNot2Connected(

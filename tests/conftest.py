@@ -1,5 +1,7 @@
-"""Shared fixtures: canonical small instances and the frozen catalog."""
+"""Shared fixtures: canonical small instances, the frozen catalog and
+generated members of the mod-4 cycle family."""
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -7,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from dualham.embed import EmbeddedGraph
-from dualham.gen import gen_bipyramid, golden_two_squares, load_catalog
+from dualham.gen import gen_bipyramid, gen_multi4, golden_two_squares, load_catalog
+from dualham.structure import is_multi4
+from dualham.ugraph import Graph
 
 DATA = Path(__file__).parent / "data"
 LARGE = Path(__file__).parent.parent / "perfbench" / "data" / "large.jsonl"
@@ -86,3 +90,36 @@ def h_not_2connected() -> EmbeddedGraph:
     with open(DATA / "with_edge_golden.jsonl") as f:
         rows = [json.loads(line)["rotation"] for line in f]
     return EmbeddedGraph.build(next(r for r in rows if len(r) == 9))
+
+
+@pytest.fixture(scope="session")
+def hgraphs():
+    """At least 200 generated members of the mod-4 cycle family, n <= 16."""
+    out = []
+    for size in (8, 10, 12, 14, 16):
+        for seed in range(42):
+            out.append(gen_multi4(size, seed * 5 + size))
+    assert len(out) >= 200
+    return out
+
+
+@pytest.fixture(scope="session")
+def glued_graphs():
+    """Deterministic family members made of two 4k-cycles joined by two
+    disjoint paths: the biconnected shape that admits cut pairs."""
+    out = []
+    for k1, k2 in ((4, 4), (4, 8), (8, 8)):
+        for i1, i2 in itertools.combinations(range(k1), 2):
+            for j1, j2 in itertools.combinations(range(k2), 2):
+                for l1, l2 in itertools.product((1, 2, 3), (1, 2, 3, 4, 5)):
+                    edges = [(i, (i + 1) % k1) for i in range(k1)]
+                    edges += [(k1 + i, k1 + (i + 1) % k2) for i in range(k2)]
+                    nxt = k1 + k2
+                    for a, b, l in ((i1, k1 + j1, l1), (i2, k1 + j2, l2)):
+                        path = [a] + [nxt + t for t in range(l - 1)] + [b]
+                        edges += list(zip(path, path[1:]))
+                        nxt += l - 1
+                    g = Graph.from_edges(edges)
+                    if is_multi4(g) and g.is_biconnected():
+                        out.append(g)
+    return out

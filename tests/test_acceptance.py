@@ -17,7 +17,6 @@ from dualham.errors import NoCutPath, SearchExhausted
 from dualham.gen import (
     big_vertex_graph,
     gen_even_triangulations,
-    gen_multi4,
     meets_h_hypothesis,
 )
 from dualham.structure import TypedBipartition, bipartition_typed, is_multi4
@@ -27,39 +26,6 @@ from dualham.ugraph import Graph, norm_edge
 def _line(i: int, ok: bool, desc: str) -> None:
     print(f"criterion {i:2d}: {'PASS' if ok else 'FAIL'} - {desc}")
     assert ok, f"criterion {i} failed: {desc}"
-
-
-@pytest.fixture(scope="module")
-def hgraphs():
-    """At least 200 generated members of the mod-4 cycle family, n <= 16."""
-    out = []
-    for size in (8, 10, 12, 14, 16):
-        for seed in range(42):
-            out.append(gen_multi4(size, seed * 5 + size))
-    assert len(out) >= 200
-    return out
-
-
-@pytest.fixture(scope="module")
-def glued_graphs():
-    """Deterministic family members made of two 4k-cycles joined by two
-    disjoint paths: the biconnected shape that admits cut pairs."""
-    out = []
-    for k1, k2 in ((4, 4), (4, 8), (8, 8)):
-        for i1, i2 in itertools.combinations(range(k1), 2):
-            for j1, j2 in itertools.combinations(range(k2), 2):
-                for l1, l2 in itertools.product((1, 2, 3), (1, 2, 3, 4, 5)):
-                    edges = [(i, (i + 1) % k1) for i in range(k1)]
-                    edges += [(k1 + i, k1 + (i + 1) % k2) for i in range(k2)]
-                    nxt = k1 + k2
-                    for a, b, l in ((i1, k1 + j1, l1), (i2, k1 + j2, l2)):
-                        path = [a] + [nxt + t for t in range(l - 1)] + [b]
-                        edges += list(zip(path, path[1:]))
-                        nxt += l - 1
-                    g = Graph.from_edges(edges)
-                    if is_multi4(g) and g.is_biconnected():
-                        out.append(g)
-    return out
 
 
 @pytest.fixture(scope="module")

@@ -91,8 +91,17 @@ class TestCheck:
     (["color"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "a": {"0": 1, "1": 2}}'),
     (["color"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "a": {"0": 1, "99": 2}}'),
     (["color"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "a": {"0": 1}}'),
+    (["color"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "a": {"0": 1, "2": true}}'),
+    (["color"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "a": {"0": 1, "0_2": 2}}'),
+    (["color"], '{"edges": [[0, 1.5], [1, 2], [2, 3], [3, 0]], "a": {"0": 1, "2": 2}}'),
+    (["check", "--family", "multi4"], '{"edges": [[0, 1.5], [1, 2], [2, 3], [3, 0]]}'),
+    (["check", "--family", "multi4"], '{"edges": [["0", 1], [1, 2], [2, 3], [3, 0]]}'),
+    (["check", "--family", "multi4"], '{"edges": [["0", true], [1, 2], [2, 3], [3, 0]]}'),
+    (["check", "--family", "multi4"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, false]]}'),
 ], ids=["not-an-object", "rotation-not-a-list", "row-not-a-list", "a-not-an-object",
-        "a-colour-7", "a-adjacent-alpha", "a-vertex-not-in-graph", "a-adjacent-beta"])
+        "a-colour-7", "a-adjacent-alpha", "a-vertex-not-in-graph", "a-adjacent-beta",
+        "a-colour-true", "a-vertex-not-an-int", "color-edge-end-float", "edge-end-float", "edge-end-string",
+        "edge-end-string-and-bool", "edge-end-false"])
 def test_malformed_input_exits_2(capsys, tmp_path, command, text):
     p = tmp_path / "bad.json"
     p.write_text(text)
@@ -275,6 +284,25 @@ class TestGenAndSurvey:
         assert all(row["checks"].values())
         # one for the row and its 12 avoided edges, one in the face-sparse pipeline
         assert calls == [12, 12]
+
+    def test_survey_row_checks_h_once_per_analysis(self, monkeypatch, catalog12):
+        from dualham import colorizer, gen, structure, treesplit
+
+        real = structure.is_multi4
+        calls = []
+
+        def counted(g, *args, **kwargs):
+            calls.append(g.n)
+            return real(g, *args, **kwargs)
+
+        for mod in (structure, colorizer, gen, treesplit):
+            monkeypatch.setattr(mod, "is_multi4", counted)
+        row = cli._survey_even_tri(catalog12[-1].to_json())
+        assert row["hypothesis"] and row["eligible_edges"] == 12
+        assert all(row["checks"].values())
+        # the row's analysis serves the row and its 12 avoided edges; the
+        # face-sparse pipeline makes the other
+        assert len(calls) == 2
 
     def test_survey_multi4(self, capsys):
         code, rows, _ = run(
