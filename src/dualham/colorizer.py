@@ -134,8 +134,17 @@ def _glue_blocks(
     the block tree outward from it, pinning each new block at the cut
     vertex it hangs from (or, for a degree-2 alpha cut vertex, at the beta
     neighbour just past it, to keep chain alternation intact).
+
+    A block's neighbours are the blocks at its cut vertices, taken in
+    block order; each cut vertex is passed once, so the walk is linear in
+    the size of the block tree.
     """
-    comps = [frozenset(c) for c in g.blocks()[0]]
+    blocks, cuts = g.blocks()
+    comps = [frozenset(c) for c in blocks]
+    at_cut: dict[int, list[int]] = {c: [] for c in cuts}
+    for i, comp in enumerate(comps):
+        for c in comp & cuts:
+            at_cut[c].append(i)
     root = min((i for i, c in enumerate(comps) if anchor <= c),
                key=lambda i: sorted(comps[i]))
     b = colour_root(g.subgraph(comps[root]))
@@ -144,13 +153,12 @@ def _glue_blocks(
     while frontier:
         nxt: list[int] = []
         for i in frontier:
-            for j in range(len(comps)):
-                if j in done:
-                    continue
-                shared = comps[i] & comps[j]
-                if not shared:
-                    continue
-                (c,) = shared
+            # two blocks share at most one vertex, a cut vertex; once a
+            # cut vertex is passed, every block at it is done
+            shared_at = {j: c for c in comps[i] & cuts
+                         for j in at_cut.pop(c, ()) if j not in done}
+            for j in sorted(shared_at):
+                c = shared_at[j]
                 block = g.subgraph(comps[j])
                 if c in bp.beta:
                     sub_pin, sub_col = c, b[c]
@@ -271,7 +279,7 @@ def _split_on_cut_pair(
 ) -> dict[int, int]:
     """Mixed branching types: split along a minimal determined side."""
     try:
-        pair, side = minimal_determined_side(g, bp)
+        pair = minimal_determined_side(g, bp)
     except NoCutPath:
         raise CaseUnmatched(
             "2-connected block with branching vertices of both types but "

@@ -45,18 +45,6 @@ class CycleCapExceeded(DualhamError):
     """Simple-cycle enumeration exceeded the configured cap; the result is unknown."""
 
 
-class NotCPath(DualhamError):
-    """Path does not meet the subgraph exactly in its two ends."""
-
-
-class PathConditionViolated(DualhamError):
-    """Path fails the cut-path condition (degree-2 interior, mixed-type ends of degree >= 3)."""
-
-
-class NoSuchBlock(DualhamError):
-    """Requested block is not a 2-connected block of the reduced graph."""
-
-
 class NoCutPath(DualhamError):
     """No path of the graph satisfies the cut-path condition."""
 

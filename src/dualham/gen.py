@@ -153,8 +153,12 @@ def gen_multi4(size: int, seed: int) -> Graph:
 
     Grows by gluing 4k-cycles at single vertices, hanging pendant paths,
     and adding parallel paths; each step is verified and rolled back if it
-    breaks the invariant, so the result is always certified.
+    breaks the invariant, so the result is always certified.  It has at
+    most `size` vertices, so `size` must be at least 4, the smallest
+    cycle.
     """
+    if size < 4:
+        raise SizeTooSmall(f"size must be >= 4, got {size}")
     if size > 40:
         raise SizeOutOfRange(f"size must be <= 40, got {size}")
     rng = random.Random(seed)

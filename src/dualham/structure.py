@@ -1,9 +1,10 @@
 """Structure theory of graphs whose every cycle has length 0 mod 4.
 
 Such graphs are bipartite; the two sides are the "types" alpha and beta.
-The central notions are cut paths (degree-2 interior, mixed-type ends of
-degree >= 3), pairs of them that split the graph into two determined sides,
-and the block chain left after deleting a cut path's interior.
+This module decides membership and finds what the colourer splits a
+mixed block along: cut paths (degree-2 interior, mixed-type ends of
+degree >= 3) and pairs of them that split the graph into two determined
+sides, of which the colourer takes an inclusion-minimal one.
 """
 
 from __future__ import annotations
@@ -11,14 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import (
-    CaseUnmatched,
-    NoCutPath,
-    NoSuchBlock,
-    NotBipartite,
-    NotCPath,
-    PathConditionViolated,
-)
+from .errors import CaseUnmatched, NoCutPath, NotBipartite
 from .ugraph import DEFAULT_CYCLE_CAP, Graph
 
 
@@ -92,11 +86,6 @@ class PathRec:
     def reversed(self) -> "PathRec":
         return PathRec(self.vertices[::-1])
 
-    def check_in(self, g: Graph) -> None:
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if not g.has_edge(a, b):
-                raise ValueError(f"missing edge {a}-{b}")
-
 
 def minus_interior(g: Graph, *paths: PathRec) -> Graph:
     """Delete each path's interior: inner vertices, or the edge for length 1."""
@@ -127,16 +116,6 @@ class CutPair:
     q: PathRec
     side_c: frozenset[int]
     side_d: frozenset[int]
-
-
-@dataclass(frozen=True)
-class ChainDecomposition:
-    """Ordered block chain of the graph minus a cut path's interior."""
-
-    blocks: tuple[frozenset[int], ...]
-    cut_vertices: tuple[int, ...]
-    x: int
-    y: int
 
 
 # --- family membership ---------------------------------------------------
@@ -232,95 +211,7 @@ def naive_all_cycles(g: Graph) -> list[list[int]]:
     return out
 
 
-# --- lemma-level operations ----------------------------------------------
-
-
-def cpath_type_check(g: Graph, bp: TypedBipartition, c: Graph, p: PathRec) -> bool:
-    """For a path meeting the 2-connected subgraph c exactly in its ends:
-    do the two ends have equal type?  Must hold whenever every cycle of g
-    has length 0 mod 4.
-    """
-    p.check_in(g)
-    if p.x not in c or p.y not in c:
-        raise NotCPath("path ends must lie in the subgraph")
-    if any(v in c for v in p.interior):
-        raise NotCPath("path interior meets the subgraph")
-    if p.length == 1 and c.has_edge(p.x, p.y):
-        raise NotCPath("path is an edge of the subgraph")
-    return bp.same_type(p.x, p.y)
-
-
-def chain_decompose(g: Graph, bp: TypedBipartition, p: PathRec) -> ChainDecomposition:
-    """Ordered block chain of g minus the path interior, from end to end."""
-    p.check_in(g)
-    if not satisfies_cut_path_condition(g, bp, p):
-        raise PathConditionViolated(f"path {p.vertices} fails the cut-path condition")
-    h = minus_interior(g, p)
-    comps, tree = h.block_cut_tree()
-    chain_nodes = _tree_path_between(h, comps, tree, p.x, p.y)
-    block_ids = [node for node in chain_nodes if node >= 0]
-    cut_vs = [-node - 1 for node in chain_nodes if node < 0]
-    if len(block_ids) < 2:
-        raise CaseUnmatched(
-            "graph minus interior is 2-connected; impossible when every cycle "
-            "has length 0 mod 4"
-        )
-    chain_blocks = [frozenset(comps[i]) for i in block_ids]
-    covered = set().union(*chain_blocks)
-    if covered != set(h.adj):
-        raise CaseUnmatched("block chain does not cover the reduced graph")
-    if len(chain_blocks[0]) < 3 or len(chain_blocks[-1]) < 3:
-        raise CaseUnmatched("end block of the chain is not 2-connected")
-    if cut_vs[0] == p.x or cut_vs[-1] == p.y:
-        raise CaseUnmatched("path end coincides with a chain cut vertex")
-    return ChainDecomposition(tuple(chain_blocks), tuple(cut_vs), p.x, p.y)
-
-
-def _tree_path_between(h: Graph, comps, tree: Graph, x: int, y: int) -> list[int]:
-    """Path of block/cut nodes joining x's block to y's block."""
-    t = tree.copy()
-    X, Y = -10**9, -10**9 + 1  # virtual terminals
-    t.adj[X] = set()
-    t.adj[Y] = set()
-    for i, comp in enumerate(comps):
-        if x in comp:
-            t.adj[X].add(i)
-            t.adj[i].add(X)
-        if y in comp:
-            t.adj[Y].add(i)
-            t.adj[i].add(Y)
-    parent = {X: None}
-    stack = [X]
-    while stack:
-        u = stack.pop()
-        for w in t.adj[u]:
-            if w not in parent:
-                parent[w] = u
-                stack.append(w)
-    if Y not in parent:
-        raise CaseUnmatched("path ends disconnected after interior removal")
-    path = [Y]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path[1:-1]
-
-
-def heavy_4cycle_check(g: Graph, bp: TypedBipartition) -> bool:
-    """No 4-cycle may carry an edge with both ends of degree >= 3.
-
-    Always true on 2-connected graphs whose cycles all have length 0 mod 4;
-    used as a falsification target.
-    """
-    verts = g.vertices
-    for u, v in itertools.combinations(verts, 2):
-        common = sorted(g.adj[u] & g.adj[v])
-        for x, z in itertools.combinations(common, 2):
-            cycle = [u, x, v, z]
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                if g.degree(a) >= 3 and g.degree(b) >= 3:
-                    return False
-    return True
+# --- cut pairs -----------------------------------------------------------
 
 
 def cut_path_candidates(g: Graph, bp: TypedBipartition) -> list[PathRec]:
@@ -373,67 +264,12 @@ def cuts_graph(
     return frozenset(c), frozenset(d)
 
 
-def find_cut_pair(g: Graph, bp: TypedBipartition, p: PathRec, b: set[int]) -> CutPair:
-    """Companion path for p leaving the 2-connected block b whole on one side.
+def minimal_determined_side(g: Graph, bp: TypedBipartition) -> CutPair:
+    """The cut pair with an inclusion-minimal determined side, as side_c.
 
-    Scans the block chain: the first sufficiently-branching cut vertex of
-    the target type, paired with the last branching one before it.
-    """
-    chain = chain_decompose(g, bp, p)
-    blocks_ = list(chain.blocks)
-    cuts = list(chain.cut_vertices)
-    bset = frozenset(b)
-    if bset not in blocks_ or len(bset) < 3:
-        raise NoSuchBlock(f"{sorted(b)} is not a 2-connected chain block")
-    l = blocks_.index(bset)
-    # orient so b sits toward the far (y) end of the scan
-    if l == 0:
-        target_type_beta = bp.is_beta(p.x)
-    elif l == len(blocks_) - 1:
-        target_type_beta = bp.is_beta(p.y)
-    else:
-        if not bp.same_type(cuts[l - 1], cuts[l]):
-            raise CaseUnmatched("block boundary cut vertices of different types")
-        target_type_beta = bp.is_beta(cuts[l - 1])
-    if target_type_beta != bp.is_beta(p.y):
-        blocks_.reverse()
-        cuts.reverse()
-        l = len(blocks_) - 1 - l
-    # forward scan (indices into cuts, 0-based)
-    k = next(
-        (
-            i
-            for i, a in enumerate(cuts)
-            if g.degree(a) >= 3 and bp.is_beta(a) == target_type_beta
-        ),
-        None,
-    )
-    if k is None:
-        raise CaseUnmatched("no branching cut vertex of the target type")
-    j = next(
-        (i for i in range(k - 1, -1, -1) if g.degree(cuts[i]) >= 3),
-        None,
-    )
-    if j is None:
-        raise CaseUnmatched("no branching cut vertex before the target")
-    q = PathRec(tuple(cuts[j : k + 1]))
-    q.check_in(g)
-    sides = cuts_graph(g, bp, p, q)
-    if sides is None:
-        raise CaseUnmatched("constructed companion path does not cut the graph")
-    side_c, side_d = sides
-    if not (bset <= side_c or bset <= side_d):
-        raise CaseUnmatched("block split across the two determined sides")
-    return CutPair(p, q, side_c, side_d)
-
-
-def minimal_determined_side(
-    g: Graph, bp: TypedBipartition
-) -> tuple[CutPair, frozenset[int]]:
-    """Inclusion-minimal determined side over every cut pair of the graph.
-
-    All degree->=3 vertices of the returned side share one type; the
-    returned pair has that side as side_c.
+    Tries every pair of cut-path candidates with `cuts_graph`.  All
+    degree->=3 vertices of side_c share one type, and both paths start
+    in side_c.
     """
     candidates = cut_path_candidates(g, bp)
     if not candidates:
@@ -464,4 +300,4 @@ def minimal_determined_side(
         raise CaseUnmatched(
             "minimal determined side has branching vertices of both types"
         )
-    return CutPair(p, q, side, other), side
+    return CutPair(p, q, side, other)

@@ -234,19 +234,6 @@ class Graph:
         comps, cuts = self.blocks()
         return len(comps) == 1 and not cuts and self.is_connected()
 
-    def block_cut_tree(self) -> tuple[list[set[int]], Graph]:
-        """Blocks plus the tree on block ids (>= 0) and cut vertices (< 0).
-
-        Cut vertex v maps to node -v - 1.  Handy for walking block chains.
-        """
-        comps, cuts = self.blocks()
-        edges = []
-        nodes = set(range(len(comps))) | {-v - 1 for v in cuts}
-        for i, comp in enumerate(comps):
-            for v in comp & cuts:
-                edges.append((i, -v - 1))
-        return comps, Graph.from_edges(edges, nodes)
-
     # --- cycles ----------------------------------------------------------
 
     def simple_cycles(self, cap: int = DEFAULT_CYCLE_CAP) -> Iterator[list[int]]:

@@ -21,6 +21,7 @@ from dualham.gen import (
 )
 from dualham.structure import TypedBipartition, bipartition_typed, is_multi4
 from dualham.ugraph import Graph, norm_edge
+from lemmas import heavy_4cycle_check
 
 
 def _line(i: int, ok: bool, desc: str) -> None:
@@ -169,10 +170,11 @@ def test_criterion_5_determined_side(hgraphs, glued_graphs):
     for block in _two_connected_blocks(hgraphs + glued_graphs):
         bp = bipartition_typed(block)
         try:
-            pair, side = structure.minimal_determined_side(block, bp)
+            pair = structure.minimal_determined_side(block, bp)
         except NoCutPath:
             skipped += 1
             continue
+        side = pair.side_c
         deg3 = {v for v in side if block.degree(v) >= 3}
         assert len({bp.is_beta(v) for v in deg3}) <= 1, block.edges()
         # independent recomputation: the returned pair really cuts the
@@ -188,7 +190,7 @@ def test_criterion_6_heavy_4cycle_fuzz(hgraphs, glued_graphs):
     blocks = 0
     for block in _two_connected_blocks(hgraphs + glued_graphs):
         bp = bipartition_typed(block)
-        assert structure.heavy_4cycle_check(block, bp), block.edges()
+        assert heavy_4cycle_check(block, bp), block.edges()
         blocks += 1
     _line(6, blocks > 0, f"4-cycle weight invariant holds on {blocks} "
           "2-connected blocks (release blocker on any failure)")

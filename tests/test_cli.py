@@ -98,14 +98,19 @@ class TestCheck:
     (["check", "--family", "multi4"], '{"edges": [["0", 1], [1, 2], [2, 3], [3, 0]]}'),
     (["check", "--family", "multi4"], '{"edges": [["0", true], [1, 2], [2, 3], [3, 0]]}'),
     (["check", "--family", "multi4"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, false]]}'),
+    (["gen", "--family", "multi4", "--size", "3"], None),
 ], ids=["not-an-object", "rotation-not-a-list", "row-not-a-list", "a-not-an-object",
         "a-colour-7", "a-adjacent-alpha", "a-vertex-not-in-graph", "a-adjacent-beta",
         "a-colour-true", "a-vertex-not-an-int", "color-edge-end-float", "edge-end-float", "edge-end-string",
-        "edge-end-string-and-bool", "edge-end-false"])
+        "edge-end-string-and-bool", "edge-end-false", "gen-multi4-size-3"])
 def test_malformed_input_exits_2(capsys, tmp_path, command, text):
-    p = tmp_path / "bad.json"
-    p.write_text(text)
-    code, rows, err = run(capsys, [command[0], str(p), *command[1:]])
+    """Bad input file, or (text None) a bad option of a file-less command."""
+    argv = command
+    if text is not None:
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        argv = [command[0], str(p), *command[1:]]
+    code, rows, err = run(capsys, argv)
     assert code == 2 and not rows
     assert err.startswith("error:") and "Traceback" not in err
 

@@ -259,6 +259,35 @@ def test_matches_reference_on_golden_h():
             _assert_matches_reference(an.h, bp, an.a)
 
 
+def square_chain(k: int) -> Graph:
+    """k squares in a row, joined alternately by one bridge and by a path
+    of two bridges, whose middle vertex is a degree-2 cut vertex."""
+    edges = []
+    for s in range(k):
+        edges += [(4 * s + t, 4 * s + (t + 1) % 4) for t in range(4)]
+    nxt = 4 * k
+    for s in range(k - 1):
+        if s % 2:
+            edges += [(4 * s + 2, nxt), (nxt, 4 * s + 4)]
+            nxt += 1
+        else:
+            edges.append((4 * s + 2, 4 * s + 4))
+    return Graph.from_edges(edges)
+
+
+def test_matches_reference_on_long_block_chain():
+    g = square_chain(320)
+    assert len(g.blocks()[0]) == 798
+    for bp in (bipartition_typed(g), swapped(bipartition_typed(g))):
+        a = alternating(bp)
+        betas = sorted(bp.beta)
+        for pin in (betas[0], betas[len(betas) // 2], betas[-1]):
+            for colour in (1, 2):
+                b = color_beta(g, bp, a, pin, colour).colour_of
+                assert b == _reference_color_beta(g, bp, a, pin, colour)
+                assert verify_coloring(g, bp, combine(a, b), pin, colour).passed
+
+
 def _reference_color_beta(g, bp, a, pin_vertex, pin_colour):
     """Reference for `color_beta` without its input checks: the colourer
     with a component loop and block-tree entry per entry point, closed
@@ -487,7 +516,7 @@ def _reference_split_on_cut_pair(
 ) -> dict[int, int]:
     """Mixed branching types: split along a minimal determined side."""
     try:
-        pair, side = minimal_determined_side(g, bp)
+        pair = minimal_determined_side(g, bp)
     except NoCutPath:
         raise CaseUnmatched(
             "2-connected block with branching vertices of both types but "

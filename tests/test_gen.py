@@ -159,6 +159,13 @@ def test_gen_multi4_always_in_family(seed, size):
     assert g.n <= size
 
 
+@pytest.mark.parametrize("size", range(-3, 4))
+def test_gen_multi4_too_small(size):
+    # the smallest member with a cycle is C4, which would break g.n <= size
+    with pytest.raises(SizeTooSmall):
+        gen_multi4(size, 0)
+
+
 def test_gen_multi4_output_check_raises(monkeypatch):
     monkeypatch.setattr(gen, "is_multi4", lambda g, **kw: False)
     with pytest.raises(NotInFamilyH):

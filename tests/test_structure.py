@@ -1,23 +1,25 @@
-"""Cycle-length-mod-4 structure: membership, cut paths, chains, cut pairs."""
+"""Cycle-length-mod-4 structure: membership, cut paths, cut pairs, and
+the lemma checkers of `lemmas.py`."""
+
+from collections import Counter
 
 import pytest
 
-from dualham.errors import NoCutPath, NotBipartite, PathConditionViolated
+from dualham.colorizer import color_beta, combine, verify_coloring
+from dualham.errors import NoCutPath, NotBipartite
 from dualham.structure import (
     PathRec,
+    TypedBipartition,
     bipartition_typed,
-    chain_decompose,
-    cpath_type_check,
     cut_path_candidates,
     cuts_graph,
-    find_cut_pair,
-    heavy_4cycle_check,
     is_multi4,
     minimal_determined_side,
     naive_all_cycles,
     satisfies_cut_path_condition,
 )
 from dualham.ugraph import Graph
+from lemmas import cpath_type_check, ear_grown_members, heavy_4cycle_check
 
 
 def cycle(k: int) -> Graph:
@@ -88,21 +90,6 @@ class TestCutPaths:
         assert cpath_type_check(two_squares, bp, c, PathRec((2, 8, 9, 6, 5, 4, 0)))
 
 
-class TestChains:
-    def test_chain_decompose_two_squares(self, two_squares):
-        bp = bipartition_typed(two_squares)
-        chain = chain_decompose(two_squares, bp, PathRec((2, 8, 9, 6)))
-        assert chain.blocks[0] == frozenset({0, 1, 2, 3})
-        assert chain.blocks[-1] == frozenset({4, 5, 6, 7})
-        assert chain.x == 2 and chain.y == 6
-        assert 0 in chain.cut_vertices and 4 in chain.cut_vertices
-
-    def test_rejects_non_cut_path(self, two_squares):
-        bp = bipartition_typed(two_squares)
-        with pytest.raises(PathConditionViolated):
-            chain_decompose(two_squares, bp, PathRec((0, 1, 2)))
-
-
 class TestCutPairs:
     def test_cuts_graph_two_squares(self, two_squares):
         bp = bipartition_typed(two_squares)
@@ -113,16 +100,10 @@ class TestCutPairs:
         assert c == frozenset({0, 1, 2, 3})
         assert d == frozenset({4, 5, 6, 7})
 
-    def test_find_cut_pair(self, two_squares):
-        bp = bipartition_typed(two_squares)
-        pair = find_cut_pair(two_squares, bp, PathRec((2, 8, 9, 6)), {0, 1, 2, 3})
-        whole = pair.side_c if {0, 1, 2, 3} <= pair.side_c else pair.side_d
-        assert {0, 1, 2, 3} <= whole
-
     def test_minimal_side_is_monotypic(self, two_squares):
         bp = bipartition_typed(two_squares)
-        pair, side = minimal_determined_side(two_squares, bp)
-        deg3 = {v for v in side if two_squares.degree(v) >= 3}
+        pair = minimal_determined_side(two_squares, bp)
+        deg3 = {v for v in pair.side_c if two_squares.degree(v) >= 3}
         assert len({bp.is_beta(v) for v in deg3}) <= 1
         # returned pair really cuts the graph into (side, rest)
         assert cuts_graph(two_squares, bp, pair.p, pair.q) is not None
@@ -139,3 +120,44 @@ class TestHeavy4Cycle:
 
     def test_fails_on_k34(self):
         assert not heavy_4cycle_check(k34(), bipartition_typed(k34()))
+
+
+# --- every 2-connected member up to 14 vertices --------------------------
+
+
+@pytest.fixture(scope="module")
+def ear_grown():
+    pytest.importorskip("networkx")
+    return ear_grown_members(14)
+
+
+def test_ear_grown_member_counts(ear_grown):
+    counts = Counter(g.n for g in ear_grown)
+    assert [counts[n] for n in range(4, 15)] == [1, 1, 1, 1, 2, 2, 5, 8, 16, 26, 54]
+    assert all(is_multi4(g) and g.is_biconnected() for g in ear_grown)
+
+
+def test_cut_pair_route_on_ear_grown_members(ear_grown):
+    """On each typing with branching vertices of both types: the minimal
+    determined side is monotypic and recomputed by `cuts_graph`, every pin
+    colours soundly under the alternating alpha colouring, and the
+    4-cycle lemma holds."""
+    mixed = 0
+    for g in ear_grown:
+        typed = bipartition_typed(g)
+        for bp in (typed, TypedBipartition(alpha=typed.beta, beta=typed.alpha)):
+            if len({bp.is_beta(v) for v in g.adj if g.degree(v) >= 3}) < 2:
+                continue
+            mixed += 1
+            pair = minimal_determined_side(g, bp)
+            side = pair.side_c
+            assert len({bp.is_beta(v) for v in side if g.degree(v) >= 3}) == 1, g.edges()
+            assert cuts_graph(g, bp, pair.p, pair.q) == (side, pair.side_d), g.edges()
+            a = {u: 1 + i % 2 for i, u in enumerate(sorted(bp.alpha))}
+            for pin in sorted(bp.beta):
+                for colour in (1, 2):
+                    b = color_beta(g, bp, a, pin, colour).colour_of
+                    rep = verify_coloring(g, bp, combine(a, b), pin, colour)
+                    assert rep.passed, (g.edges(), sorted(bp.alpha), pin, colour)
+            assert heavy_4cycle_check(g, bp), g.edges()
+    assert mixed == 76
