@@ -22,6 +22,18 @@ In the proper 3-colouring of an even triangulation:
 So the class-3 corners of a fan's 4-cycle (its poles and ends) are the
 two poles, or else the ends of class 3, if any; two class-3 corners are
 always opposite; and only a pole can be small.
+
+The pole lemma, which fixes the with-edge pipeline's fan path.  Let v be
+big and w a small neighbour of v, whose rotation is (v, a, v', b), in an
+even triangulation that is not a bipyramid.  Walk from w through a, and
+through b: at each small vertex the next vertex is the next one in v's
+rotation, and it is adjacent to v' too (the faces of a degree-4 vertex).
+The walks stop at distinct big vertices: if they met at one vertex e, its
+only neighbours would be v, v' and the two run ends, so e would be small;
+if no big vertex were met, G would be a bipyramid.  So the small run of
+v's rotation through w, closed by its two big neighbours, is a fan path
+with poles {v, v'}, and the only one through w with v as a pole: the
+other one through w, along (v, w, v'), has v on it.
 """
 
 from __future__ import annotations
@@ -95,24 +107,23 @@ def verify_tree_partition(
 
 
 def bipyramid_poles(g: EmbeddedGraph) -> tuple[int, int] | None:
-    """The two poles if g is a cycle joined with two extra vertices.
+    """The two poles if the triangulation g is a cycle joined with two
+    extra vertices.
 
     A pole sees every vertex but the other pole, so only vertices of
     degree n - 2 qualify; a triangulation has at most six (2m = 6n - 12).
-    Two non-adjacent ones see all the rest, and the smallest such pair
-    whose rest is a single ring is returned.
+    Two non-adjacent ones see all the rest, with 2n - 4 edges, and leave
+    n - 2 edges on the other n - 2 vertices: exactly either one's link
+    cycle, so the rest is a single ring.  The smallest such pair is
+    returned.
     """
     if g.n < 6 or g.n % 2 != 0:
         return None
     hubs = [v for v in range(g.n) if g.degree(v) == g.n - 2]
-    for p, q in itertools.combinations(hubs, 2):
-        if g.has_edge(p, q):
-            continue
-        rest = [v for v in range(g.n) if v not in (p, q)]
-        ring = g.abstract().subgraph(rest)
-        if all(ring.degree(v) == 2 for v in rest) and ring.is_connected():
-            return (p, q)
-    return None
+    return next(
+        ((p, q) for p, q in itertools.combinations(hubs, 2) if not g.has_edge(p, q)),
+        None,
+    )
 
 
 def _bipyramid_partition(
@@ -121,39 +132,29 @@ def _bipyramid_partition(
 ) -> TreePartition:
     """Direct two-star (or path plus small tree) partition of a bipyramid.
 
-    If `keep_together` is (v, w) with v a pole, both land on the same side.
-    If the poles share a big class 1 or 2, they must share a side: that
-    side is the poles plus one ring vertex, the other the remaining ring
-    path.
+    If `keep_together` is (v, w) with v a pole, both land on the same side;
+    which side is the caller's choice.  If the poles share a big class 1
+    or 2, they must share a side: that side is the poles plus one ring
+    vertex, the other the remaining ring path.
     """
     p, q = poles
-    ring = [v for v in range(g.n) if v not in poles]
-    # walk the ring in order
-    order = [ring[0]]
-    prev = None
-    while len(order) < len(ring):
-        cur = order[-1]
-        nxt = next(v for v in ring if g.has_edge(cur, v) and v != prev)
-        prev = cur
-        order.append(nxt)
+    ring = set(g.rotation[p])   # p sees every vertex but q
+    c = min(ring)
     pole_class = tp.class_of[p]
-    big_poles = g.degree(p) >= 6
-    if big_poles and pole_class in (1, 2):
+    if g.degree(p) >= 6 and pole_class in (1, 2):
         # both poles forced to one side
-        c = order[0]
         side = frozenset({p, q, c})
-        other = frozenset(v for v in order if v != c)
+        other = frozenset(ring - {c})
         return TreePartition(side, other) if pole_class == 1 else TreePartition(other, side)
-    # poles on opposite sides, ring split by parity
-    even = {order[i] for i in range(0, len(order), 2)}
-    odd = set(ring) - even
+    # poles on opposite sides, ring split by parity: the ring alternates
+    # the two classes the poles lack
+    even = {u for u in ring if tp.class_of[u] == tp.class_of[c]}
+    odd = ring - even
     s, t = frozenset({p} | even), frozenset({q} | odd)
     if keep_together is not None:
         v, w = keep_together
         if (v in s) != (w in s):
             s, t = frozenset({p} | odd), frozenset({q} | even)
-        if v in t:
-            s, t = t, s
     return TreePartition(s, t)
 
 
@@ -521,39 +522,23 @@ def extend_coloring_single_path(
     """Extend the big-vertex colouring over one fan path so that the small
     vertex w inherits the colour of its big class-3 neighbour v.
 
-    Four shapes, keyed by where the class-3 corners of the fan's 4-cycle
-    sit (poles or ends) and whether the second one is big or small.  A
-    second big class-3 corner is opposite v (the fan-path lemma) and `b`
-    colours it apart from v.
+    v is a pole (the pole lemma), so the other pole y is of class 3 and
+    the small interior alternates classes 1 and 2.  Two shapes: a big y
+    is already coloured apart from v by `b`, a small y takes the colour
+    opposite v; in both, each interior vertex takes its class as its
+    colour.  If that misses, every colouring of the interior (and of a
+    small y) is tried.
     """
     ab, bs, a = an.ab, an.bs, an.a
     cls = an.tp.class_of
     b0 = dict(b)
-    if v not in (p_w.v0 | p_w.v1) or cls[v] != 3 or v not in bs.big:
-        raise CaseUnmatched(f"{v} is not a big class-3 corner of {p_w.path}")
-    interior = list(p_w.interior)
-    fresh = [u for u in interior if u not in b0]
-    if v in p_w.v0:
-        (y,) = p_w.v0 - {v}
-        if y in bs.small:
-            # pole y is small class 3: it joins the opposite side
-            b0[y] = 3 - b0[v]
-        for u in fresh:
-            b0[u] = cls[u]
-    else:
-        (y,) = p_w.v1 - {v}
-        x, z = sorted(p_w.v0)
-        # with the far end big class 1/2 the poles share the other class;
-        # unless a one-colour path joins them, a class-3 interior vertex
-        # takes their colour (there is one: w, v's inner neighbour, is of
-        # class 1/2, and the path vertex after w is of class 3)
-        if cls[y] == 3 or _mono_path_exists(ab.subgraph(bs.big), combine(a, b0), x, z):
-            for u in fresh:
-                b0[u] = b0[v]
-        else:
-            s = min(u for u in interior if cls[u] == 3)
-            for u in fresh:
-                b0[u] = a[x] if u == s else b0[v]
+    if v not in p_w.v0 or cls[v] != 3 or v not in bs.big:
+        raise CaseUnmatched(f"{v} is not a big class-3 pole of {p_w.path}")
+    (y,) = p_w.v0 - {v}
+    if y in bs.small:
+        b0[y] = 3 - b0[v]
+    for u in p_w.interior:
+        b0[u] = cls[u]
     l_graph = ab.subgraph(bs.big).union(ab.subgraph(set(p_w.path) | p_w.v0))
 
     def audit(cand: dict[int, int]) -> bool:
@@ -562,7 +547,7 @@ def extend_coloring_single_path(
     if audit(b0):
         return b0
     # the prescribed rule missed; exhaust the handful of fresh choices
-    free = sorted(set(fresh) | {u for u in p_w.v0 if u in bs.small and cls[u] == 3})
+    free = sorted(set(p_w.interior) | ({y} & bs.small))
     for bits in itertools.product((1, 2), repeat=len(free)):
         cand = dict(b)
         cand.update(dict(zip(free, bits)))
@@ -656,7 +641,7 @@ def _dispatch_sequence_case(
     shape, v, y, x, z = _corner_layout(an, fp)
     interior = list(fp.interior)
     out: dict[int, int] = {}
-    d = lambda u: h.degree(u) if u in h.adj else 0
+    d = h.degree
 
     # by the fan-path lemma both poles are class 3 and both ends big
     if shape == "poles" and y in bs.big:
@@ -731,7 +716,7 @@ def _audit_step(
     if cyc is not None:
         return f"monochromatic cycle in colour {comb[cyc[0]]}"
     for v in sorted(an.bs.b_of(3) & (fp.v0 | fp.v1)):
-        dv = h.degree(v) if v in h.adj else 0
+        dv = h.degree(v)
         local = scope & ab.adj[v]
         if dv >= 3:
             for u in local:
@@ -776,14 +761,12 @@ def tree_partition_with_edge(
         raise BadEdge(f"vertex {v} is not a big class-3 vertex")
     if not g.has_edge(v, w):
         raise BadEdge(f"{v} and {w} are not adjacent")
+    # w is adjacent to a class-3 vertex, so it is of class 1 or 2
     target = tp.class_of[w]
-    if target not in (1, 2):
-        raise BadEdge(f"w={w} must lie in class 1 or 2")
 
     if an.poles is not None:
         part = _bipyramid_partition(g, an.poles, tp, keep_together=(v, w))
-        want_s = target == 1
-        if (v in part.s) != want_s:
+        if (v in part.s) != (target == 1):
             part = TreePartition(part.t, part.s)
         if not verify_tree_partition(an.ab, part):
             raise NotTreePartition("bipyramid sides do not induce two trees")
@@ -798,12 +781,11 @@ def tree_partition_with_edge(
         return _kept_together(part, v, w)
 
     p_w = _choose_fan_path(an, v, w)
-    # by the fan-path lemma another big class-3 corner is opposite v on the
-    # fan's 4-cycle, the two corners left big class 1/2 vertices joined to
-    # both in H, so the base colouring puts the pair apart
-    v3 = [u for u in (p_w.v0 | p_w.v1) if u in bs.b_of(3) and u != v]
-    if v3:
-        candidates = base_coloring_candidates(an, opposite=(v, min(v3), target))
+    # by the pole lemma v is a pole of this path and the other pole y is of
+    # class 3; a big y shares a 4-cycle of H with v, so b puts them apart
+    (y,) = p_w.v0 - {v}
+    if y in bs.big:
+        candidates = base_coloring_candidates(an, opposite=(v, y, target))
     else:
         candidates = base_coloring_candidates(an, pin=(v, target))
     b = next(candidates, None)
@@ -827,18 +809,11 @@ def _kept_together(part: TreePartition, v: int, w: int) -> TreePartition:
 
 
 def _choose_fan_path(an: _Analysis, v: int, w: int) -> FanPath:
-    """The fan path with w interior and v on the 4-cycle, either as a pole
-    (the other pole then class 3, big or small) or as an end with both
-    poles big; poles before ends, then the smallest path."""
-    candidates = [
-        fp for fp in an.paths
-        if w in fp.interior and (v in fp.v0 or (v in fp.v1 and fp.v0 <= an.bs.big))
-    ]
-    if not candidates:
-        raise CaseUnmatched(
-            f"no fan path through {w} exposes {v} with the required pole shape"
-        )
-    return min(candidates, key=lambda fp: (v not in fp.v0, fp.path))
+    """The fan path through w with v as a pole, unique by the pole lemma."""
+    p_w = next((fp for fp in an.paths if v in fp.v0 and w in fp.interior), None)
+    if p_w is None:
+        raise CaseUnmatched(f"no fan path through {w} has {v} as a pole")
+    return p_w
 
 
 def tree_partition_face_sparse(
@@ -893,7 +868,7 @@ def _face_sparse_report(
     rows = []
     ok = True
     for v in sorted(bs.b_of(3)):
-        dv = h.degree(v) if v in h.adj else 0
+        dv = h.degree(v)
         n1 = {u for u in ab.adj[v] if cls[u] == 1}
         n2 = {u for u in ab.adj[v] if cls[u] == 2}
         status = "unconstrained"

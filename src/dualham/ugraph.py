@@ -271,6 +271,10 @@ class Graph:
         Returns anchor-to-anchor walks (anchors have degree != 2), plus one
         closed walk per pure-cycle component (first == last).  Single edges
         between two anchors are included.
+
+        Anchors are scanned in ascending order and every edge of a walk is
+        marked seen, so each walk is found once, from its smaller anchor,
+        and a closed one leaves through its anchor's smaller neighbour.
         """
         out: list[list[int]] = []
         deg2 = {v for v in self.adj if self.degree(v) == 2}
@@ -288,10 +292,7 @@ class Graph:
                     nxt = next(w for w in self.adj[walk[-1]] if w != walk[-2])
                     seen_edge.add(norm_edge(walk[-1], nxt))
                     walk.append(nxt)
-                if walk[0] > walk[-1] or (walk[0] == walk[-1] and len(walk) > 2 and walk[1] > walk[-2]):
-                    walk.reverse()
-                if walk not in out:
-                    out.append(walk)
+                out.append(walk)
         # pure cycles: components made only of degree-2 vertices
         for v in sorted(deg2 - seen_d2):
             if v in seen_d2:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from pathlib import Path
 from typing import Mapping
 
@@ -19,10 +20,10 @@ from dualham.colorizer import (
 )
 from dualham.embed import EmbeddedGraph
 from dualham.errors import CaseUnmatched, NoCutPath, NotOn4Cycle
-from dualham.gen import golden_two_squares
+from dualham.gen import gen_multi4, golden_two_squares
 from dualham.structure import TypedBipartition, bipartition_typed, minimal_determined_side
 from dualham.treesplit import _analyse
-from dualham.ugraph import Graph
+from dualham.ugraph import Graph, norm_edge
 
 GOLDEN = Path(__file__).parent / "data" / "with_edge_golden.jsonl"
 
@@ -286,6 +287,84 @@ def test_matches_reference_on_long_block_chain():
                 b = color_beta(g, bp, a, pin, colour).colour_of
                 assert b == _reference_color_beta(g, bp, a, pin, colour)
                 assert verify_coloring(g, bp, combine(a, b), pin, colour).passed
+
+
+def _reference_chains(g: Graph) -> list[list[int]]:
+    """Reference for `Graph.chains`: each walk is turned to start at its
+    smaller anchor (a closed one to leave through the smaller neighbour)
+    and kept only if no equal walk is already listed."""
+    out: list[list[int]] = []
+    deg2 = {v for v in g.adj if g.degree(v) == 2}
+    anchors = set(g.adj) - deg2
+    seen_d2: set[int] = set()
+    seen_edge: set[tuple[int, int]] = set()
+    for a in sorted(anchors):
+        for s in sorted(g.adj[a]):
+            if norm_edge(a, s) in seen_edge:
+                continue
+            walk = [a, s]
+            seen_edge.add(norm_edge(a, s))
+            while walk[-1] in deg2:
+                seen_d2.add(walk[-1])
+                nxt = next(w for w in g.adj[walk[-1]] if w != walk[-2])
+                seen_edge.add(norm_edge(walk[-1], nxt))
+                walk.append(nxt)
+            if walk[0] > walk[-1] or (walk[0] == walk[-1] and len(walk) > 2 and walk[1] > walk[-2]):
+                walk.reverse()
+            if walk not in out:
+                out.append(walk)
+    for v in sorted(deg2 - seen_d2):
+        if v in seen_d2:
+            continue
+        walk = [v]
+        prev = None
+        cur = v
+        while True:
+            nxt = min(w for w in g.adj[cur] if w != prev) if prev is None \
+                else next(w for w in g.adj[cur] if w != prev)
+            walk.append(nxt)
+            prev, cur = cur, nxt
+            if cur == v:
+                break
+        seen_d2.update(walk)
+        out.append(walk)
+    return out
+
+
+def _subdivided(rng: random.Random) -> Graph:
+    """A random multigraph with loops, made simple by subdividing each
+    edge: loops and repeated pairs become closed and parallel chains."""
+    k = rng.randint(1, 6)
+    graph_edges, fresh = [], k
+    for _ in range(rng.randint(1, 9)):
+        u, v = rng.randrange(k), rng.randrange(k)
+        inner = list(range(fresh, fresh + rng.randint(2 if u == v else 1, 4)))
+        fresh += len(inner)
+        path = [u] + inner + [v]
+        graph_edges += zip(path, path[1:])
+    return Graph.from_edges(graph_edges, range(fresh))
+
+
+def test_chains_match_reference():
+    rng = random.Random(11)
+    graphs = []
+    for _ in range(1000):
+        n = rng.randint(1, 14)
+        p = rng.choice((0.1, 0.2, 0.35))
+        graphs.append(Graph.from_edges(
+            [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p], range(n)))
+        graphs.append(_subdivided(rng))
+    graphs += [gen_multi4(size, seed) for size in range(4, 41, 4) for seed in range(20)]
+    graphs.append(square_chain(800))
+    shapes = Counter()
+    for g in graphs:
+        got = g.chains()
+        assert got == _reference_chains(g), g
+        for walk in got:
+            pure = walk[0] == walk[-1] and g.degree(walk[0]) == 2
+            shapes["pure cycle" if pure else "closed" if walk[0] == walk[-1] else "open"] += 1
+    # closed walks through an anchor and pure cycles both occur
+    assert shapes["closed"] and shapes["pure cycle"] and shapes["open"], shapes
 
 
 def _reference_color_beta(g, bp, a, pin_vertex, pin_colour):

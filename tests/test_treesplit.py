@@ -206,6 +206,7 @@ class TestBipyramidDetection:
     def test_matches_pair_scan(self, octahedron, catalog12):
         rng = random.Random(5)
         graphs = [octahedron] + [gen_bipyramid(l) for l in range(2, 41)] + catalog12
+        graphs += [g for n in range(4, 11) for g in gen_triangulations(n)]
         for g in graphs + [g.mirror() for g in graphs] + [_relabel(g, rng) for g in graphs]:
             assert bipyramid_poles(g) == _poles_by_pair_scan(g)
 
@@ -231,6 +232,101 @@ class TestBipyramidDetection:
         bs = classify_big_small(bipyramid6, tri_partition(bipyramid6))
         with pytest.raises(BipyramidSpecialCase):
             fan_paths(bipyramid6, bs)
+
+
+def _reference_bipyramid_partition(g, poles, tp, keep_together=None):
+    """Reference for `_bipyramid_partition`: the ring walked by adjacency
+    from its smallest vertex, and a kept pair turned onto the first side."""
+    p, q = poles
+    ring = [v for v in range(g.n) if v not in poles]
+    order = [ring[0]]
+    prev = None
+    while len(order) < len(ring):
+        cur = order[-1]
+        nxt = next(v for v in ring if g.has_edge(cur, v) and v != prev)
+        prev = cur
+        order.append(nxt)
+    pole_class = tp.class_of[p]
+    if g.degree(p) >= 6 and pole_class in (1, 2):
+        c = order[0]
+        side = frozenset({p, q, c})
+        other = frozenset(v for v in order if v != c)
+        return TreePartition(side, other) if pole_class == 1 else TreePartition(other, side)
+    even = {order[i] for i in range(0, len(order), 2)}
+    odd = set(ring) - even
+    s, t = frozenset({p} | even), frozenset({q} | odd)
+    if keep_together is not None:
+        v, w = keep_together
+        if (v in s) != (w in s):
+            s, t = frozenset({p} | odd), frozenset({q} | even)
+        if v in t:
+            s, t = t, s
+    return TreePartition(s, t)
+
+
+class TestBipyramidPartitionMatchesReference:
+    def test_same_partitions(self):
+        rng = random.Random(8)
+        graphs = [gen_bipyramid(l) for l in range(2, 13)]
+        graphs += [g.mirror() for g in graphs] + [_relabel(g, rng) for g in graphs]
+        forced = kept = 0
+        for g in graphs:
+            tp = tri_partition(g)
+            poles = bipyramid_poles(g)
+            got = treesplit._bipyramid_partition(g, poles, tp)
+            assert got == _reference_bipyramid_partition(g, poles, tp)
+            # big poles of class 1 or 2 share a side, whatever the kept pair
+            shared = tp.class_of[poles[0]] != 3 and g.n >= 8
+            forced += shared
+            for v in poles:
+                for w in g.rotation[v]:
+                    got = treesplit._bipyramid_partition(g, poles, tp, keep_together=(v, w))
+                    want = _reference_bipyramid_partition(g, poles, tp, keep_together=(v, w))
+                    # the same two sides; the with-edge pipeline picks the order
+                    assert {got.s, got.t} == {want.s, want.t}
+                    assert shared or (v in got.s) == (w in got.s)
+                    kept += 1
+        # both branches run: poles of class 3, and big poles of class 1 or 2
+        assert forced and forced < len(graphs)
+        assert kept == 2 * sum(g.n - 2 for g in graphs)
+
+
+class TestPoleLemma:
+    """The with-edge fan path through a small w is the small run of v's
+    rotation through w, closed by its two big neighbours, with poles v and
+    the vertex opposite v in w's rotation."""
+
+    @staticmethod
+    def _rotation_run(g, v, w):
+        rot = g.rotation[v]
+        k = len(rot)
+        i = rot.index(w)
+        ahead = next(j for j in range(i, i + k) if g.degree(rot[j % k]) != 4)
+        behind = next(j for j in range(i, i - k, -1) if g.degree(rot[j % k]) != 4)
+        path = tuple(rot[j % k] for j in range(behind, ahead + 1))
+        if path[0] > path[-1]:
+            path = path[::-1]
+        rot_w = g.rotation[w]
+        opposite = rot_w[(rot_w.index(v) + 2) % 4]
+        kind = "cycle-minus-edge" if g.has_edge(path[0], path[-1]) else "induced"
+        return FanPath(path, frozenset({v, opposite}), frozenset({path[0], path[-1]}), kind)
+
+    def test_fan_path_through_w_with_v_as_pole(self, even_tri_sweep, catalog12):
+        pairs = 0
+        for g in even_tri_sweep + [g.mirror() for g in catalog12]:
+            if bipyramid_poles(g) is not None:
+                continue
+            an = treesplit._analyse(g)
+            for v in sorted(an.bs.big):
+                for w in g.rotation[v]:
+                    if w not in an.bs.small:
+                        continue
+                    want = self._rotation_run(g, v, w)
+                    # the two walks stop at distinct big vertices
+                    assert len(want.v1) == 2 and want.v1 <= an.bs.big
+                    assert treesplit._choose_fan_path(an, v, w) == want
+                    pairs += 1
+        assert pairs == 3740
 
 
 class TestFanPaths:
