@@ -23,13 +23,7 @@ from contextlib import nullcontext
 from typing import Any, Callable
 
 from . import colorizer, duality, gen, structure, treesplit
-from .embed import (
-    EmbeddedGraph,
-    classify_big_small,
-    dual,
-    is_even_triangulation,
-    tri_partition,
-)
+from .embed import EmbeddedGraph, dual, is_even_triangulation
 from .errors import DualhamError, IoError, NotEvenTriangulation, ParseError
 from .ugraph import DEFAULT_CYCLE_CAP, Graph
 
@@ -198,19 +192,17 @@ def cmd_partition(args: argparse.Namespace) -> int:
     text = _read(args.path)
     rep = Report("partition", _digest(text))
     g = _load_embedded(text)
-    tp = tri_partition(g)
-    bs = classify_big_small(g, tp)
+    # one analysis serves the pipeline and the seeds of the final check
+    an = treesplit._analyse(g)
     if args.with_edge:
         v, w = _parse_edge(args.with_edge)
-        part = treesplit.tree_partition_with_edge(g, v, w)
+        part = treesplit.tree_partition_with_edge(g, v, w, analysis=an)
         rep.check("edge-inside-one-side", (v in part.s) == (w in part.s))
     else:
-        part, vertex_report = treesplit.tree_partition_face_sparse(g)
+        part, vertex_report = treesplit.tree_partition_face_sparse(g, analysis=an)
         rep.result(vertex_report=vertex_report["vertices"])
         rep.check("degree-implications", vertex_report["all_ok"])
-    ok = treesplit.verify_tree_partition(
-        g.abstract(), part, bs.b_of(1), bs.b_of(2)
-    )
+    ok = treesplit.verify_tree_partition(an.ab, part, an.bs.b_of(1), an.bs.b_of(2))
     rep.result(s=sorted(part.s), t=sorted(part.t))
     rep.check("two-induced-trees", ok)
     return rep.emit()

@@ -34,6 +34,17 @@ if no big vertex were met, G would be a bipyramid.  So the small run of
 v's rotation through w, closed by its two big neighbours, is a fan path
 with poles {v, v'}, and the only one through w with v as a pole: the
 other one through w, along (v, w, v'), has v on it.
+
+The opposite-corner lemma, which leaves the face-sparse dispatch no mixed
+case.  Let H be 2-connected with every cycle of length 0 mod 4, and
+v-x-y-z a 4-cycle of H with y of degree 2 and t a third neighbour of v.
+A shortest path from t to {x, y, z} in the connected H - v ends at x or
+z (y's only neighbours); say x, at length L from v through t.  With v it
+closes cycles of lengths L + 1 (via the edge xv) and L + 3 (via y and
+z), not both 0 mod 4.  So opposite corners both branch or both have
+degree 2.  The pole-pair and end-pair cases put their corners on a
+4-cycle of H: two big class-3 poles and the ends, or two class-3 ends
+and the poles, big on a path of `families_R`'s first family.
 """
 
 from __future__ import annotations
@@ -454,7 +465,7 @@ def base_coloring(
         for u in sorted(bp.beta):
             if h.degree(u) == 2:
                 p, q = sorted(h.adj[u])
-                if p in a and q in a and a[p] == a[q]:
+                if a[p] == a[q]:
                     b[u] = 3 - a[p]
     return b
 
@@ -472,13 +483,13 @@ def _base_conditions_ok(an: _Analysis, b: Mapping[int, int], strict: bool) -> bo
     for u in h.vertices:
         if h.degree(u) != 2:
             continue
+        # H joins big class 1/2 only to big class 3: p, q are on u's far side
         p, q = sorted(h.adj[u])
         if u in beta:
             if a[p] == a[q] and b[u] != 3 - a[p]:
                 return False
-        elif p in beta and q in beta:
-            if h.degree(p) >= 3 and h.degree(q) >= 3 and b[p] == b[q]:
-                return False
+        elif h.degree(p) >= 3 and h.degree(q) >= 3 and b[p] == b[q]:
+            return False
     return True
 
 
@@ -584,10 +595,10 @@ def extend_coloring_path_sequence(
     path at a time; after every step the no-monochromatic-cycle condition
     and the local neighbour-balance conditions are re-audited.
 
-    Each path is handled by the seven-way dispatch below; if a prescribed
-    rule fails its audit (or the shape is mixed), a bounded local search over
-    the fresh vertices takes over — any choice passing the audit is as good
-    as the prescribed one.
+    Each path is handled by the ten-case dispatch below, which has no
+    mixed case (the opposite-corner lemma).  A step that fails its audit
+    raises `ConditionViolated` with the audit's reason, and the caller
+    moves on to its next base colouring.
     """
     ab = an.ab
     cls = an.tp.class_of
@@ -596,17 +607,17 @@ def extend_coloring_path_sequence(
     steps: list[StepInfo] = []
     for i, fp in enumerate(paths, 1):
         next_l = l_graph.union(ab.subgraph(set(fp.path) | fp.v0))
-        fresh = [u for u in fp.path[1:-1] if u not in bn]
-        extra_pole = [u for u in fp.v0 if cls[u] == 3 and u in an.bs.small and u not in bn]
-        fresh_all = fresh + extra_pole
+        fresh = [u for u in fp.interior if u not in bn]
+        fresh += [u for u in fp.v0 if cls[u] == 3 and u in an.bs.small and u not in bn]
         case, assignment = _dispatch_sequence_case(an, bn, l_graph, fp)
         trial = dict(bn)
-        trial.update({u: c for u, c in assignment.items() if u in fresh_all})
-        if _audit_step(an, trial, next_l, fp) is not None:
-            case, trial = _local_search_step(an, bn, next_l, fp, fresh_all, i)
+        trial.update({u: c for u, c in assignment.items() if u in fresh})
+        reason = _audit_step(an, trial, next_l, fp)
+        if reason is not None:
+            raise ConditionViolated(i, reason)
         bn = trial
         l_graph = next_l
-        steps.append(StepInfo(fp.path, case, tuple(sorted(fresh_all))))
+        steps.append(StepInfo(fp.path, case, tuple(sorted(fresh))))
     return bn, steps
 
 
@@ -643,43 +654,38 @@ def _dispatch_sequence_case(
     out: dict[int, int] = {}
     d = h.degree
 
-    # by the fan-path lemma both poles are class 3 and both ends big
+    # by the fan-path lemma both poles are class 3 and both ends big; by the
+    # opposite-corner lemma v and y both branch or both have degree 2
     if shape == "poles" and y in bs.big:
-        if d(v) >= 3 and d(y) >= 3:
+        if d(v) >= 3:
             # opposite big poles branch apart; interiors follow their class
             for u in interior:
                 out[u] = cls[u]
             return "pole-pair-branching", out
-        if d(v) == 2 and d(y) == 2:
-            if _mono_path_exists(l_prev, comb, v, y) or comb[x] == comb[z] == comb[v]:
-                side = comb[x] if comb[x] != comb[v] else comb[z]
-                for u in interior:
-                    out[u] = side
-                return "pole-pair-degree2-shielded", out
-            c = comb[v]
-            spare = [u for u in interior if cls[u] == c]
-            s = min(spare) if spare else None
+        if _mono_path_exists(l_prev, comb, v, y) or comb[x] == comb[z] == comb[v]:
+            side = comb[x] if comb[x] != comb[v] else comb[z]
             for u in interior:
-                out[u] = c if u == s else 3 - c
-            return "pole-pair-degree2-split", out
-        return "pole-pair-mixed", {}
+                out[u] = side
+            return "pole-pair-degree2-shielded", out
+        c = comb[v]
+        s = min((u for u in interior if cls[u] == c), default=None)
+        for u in interior:
+            out[u] = c if u == s else 3 - c
+        return "pole-pair-degree2-split", out
     if shape == "ends" and cls[y] == 3:
-        if d(v) >= 3 and d(y) >= 3:
+        if d(v) >= 3:
             for u in interior:
                 out[u] = 3 - a[x]
             return "end-pair-branching", out
-        if d(v) == 2 and d(y) == 2:
-            if _mono_path_exists(l_prev, comb, x, z):
-                for u in interior:
-                    out[u] = comb[v]
-                return "end-pair-degree2-shielded", out
-            c = comb[v]
-            spare = [u for u in interior if cls[u] == c]
-            s = min(spare) if spare else None
+        if _mono_path_exists(l_prev, comb, x, z):
             for u in interior:
-                out[u] = 3 - c if u == s else c
-            return "end-pair-degree2-split", out
-        return "end-pair-mixed", {}
+                out[u] = comb[v]
+            return "end-pair-degree2-shielded", out
+        c = comb[v]
+        s = min((u for u in interior if cls[u] == c), default=None)
+        for u in interior:
+            out[u] = 3 - c if u == s else c
+        return "end-pair-degree2-split", out
     if shape == "ends":
         if _mono_path_exists(l_prev, comb, x, z):
             for u in interior:
@@ -710,8 +716,6 @@ def _audit_step(
     cls = an.tp.class_of
     comb = combine(an.a, trial)
     scope = set(fp.path) | fp.v0
-    if any(u not in comb for u in scope):
-        return "uncoloured vertex in scope"
     cyc = mono_cycle(l_graph, comb)
     if cyc is not None:
         return f"monochromatic cycle in colour {comb[cyc[0]]}"
@@ -730,20 +734,6 @@ def _audit_step(
             if hot and cls[hot[0]] != c:
                 return f"degree-2 vertex {v}: same-coloured neighbour off class"
     return None
-
-
-def _local_search_step(
-    an: _Analysis, bn: dict[int, int], l_graph: Graph, fp: FanPath,
-    fresh: list[int], step: int,
-) -> tuple[str, dict[int, int]]:
-    """Exhaust the 2^k colourings of the fresh vertices for one that passes
-    the audit; k is tiny (a fan's interior)."""
-    for bits in itertools.product((1, 2), repeat=len(fresh)):
-        trial = dict(bn)
-        trial.update(dict(zip(fresh, bits)))
-        if _audit_step(an, trial, l_graph, fp) is None:
-            return "local-search", trial
-    raise ConditionViolated(step, f"no extension over {fp.path} passes the audit")
 
 
 # --- pipelines -----------------------------------------------------------
@@ -824,6 +814,9 @@ def tree_partition_face_sparse(
     second (branching vertices of H exactly; degree-2 vertices up to the
     two slack neighbours).  Returns the partition and a per-vertex report.
     `analysis` is the caller's analysis of g, if it has one.
+
+    Both hypotheses are checked on entry: they are the opposite-corner
+    lemma's.  An audit miss moves on to the next base colouring.
     """
     an = analysis if analysis is not None else _analyse(g)
     if not an.in_family:
@@ -835,25 +828,20 @@ def tree_partition_face_sparse(
 
     if an.poles is not None:
         part = _bipyramid_partition(g, an.poles, an.tp)
-        report = _face_sparse_report(an, part, special="bipyramid")
-        return part, report
+        return part, _face_sparse_report(an, part, special="bipyramid")
 
     r, r_hat = families_R(an.bs, an.paths)
-    bn = steps = None
-    last_err: Exception | None = None
+    last_err: Exception = CaseUnmatched("no admissible base colouring exists")
     for b in base_coloring_candidates(an, strict=True):
         try:
             bn, steps = extend_coloring_path_sequence(an, b, r + r_hat)
             break
-        except (ConditionViolated, CaseUnmatched) as exc:
+        except ConditionViolated as exc:
             last_err = exc
-    if bn is None:
-        raise last_err if last_err is not None else CaseUnmatched(
-            "no admissible base colouring exists"
-        )
+    else:
+        raise last_err
     part = tree_partition_solve(g, _seeds(an, bn), analysis=an)
-    report = _face_sparse_report(an, part, steps=steps)
-    return part, report
+    return part, _face_sparse_report(an, part, steps=steps)
 
 
 def _face_sparse_report(

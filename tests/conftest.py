@@ -8,9 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from dualham.embed import EmbeddedGraph
-from dualham.gen import gen_bipyramid, gen_multi4, golden_two_squares, load_catalog
+from dualham.embed import EmbeddedGraph, classify_big_small, tri_partition
+from dualham.gen import (
+    gen_bipyramid,
+    gen_even_triangulations,
+    gen_multi4,
+    golden_two_squares,
+    load_catalog,
+)
 from dualham.structure import is_multi4
+from dualham.treesplit import bipyramid_poles
 from dualham.ugraph import Graph
 
 DATA = Path(__file__).parent / "data"
@@ -36,6 +43,17 @@ def two_squares():
 
 
 @pytest.fixture(scope="session")
+def even10() -> EmbeddedGraph:
+    """A 10-vertex even triangulation with big class-3 vertices that is
+    not a bipyramid."""
+    for g in gen_even_triangulations(10):
+        bs = classify_big_small(g, tri_partition(g))
+        if bs.b_of(3) and bipyramid_poles(g) is None:
+            return g
+    raise AssertionError("expected instance missing")
+
+
+@pytest.fixture(scope="session")
 def catalog12() -> list[EmbeddedGraph]:
     """All eight 12-vertex even triangulations, generated once by
     `gen_even_triangulations(12)` and frozen (regeneration takes about
@@ -43,6 +61,20 @@ def catalog12() -> list[EmbeddedGraph]:
     the smaller sizes live)."""
     with open(DATA / "even_tri_12.jsonl") as f:
         return list(load_catalog(f))
+
+
+@pytest.fixture(scope="session")
+def catalog13_14() -> dict[int, list[EmbeddedGraph]]:
+    """All 8 even triangulations on 13 vertices and all 32 on 14, generated
+    once by the enumeration of `gen_even_triangulations(13)` and `(14)`
+    and frozen (regeneration takes about 2.4 min and 18 min on one core of
+    a 2-vCPU VM with Python 3.11.7, so tier-1 never runs the generator
+    past 12)."""
+    out = {}
+    for n in (13, 14):
+        with open(DATA / f"even_tri_{n}.jsonl") as f:
+            out[n] = list(load_catalog(f))
+    return out
 
 
 @pytest.fixture(scope="session")

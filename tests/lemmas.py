@@ -52,6 +52,22 @@ def heavy_4cycle_check(g: Graph, bp: TypedBipartition) -> bool:
     return True
 
 
+def opposite_pairs(g: Graph) -> list[tuple[int, int]]:
+    """The pairs of opposite corners of g's 4-cycles: two vertices with at
+    least two common neighbours."""
+    return [(u, v) for u, v in itertools.combinations(g.vertices, 2)
+            if len(g.adj[u] & g.adj[v]) >= 2]
+
+
+def opposite_corners_check(g: Graph) -> bool:
+    """Opposite corners of every 4-cycle both branch or both have degree 2.
+
+    Always true on 2-connected graphs whose cycles all have length 0 mod 4
+    (the opposite-corner lemma of `dualham.treesplit`).
+    """
+    return all((g.degree(u) >= 3) == (g.degree(v) >= 3) for u, v in opposite_pairs(g))
+
+
 def ear_grown_members(n_max: int) -> list[Graph]:
     """Every 2-connected family member on at most n_max vertices, one per
     isomorphism class, ordered by vertex count.

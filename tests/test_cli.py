@@ -214,6 +214,36 @@ class TestPartitionAndHamilton:
         assert code == 2 and not rows
         assert "HComponentNot2Connected" in err and "Traceback" not in err
 
+    def test_face_sparse_through_the_case_dispatch(self, capsys, tmp_path, even10):
+        # a bipyramid takes the special case; even10 runs the fan paths
+        p = tmp_path / "even10.json"
+        p.write_text(even10.to_json())
+        for command in ("partition", "hamilton"):
+            code, rows, _ = run(capsys, [command, str(p), "--face-sparse"])
+            assert code == 0 and all(c["passed"] for c in rows[-1]["checks"])
+
+    @pytest.mark.parametrize("flag", [["--face-sparse"], ["--with-edge", "1,7"]])
+    def test_partition_colours_the_triangulation_once(
+        self, capsys, monkeypatch, tmp_path, even10, flag
+    ):
+        from dualham import embed, gen, treesplit
+
+        real = embed.tri_partition
+        calls = []
+
+        def counted(g, *args, **kwargs):
+            calls.append(g.n)
+            return real(g, *args, **kwargs)
+
+        for mod in (embed, gen, treesplit, cli):
+            if hasattr(mod, "tri_partition"):
+                monkeypatch.setattr(mod, "tri_partition", counted)
+        p = tmp_path / "even10.json"
+        p.write_text(even10.to_json())
+        code, rows, _ = run(capsys, ["partition", str(p), *flag])
+        assert code == 0 and all(c["passed"] for c in rows[-1]["checks"])
+        assert calls == [10]
+
     def test_hamilton_refuses_a_non_triangulation(self, capsys, tmp_path):
         # checked before the dual is built: a 4-cycle's dual has multiple edges
         p = tmp_path / "c4.json"

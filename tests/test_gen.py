@@ -150,6 +150,13 @@ class TestExhaustiveTriangulations:
             codes.add(canonical_form(g))
         assert len(codes) == 8
 
+    def test_frozen_catalogs_13_and_14(self, catalog13_14):
+        for n, count in ((13, 8), (14, 32)):
+            graphs = catalog13_14[n]
+            assert len(graphs) == count
+            assert all(g.n == n and is_even_triangulation(g) for g in graphs)
+            assert len({canonical_form(g) for g in graphs}) == count
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6), size=st.integers(4, 24))

@@ -19,7 +19,13 @@ from dualham.structure import (
     satisfies_cut_path_condition,
 )
 from dualham.ugraph import Graph
-from lemmas import cpath_type_check, ear_grown_members, heavy_4cycle_check
+from lemmas import (
+    cpath_type_check,
+    ear_grown_members,
+    heavy_4cycle_check,
+    opposite_corners_check,
+    opposite_pairs,
+)
 
 
 def cycle(k: int) -> Graph:
@@ -122,6 +128,18 @@ class TestHeavy4Cycle:
         assert not heavy_4cycle_check(k34(), bipartition_typed(k34()))
 
 
+class TestOppositeCorners:
+    def test_holds_on_two_squares(self, two_squares):
+        assert opposite_corners_check(two_squares)
+
+    def test_fails_off_the_family(self):
+        # an ear of length 3 on the 4-cycle 0-1-2-3 closes a 6-cycle; 0
+        # branches, its opposite corner 2 does not
+        g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 1)])
+        assert not is_multi4(g) and g.is_biconnected()
+        assert not opposite_corners_check(g)
+
+
 # --- every 2-connected member up to 14 vertices --------------------------
 
 
@@ -161,3 +179,9 @@ def test_cut_pair_route_on_ear_grown_members(ear_grown):
                     assert rep.passed, (g.edges(), sorted(bp.alpha), pin, colour)
             assert heavy_4cycle_check(g, bp), g.edges()
     assert mixed == 76
+
+
+def test_opposite_corners_on_ear_grown_members(ear_grown):
+    assert all(opposite_corners_check(g) for g in ear_grown)
+    # not vacuous: the 117 members have this many opposite pairs between them
+    assert sum(len(opposite_pairs(g)) for g in ear_grown) == 1162

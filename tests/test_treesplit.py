@@ -1,5 +1,6 @@
 """Two-tree partitions: fan paths, the solver, and both pipelines."""
 
+import itertools
 import json
 import random
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from dualham.colorizer import combine, mono_cycle
 from dualham.duality import hamilton_avoiding_edge, verify_hamilton
 from dualham.embed import BigSmall, canonical_form, classify_big_small, dual, tri_partition
 from dualham.errors import (
@@ -26,7 +28,6 @@ from dualham.gen import (
     TETRAHEDRON,
     big_vertex_graph,
     gen_bipyramid,
-    gen_even_triangulations,
     gen_triangulations,
     meets_h_hypothesis,
 )
@@ -44,17 +45,7 @@ from dualham.treesplit import (
     tree_partition_with_edge,
     verify_tree_partition,
 )
-
-
-@pytest.fixture(scope="module")
-def even10():
-    """A 10-vertex even triangulation with big class-3 vertices that is
-    not a bipyramid."""
-    for g in gen_even_triangulations(10):
-        bs = classify_big_small(g, tri_partition(g))
-        if bs.b_of(3) and bipyramid_poles(g) is None:
-            return g
-    raise AssertionError("expected instance missing")
+from lemmas import opposite_corners_check, opposite_pairs
 
 
 GOLDEN = Path(__file__).parent / "data" / "with_edge_golden.jsonl"
@@ -581,6 +572,101 @@ class TestWithEdgePipeline:
         assert len(calls) == 1
 
 
+def _reference_extend_coloring_path_sequence(an, b, paths):
+    """The sequence extension with mixed dispatch cases, an uncoloured-scope
+    guard in the audit, and a local search over the fresh vertices when a
+    prescribed rule misses its audit."""
+    ab = an.ab
+    cls = an.tp.class_of
+    bn = dict(b)
+    l_graph = ab.subgraph(an.bs.big)
+    steps = []
+    for i, fp in enumerate(paths, 1):
+        next_l = l_graph.union(ab.subgraph(set(fp.path) | fp.v0))
+        fresh = [u for u in fp.path[1:-1] if u not in bn]
+        fresh += [u for u in fp.v0 if cls[u] == 3 and u in an.bs.small and u not in bn]
+        case, assignment = _reference_dispatch(an, bn, l_graph, fp)
+        trial = {**bn, **{u: c for u, c in assignment.items() if u in fresh}}
+        if _reference_audit(an, trial, next_l, fp) is not None:
+            for bits in itertools.product((1, 2), repeat=len(fresh)):
+                trial = {**bn, **dict(zip(fresh, bits))}
+                if _reference_audit(an, trial, next_l, fp) is None:
+                    case = "local-search"
+                    break
+            else:
+                raise ConditionViolated(i, f"no extension over {fp.path} passes the audit")
+        bn = trial
+        l_graph = next_l
+        steps.append(treesplit.StepInfo(fp.path, case, tuple(sorted(fresh))))
+    return bn, steps
+
+
+def _reference_dispatch(an, bn, l_prev, fp):
+    """Each corner pair is tested on both corners, leaving mixed cases."""
+    h, bs, a = an.h, an.bs, an.a
+    cls = an.tp.class_of
+    comb = combine(a, bn)
+    shape, v, y, x, z = treesplit._corner_layout(an, fp)
+    interior = list(fp.interior)
+    d = h.degree
+
+    def split(c, pick, rest):
+        spare = [u for u in interior if cls[u] == c]
+        s = min(spare) if spare else None
+        return {u: pick if u == s else rest for u in interior}
+
+    if shape == "poles" and y in bs.big:
+        if d(v) >= 3 and d(y) >= 3:
+            return "pole-pair-branching", {u: cls[u] for u in interior}
+        if d(v) == 2 and d(y) == 2:
+            if treesplit._mono_path_exists(l_prev, comb, v, y) or comb[x] == comb[z] == comb[v]:
+                side = comb[x] if comb[x] != comb[v] else comb[z]
+                return "pole-pair-degree2-shielded", dict.fromkeys(interior, side)
+            return "pole-pair-degree2-split", split(comb[v], comb[v], 3 - comb[v])
+        return "pole-pair-mixed", {}
+    if shape == "ends" and cls[y] == 3:
+        if d(v) >= 3 and d(y) >= 3:
+            return "end-pair-branching", dict.fromkeys(interior, 3 - a[x])
+        if d(v) == 2 and d(y) == 2:
+            if treesplit._mono_path_exists(l_prev, comb, x, z):
+                return "end-pair-degree2-shielded", dict.fromkeys(interior, comb[v])
+            return "end-pair-degree2-split", split(comb[v], 3 - comb[v], comb[v])
+        return "end-pair-mixed", {}
+    if shape == "ends":
+        if treesplit._mono_path_exists(l_prev, comb, x, z):
+            return "far-end-shielded", dict.fromkeys(interior, a[y])
+        c = comb[v]
+        s = min(u for u in interior if cls[u] == 3)
+        return "far-end-split", {u: 3 - c if u == s else c for u in interior}
+    c = comb[v]
+    if d(v) >= 3:
+        return "small-pole-branching", {
+            y: 3 - c, **{u: cls[u] if cls[u] in (1, 2) else 3 - c for u in interior}}
+    return "small-pole-degree2", {y: c, **dict.fromkeys(interior, 3 - c)}
+
+
+def _reference_audit(an, trial, l_graph, fp):
+    ab, h = an.ab, an.h
+    cls = an.tp.class_of
+    comb = combine(an.a, trial)
+    scope = set(fp.path) | fp.v0
+    if any(u not in comb for u in scope):
+        return "uncoloured vertex in scope"
+    cyc = mono_cycle(l_graph, comb)
+    if cyc is not None:
+        return f"monochromatic cycle in colour {comb[cyc[0]]}"
+    for v in sorted(an.bs.b_of(3) & (fp.v0 | fp.v1)):
+        local = scope & ab.adj[v]
+        if h.degree(v) >= 3:
+            if any(cls[u] in (1, 2) and comb[u] != cls[u] for u in local):
+                return "neighbour of a branching vertex off its class colour"
+        elif h.degree(v) == 2:
+            hot = [u for u in local if comb[u] == comb[v]]
+            if len(hot) > 1 or (hot and cls[hot[0]] != comb[v]):
+                return "degree-2 vertex keeps a bad same-coloured fan neighbour"
+    return None
+
+
 class TestFaceSparsePipeline:
     def test_rejects_h_outside_the_family(self, h_not_in_family):
         with pytest.raises(NotInFamilyH):
@@ -648,6 +734,36 @@ class TestFrozenOutputs:
                 part = tree_partition_with_edge(g, v, w)
                 assert (sorted(part.s), sorted(part.t)) == (s, t)
 
+    def test_sequence_extension_matches_reference(self, golden):
+        """On every base colouring the face-sparse loop tries, the extension
+        and its reference give the same colouring and steps, or both raise."""
+        tried = raised = 0
+        for row in golden:
+            g = EmbeddedGraph.build(row["rotation"])
+            if row["face_sparse"] is None or bipyramid_poles(g) is not None:
+                continue
+            an = treesplit._analyse(g)
+            r, r_hat = families_R(an.bs, an.paths)
+            for b in treesplit.base_coloring_candidates(an, strict=True):
+                tried += 1
+                try:
+                    want = _reference_extend_coloring_path_sequence(an, b, r + r_hat)
+                except ConditionViolated:
+                    raised += 1
+                    with pytest.raises(ConditionViolated):
+                        treesplit.extend_coloring_path_sequence(an, b, r + r_hat)
+                    continue
+                assert treesplit.extend_coloring_path_sequence(an, b, r + r_hat) == want
+                break
+        # the one raise is a local search that exhausts its fresh vertices
+        assert (tried, raised) == (13, 1)
+
+    def test_opposite_corners_on_face_sparse_instances(self, golden):
+        hs = [big_vertex_graph(EmbeddedGraph.build(row["rotation"]))[0]
+              for row in golden if row["face_sparse"] is not None]
+        assert len(hs) == 20 and all(opposite_corners_check(h) for h in hs)
+        assert sum(len(opposite_pairs(h)) for h in hs) == 47
+
     def test_face_sparse(self, golden):
         assert sum(row["face_sparse"] is not None for row in golden) == 20
         cases, statuses, special = Counter(), Counter(), Counter()
@@ -672,3 +788,61 @@ class TestFrozenOutputs:
             "small-pole-branching": 14, "small-pole-degree2": 9,
         }
         assert statuses == {"unconstrained": 6, "degree2-ok": 16, "branching-ok": 10}
+
+
+class TestCatalogs13And14:
+    """Both pipelines on every orientation of the frozen 13- and 14-vertex
+    catalogs, with the reports pinned as the mixed-case dispatch and its
+    local search gave them."""
+
+    @pytest.fixture(scope="class")
+    def orientations(self, catalog13_14):
+        graphs = catalog13_14[13] + catalog13_14[14]
+        return graphs + [g.mirror() for g in graphs]
+
+    def test_face_sparse(self, orientations):
+        cases, statuses, special, refused = Counter(), Counter(), Counter(), Counter()
+        for g in orientations:
+            h, bs = big_vertex_graph(g)
+            if not meets_h_hypothesis(h):
+                with pytest.raises((NotInFamilyH, HComponentNot2Connected)) as exc:
+                    tree_partition_face_sparse(g)
+                refused[exc.type.__name__] += 1
+                continue
+            part, report = tree_partition_face_sparse(g)
+            assert verify_tree_partition(g.abstract(), part, bs.b_of(1), bs.b_of(2))
+            assert report["all_ok"]
+            special[report["special_case"]] += 1
+            cases.update(step["case"] for step in report["steps"])
+            statuses.update(r["status"] for r in report["vertices"])
+        # 29 of the 80 orientations meet the hypothesis
+        assert refused == {"HComponentNot2Connected": 37, "NotInFamilyH": 14}
+        assert special == {None: 27, "bipyramid": 2}
+        assert cases == {
+            "end-pair-branching": 24, "end-pair-degree2-shielded": 3,
+            "end-pair-degree2-split": 5, "pole-pair-branching": 15,
+            "pole-pair-degree2-shielded": 13, "pole-pair-degree2-split": 13,
+            "small-pole-branching": 48, "small-pole-degree2": 11,
+        }
+        assert statuses == {"degree2-ok": 33, "branching-ok": 30, "unconstrained": 2}
+
+    def test_avoid_every_eligible_edge(self, orientations):
+        avoided = refused = 0
+        for g in orientations:
+            an = treesplit._analyse(g)
+            d = dual(g)
+            for v in sorted(an.bs.b_of(3)):
+                for w in sorted(an.ab.adj[v]):
+                    if an.tp.class_of[w] not in (1, 2):
+                        continue
+                    e_star = d.edge_map[(min(v, w), max(v, w))]
+                    if not an.in_family:
+                        with pytest.raises(NotInFamilyH):
+                            hamilton_avoiding_edge(g, e_star, d)
+                        refused += 1
+                        continue
+                    cyc = hamilton_avoiding_edge(g, e_star, d)
+                    assert e_star not in cyc.edges
+                    assert verify_hamilton(d.graph.abstract(), cyc)
+                    avoided += 1
+        assert (avoided, refused) == (890, 290)
