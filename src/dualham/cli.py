@@ -38,12 +38,14 @@ def _read(path: str) -> str:
             return f.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_embedded(text: str) -> EmbeddedGraph:
     try:
         return EmbeddedGraph.from_json(text)
-    except (json.JSONDecodeError, KeyError, ValueError, DualhamError) as exc:
+    except (json.JSONDecodeError, KeyError, ValueError, RecursionError, DualhamError) as exc:
         raise ParseError(f"bad embedded-graph JSON: {exc}") from exc
 
 
@@ -59,7 +61,7 @@ def _load_abstract(text: str) -> tuple[Graph, dict[int, int]]:
                                           or c not in (1, 2) for k, c in a.items()):
             raise ValueError('"a" must map vertices to colours 1 or 2')
         return Graph.from_edges(edges), {int(k): c for k, c in a.items()}
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"bad graph JSON: {exc}") from exc
 
 
@@ -279,11 +281,13 @@ def _survey_even_tri(g_json: str) -> dict[str, Any]:
         _failed(row, "avoid-edge", exc)
     if hyp:
         try:
-            cyc, avoidance = duality.hamilton_face_sparse(g, d)
-            part = duality.hamilton_to_tree_partition(g, cyc, d)
+            part, _ = treesplit.tree_partition_face_sparse(g, analysis=an)
+            cyc = duality.tree_partition_to_hamilton(g, part, d)
+            avoidance = duality.face_avoidance_report(g, cyc, d, analysis=an)
+            back = duality.hamilton_to_tree_partition(g, cyc, d)
             row["checks"]["face-sparse"] = avoidance.ok
             row["checks"]["round-trip"] = duality.tree_partition_to_hamilton(
-                g, part, d
+                g, back, d
             ).edges == cyc.edges
         except Exception as exc:
             _failed(row, "face-sparse", exc)

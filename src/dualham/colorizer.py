@@ -41,9 +41,6 @@ class TwoColoring:
 
     colour_of: Mapping[int, int]
 
-    def __getitem__(self, v: int) -> int:
-        return self.colour_of[v]
-
 
 def combine(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     """The combined colouring: a on the alpha side, b on the beta side."""

@@ -3,19 +3,18 @@
 A partition of a plane triangulation's vertices into two induced trees
 meets the dual in a Hamilton cycle: the dual edges of the cut between the
 two sides visit every face exactly once.  The correspondence runs both
-ways, and this module also provides exhaustive enumeration (the oracle for
-everything else) plus the edge-avoidance checkers stated in terms of the
-cubic dual.
+ways.  On top of it sit the two pipelines stated in terms of the cubic
+dual: a Hamilton cycle avoiding one chosen edge, and one that is sparse
+on every large face of colour 3, with a per-face report.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .embed import DualGraph, EmbeddedGraph, dual
-from .errors import BadEdge, CapExceeded, NotHamilton, NotTreePartition
+from .errors import BadEdge, NotHamilton, NotTreePartition
 from .treesplit import (
     TreePartition,
     _analyse,
@@ -25,8 +24,6 @@ from .treesplit import (
     verify_tree_partition,
 )
 from .ugraph import Graph, norm_edge
-
-DEFAULT_ENUM_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -52,13 +49,6 @@ class HamiltonCycle:
         return frozenset(
             norm_edge(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)
         )
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.vertices))
-
-    @staticmethod
-    def from_json(text: str) -> "HamiltonCycle":
-        return HamiltonCycle.of(json.loads(text))
 
 
 def verify_hamilton(g: Graph, h: HamiltonCycle) -> bool:
@@ -127,43 +117,6 @@ def hamilton_to_tree_partition(
     if not verify_tree_partition(g.abstract(), p):
         raise NotHamilton("cycle sides do not induce trees (not a triangulation dual?)")
     return p
-
-
-# --- enumeration (the oracle) --------------------------------------------
-
-
-def enumerate_hamilton(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> list[HamiltonCycle]:
-    """All Hamilton cycles up to rotation and reflection, by exhaustive
-    search with a partial-state budget."""
-    vs = g.vertices
-    if len(vs) < 3:
-        return []
-    start = vs[0]
-    out: list[HamiltonCycle] = []
-    states = 0
-    path = [start]
-    on_path = {start}
-
-    def rec() -> None:
-        nonlocal states
-        states += 1
-        if states > cap:
-            raise CapExceeded(f"enumeration exceeded {cap} partial states")
-        last = path[-1]
-        if len(path) == len(vs):
-            if g.has_edge(last, start) and path[1] < path[-1]:
-                out.append(HamiltonCycle.of(path))
-            return
-        for nxt in sorted(g.adj[last]):
-            if nxt not in on_path:
-                path.append(nxt)
-                on_path.add(nxt)
-                rec()
-                path.pop()
-                on_path.remove(nxt)
-
-    rec()
-    return out
 
 
 # --- dual statements of the two partition theorems ------------------------
@@ -271,44 +224,3 @@ def hamilton_face_sparse(
     part, _ = tree_partition_face_sparse(g, analysis=an)
     h = tree_partition_to_hamilton(g, part, d)
     return h, face_avoidance_report(g, h, d, analysis=an)
-
-
-# --- brute-force properties of cubic plane graphs -------------------------
-
-
-def _face_edge_lists(gstar: EmbeddedGraph) -> list[list[tuple[int, int]]]:
-    return [
-        [norm_edge(a, b) for (a, b) in walk] for walk in gstar.faces.faces
-    ]
-
-
-def check_h_plus_minus(gstar: EmbeddedGraph, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """For every two distinct edges on a common face: some Hamilton cycle
-    passes through the first and avoids the second."""
-    cycles = [h.edges for h in enumerate_hamilton(gstar.abstract(), cap)]
-    for face in _face_edge_lists(gstar):
-        for e1 in face:
-            for e2 in face:
-                if e1 == e2:
-                    continue
-                if not any(e1 in c and e2 not in c for c in cycles):
-                    return False
-    return True
-
-
-def check_h_minus_minus(gstar: EmbeddedGraph, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """For every two edges an even distance apart on a common face: some
-    Hamilton cycle avoids both."""
-    cycles = [h.edges for h in enumerate_hamilton(gstar.abstract(), cap)]
-    for face in _face_edge_lists(gstar):
-        k = len(face)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if (j - i) % 2 != 0 and (k - (j - i)) % 2 != 0:
-                    continue
-                e1, e2 = face[i], face[j]
-                if e1 == e2:
-                    continue
-                if not any(e1 not in c and e2 not in c for c in cycles):
-                    return False
-    return True

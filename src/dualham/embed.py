@@ -33,9 +33,6 @@ class FaceSet:
     faces: tuple[tuple[DirEdge, ...], ...]
     face_of: Mapping[DirEdge, int]
 
-    def face_lengths(self) -> list[int]:
-        return [len(f) for f in self.faces]
-
 
 @dataclass(frozen=True)
 class EmbeddedGraph:
@@ -154,15 +151,18 @@ def trace_faces(g: EmbeddedGraph) -> FaceSet:
 
 @dataclass(frozen=True)
 class DualGraph:
-    """Dual embedded graph plus the edge and vertex bijections."""
+    """Dual embedded graph plus the edge bijection."""
 
     graph: EmbeddedGraph
     edge_map: Mapping[tuple[int, int], tuple[int, int]]   # primal edge -> dual edge
-    primal_vertex_of_dual_face: tuple[int, ...]           # dual face id -> primal vertex
 
 
 def dual(g: EmbeddedGraph) -> DualGraph:
     """Construct the dual: one vertex per face, adjacency across shared edges.
+
+    The faces of the dual are not traced: the dual face that winds round
+    a primal vertex v is bounded by the dual edges of v's edges, in v's
+    rotation order, so a caller reads it off `edge_map` and g's rotation.
 
     The dual rotation at a face follows that face's boundary walk, so for
     a 3-connected g (a triangulation, or the dual of one) the result is a
@@ -177,18 +177,7 @@ def dual(g: EmbeddedGraph) -> DualGraph:
     edge_map = {}
     for (a, b) in g.edges():
         edge_map[(a, b)] = norm_edge(fs.face_of[(a, b)], fs.face_of[(b, a)])
-    # the faces around v, in rotation order, are those of the directed
-    # edges (u, v); the dual edge from the face of (v, u) to the face of
-    # (u, v) runs along the dual face that winds around v
-    primal_of = [0] * g.n
-    for v in range(g.n):
-        u = g.rotation[v][0]
-        primal_of[dg.faces.face_of[(fs.face_of[(v, u)], fs.face_of[(u, v)])]] = v
-    return DualGraph(
-        graph=dg,
-        edge_map=edge_map,
-        primal_vertex_of_dual_face=tuple(primal_of),
-    )
+    return DualGraph(graph=dg, edge_map=edge_map)
 
 
 def is_even_triangulation(g: EmbeddedGraph) -> bool:
@@ -272,15 +261,7 @@ def classify_big_small(g: EmbeddedGraph, tp: TriPartition) -> BigSmall:
     return BigSmall(big, small, b, s)
 
 
-def dual_face_coloring(d: DualGraph, tp: TriPartition) -> dict[int, int]:
-    """Colour each dual face with the class of the primal vertex it winds around."""
-    return {
-        f: tp.class_of[v]
-        for f, v in enumerate(d.primal_vertex_of_dual_face)
-    }
-
-
-# --- canonical forms and isomorphism ------------------------------------
+# --- canonical forms -----------------------------------------------------
 
 
 def canonical_form(g: EmbeddedGraph) -> tuple:
@@ -341,8 +322,3 @@ def _code_from(
             smaller = row < other
         code.append(row)
     return tuple(code) if smaller else None
-
-
-def embedded_isomorphic(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
-    """Isomorphic as sphere embeddings, up to relabelling and reflection."""
-    return a.n == b.n and a.m == b.m and canonical_form(a) == canonical_form(b)

@@ -98,10 +98,6 @@ class NotHamilton(DualhamError):
     """A claimed cycle is not a Hamilton cycle of the graph."""
 
 
-class CapExceeded(DualhamError):
-    """Hamilton-cycle enumeration exceeded the partial-state cap."""
-
-
 class HComponentNot2Connected(DualhamError):
     """A component of the big-vertex hypothesis graph is not 2-connected."""
 

@@ -9,9 +9,8 @@ H = G[B1 u B3] + G[B2 u B3] lies in that family.
 
 from __future__ import annotations
 
-import json
 import random
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .embed import (
     EmbeddedGraph,
@@ -26,7 +25,6 @@ from .errors import (
     NotEvenTriangulation,
     NotInFamilyH,
     NotTriangulation,
-    ParseError,
     SizeOutOfRange,
     SizeTooSmall,
 )
@@ -253,28 +251,3 @@ def gen_thm24_instances(n: int, seed: int = 0) -> list[EmbeddedGraph]:
         raise NoneFound(f"no instance on {n} vertices meets the hypothesis")
     rng.shuffle(out)
     return out
-
-
-# --- catalog -------------------------------------------------------------
-
-
-def load_catalog(lines: Iterable[str]) -> Iterator[EmbeddedGraph]:
-    """Newline-delimited JSON graphs in the shared wire format."""
-    for ln, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield EmbeddedGraph.from_json(line)
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise ParseError(f"catalog line {ln}: {exc}") from exc
-
-
-def golden_two_squares() -> Graph:
-    """Two squares joined by an edge and a length-3 path; the smallest
-    handy member of the family with a genuine cut pair."""
-    return Graph.from_edges(
-        [(0, 1), (1, 2), (2, 3), (3, 0),
-         (4, 5), (5, 6), (6, 7), (7, 4),
-         (0, 4), (2, 8), (8, 9), (9, 6)]
-    )

@@ -182,35 +182,6 @@ def _fundamental_cycles_ok(g: Graph) -> bool:
     return True
 
 
-def naive_all_cycles(g: Graph) -> list[list[int]]:
-    """Independent oracle: every simple cycle, found by brute-force
-    Hamilton search inside each vertex subset.  Exponential; tiny graphs only.
-    """
-    out = []
-    verts = g.vertices
-    for r in range(3, len(verts) + 1):
-        for sub in itertools.combinations(verts, r):
-            subset = set(sub)
-            start = sub[0]
-            # Hamilton cycles of g[subset] through all of subset
-            def extend(path: list[int], used: set[int]):
-                u = path[-1]
-                if len(path) == r:
-                    if g.has_edge(u, start) and path[1] < path[-1]:
-                        out.append(list(path))
-                    return
-                for w in sorted(g.adj[u] & subset):
-                    if w not in used:
-                        path.append(w)
-                        used.add(w)
-                        extend(path, used)
-                        path.pop()
-                        used.discard(w)
-
-            extend([start], {start})
-    return out
-
-
 # --- cut pairs -----------------------------------------------------------
 
 

@@ -9,16 +9,11 @@ from pathlib import Path
 import pytest
 
 from dualham.embed import EmbeddedGraph, classify_big_small, tri_partition
-from dualham.gen import (
-    gen_bipyramid,
-    gen_even_triangulations,
-    gen_multi4,
-    golden_two_squares,
-    load_catalog,
-)
+from dualham.gen import gen_bipyramid, gen_even_triangulations, gen_multi4
 from dualham.structure import is_multi4
 from dualham.treesplit import bipyramid_poles
 from dualham.ugraph import Graph
+from oracles import golden_two_squares, load_catalog
 
 DATA = Path(__file__).parent / "data"
 LARGE = Path(__file__).parent.parent / "perfbench" / "data" / "large.jsonl"

@@ -11,7 +11,8 @@ import pytest
 
 from dualham import cli
 from dualham.cli import main
-from dualham.gen import gen_bipyramid, golden_two_squares
+from dualham.gen import gen_bipyramid
+from oracles import golden_two_squares
 
 
 @pytest.fixture()
@@ -99,16 +100,24 @@ class TestCheck:
     (["check", "--family", "multi4"], '{"edges": [["0", true], [1, 2], [2, 3], [3, 0]]}'),
     (["check", "--family", "multi4"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, false]]}'),
     (["gen", "--family", "multi4", "--size", "3"], None),
+    (["check", "--family", "even-tri"], b"\xff" + b'{"n": 0, "rotation": []}'),
+    (["check", "--family", "even-tri"], "[" * 200000),
+    (["color"], '{"edges": ' + "[" * 200000),
 ], ids=["not-an-object", "rotation-not-a-list", "row-not-a-list", "a-not-an-object",
         "a-colour-7", "a-adjacent-alpha", "a-vertex-not-in-graph", "a-adjacent-beta",
         "a-colour-true", "a-vertex-not-an-int", "color-edge-end-float", "edge-end-float", "edge-end-string",
-        "edge-end-string-and-bool", "edge-end-false", "gen-multi4-size-3"])
+        "edge-end-string-and-bool", "edge-end-false", "gen-multi4-size-3", "not-utf8",
+        "nested-too-deep", "color-nested-too-deep"])
 def test_malformed_input_exits_2(capsys, tmp_path, command, text):
-    """Bad input file, or (text None) a bad option of a file-less command."""
+    """Bad input file (text, or bytes that are not UTF-8), or (text None)
+    a bad option of a file-less command."""
     argv = command
     if text is not None:
         p = tmp_path / "bad.json"
-        p.write_text(text)
+        if isinstance(text, bytes):
+            p.write_bytes(text)
+        else:
+            p.write_text(text)
         argv = [command[0], str(p), *command[1:]]
     code, rows, err = run(capsys, argv)
     assert code == 2 and not rows
@@ -302,7 +311,7 @@ class TestGenAndSurvey:
         for row in rows[:-1]:
             assert all(row["checks"].values())
 
-    def test_survey_row_analyses_its_instance_twice(self, monkeypatch, catalog12):
+    def test_survey_row_analyses_its_instance_once(self, monkeypatch, catalog12):
         from dualham import duality, treesplit
 
         real = treesplit._analyse
@@ -317,8 +326,8 @@ class TestGenAndSurvey:
         row = cli._survey_even_tri(catalog12[-1].to_json())
         assert row["hypothesis"] and row["eligible_edges"] == 12
         assert all(row["checks"].values())
-        # one for the row and its 12 avoided edges, one in the face-sparse pipeline
-        assert calls == [12, 12]
+        # one for the row, its 12 avoided edges and its face-sparse cycle
+        assert calls == [12]
 
     def test_survey_row_checks_h_once_per_analysis(self, monkeypatch, catalog12):
         from dualham import colorizer, gen, structure, treesplit
@@ -335,9 +344,9 @@ class TestGenAndSurvey:
         row = cli._survey_even_tri(catalog12[-1].to_json())
         assert row["hypothesis"] and row["eligible_edges"] == 12
         assert all(row["checks"].values())
-        # the row's analysis serves the row and its 12 avoided edges; the
-        # face-sparse pipeline makes the other
-        assert len(calls) == 2
+        # the row's analysis serves the row, its 12 avoided edges and its
+        # face-sparse cycle
+        assert len(calls) == 1
 
     def test_survey_multi4(self, capsys):
         code, rows, _ = run(

@@ -20,10 +20,11 @@ from dualham.colorizer import (
 )
 from dualham.embed import EmbeddedGraph
 from dualham.errors import CaseUnmatched, NoCutPath, NotOn4Cycle
-from dualham.gen import gen_multi4, golden_two_squares
+from dualham.gen import gen_multi4
 from dualham.structure import TypedBipartition, bipartition_typed, minimal_determined_side
 from dualham.treesplit import _analyse
 from dualham.ugraph import Graph, norm_edge
+from oracles import golden_two_squares
 
 GOLDEN = Path(__file__).parent / "data" / "with_edge_golden.jsonl"
 

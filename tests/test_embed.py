@@ -10,8 +10,6 @@ from dualham.embed import (
     canonical_form,
     classify_big_small,
     dual,
-    dual_face_coloring,
-    embedded_isomorphic,
     is_even_triangulation,
     tri_partition,
 )
@@ -21,8 +19,9 @@ from dualham.errors import (
     NonPlanarEmbedding,
     NotEvenTriangulation,
 )
-from dualham import gen
+from dualham import embed, gen
 from dualham.gen import TETRAHEDRON, gen_bipyramid, gen_triangulations
+from dualham.ugraph import norm_edge
 
 
 def test_build_rejects_asymmetric_adjacency():
@@ -48,7 +47,7 @@ def test_build_rejects_non_planar_rotation():
 def test_tetrahedron_faces_and_counts():
     g = EmbeddedGraph.build(TETRAHEDRON)
     assert (g.n, g.m) == (4, 6)
-    assert g.faces.face_lengths() == [3, 3, 3, 3]
+    assert [len(f) for f in g.faces.faces] == [3, 3, 3, 3]
     assert not is_even_triangulation(g)  # all degrees are 3
 
 
@@ -66,31 +65,42 @@ def test_octahedron_dual_is_cubic_on_8_vertices(octahedron):
     assert len(set(d.edge_map.values())) == octahedron.m
 
 
-def test_dual_face_winds_around_its_primal_vertex(octahedron):
-    d = dual(octahedron)
-    assert sorted(d.primal_vertex_of_dual_face) == list(range(octahedron.n))
-
-
-def _primal_vertex_by_face_search(g, d):
-    """Reference map: the primal vertex shared by every primal edge that a
-    dual face's boundary crosses, found by searching the primal faces."""
-    fs = g.faces
+def _face_walk_edges(g: EmbeddedGraph, start: tuple[int, int]) -> list[tuple[int, int]]:
+    """The undirected edges of the face walk from the directed edge
+    `start`, in walk order, traced here by the convention of the module."""
     out = []
-    for walk in d.graph.faces.faces:
-        common = None
-        for f1, f2 in walk:
-            (ends,) = [{a, b} for (a, b) in fs.faces[f1] if fs.face_of[(b, a)] == f2]
-            common = ends if common is None else common & ends
-        (v,) = common
-        out.append(v)
-    return tuple(out)
+    e = start
+    while True:
+        out.append(norm_edge(*e))
+        a, b = e
+        e = (b, g.next_cw(b, a))
+        if e == start:
+            return out
 
 
-def test_dual_face_map_matches_face_search(octahedron, catalog12):
-    graphs = [octahedron, gen_bipyramid(5), dual(octahedron).graph] + catalog12
+def test_each_vertex_is_wound_round_by_one_dual_face(catalog12):
+    # the premise of `face_avoidance_report`: the dual edges of v's edges,
+    # in v's rotation order, are the whole boundary of one dual face, so
+    # that face is read off v's rotation without tracing the dual; the
+    # bipyramids start at the octahedron (l = 2)
+    graphs = [gen_bipyramid(l) for l in range(2, 7)] + catalog12
     for g in graphs + [g.mirror() for g in graphs]:
         d = dual(g)
-        assert d.primal_vertex_of_dual_face == _primal_vertex_by_face_search(g, d)
+        for v in range(g.n):
+            boundary = [d.edge_map[norm_edge(v, u)] for u in g.rotation[v]]
+            a, b = boundary[0]
+            walks = [_face_walk_edges(d.graph, e) for e in ((a, b), (b, a))]
+            assert walks.count(boundary) == 1, (g.rotation, v)
+
+
+def test_dual_traces_no_faces_of_its_own(monkeypatch, octahedron, catalog12):
+    calls = []
+    real = embed.trace_faces
+    monkeypatch.setattr(embed, "trace_faces", lambda g: calls.append(g) or real(g))
+    for g in [octahedron] + catalog12:
+        g.faces   # cached by `build` already; the dual needs no other trace
+        dual(g)
+    assert calls == []
 
 
 def test_dual_passes_the_checks_it_skips(even_tri_sweep):
@@ -178,21 +188,12 @@ def test_classify_big_small(bipyramid6):
     assert bs.b_of(1) | bs.b_of(2) | bs.b_of(3) == bs.big
 
 
-def test_dual_face_coloring_matches_primal_classes(octahedron):
-    d = dual(octahedron)
-    tp = tri_partition(octahedron)
-    colours = dual_face_coloring(d, tp)
-    for f, v in enumerate(d.primal_vertex_of_dual_face):
-        assert colours[f] == tp.class_of[v]
-
-
 def test_canonical_form_is_label_invariant(bipyramid6):
     g = bipyramid6
     perm = [3, 5, 0, 1, 7, 6, 2, 4]
     relabelled = EmbeddedGraph.build(_permute(g, perm))
     assert canonical_form(g) == canonical_form(relabelled)
-    assert embedded_isomorphic(g, relabelled)
-    assert embedded_isomorphic(g, g.mirror())
+    assert canonical_form(g) == canonical_form(g.mirror())
 
 
 def _permute(g: EmbeddedGraph, perm: list[int]) -> list[list[int]]:
@@ -281,7 +282,8 @@ def test_gen_triangulations_unchanged_under_reference_dedup(monkeypatch):
 
 
 def test_different_embeddings_distinguished(octahedron, bipyramid6):
-    assert not embedded_isomorphic(octahedron, bipyramid6)
+    assert (octahedron.n, octahedron.m) != (bipyramid6.n, bipyramid6.m)
+    assert canonical_form(octahedron) != canonical_form(bipyramid6)
 
 
 def test_json_round_trip(octahedron):

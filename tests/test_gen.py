@@ -25,11 +25,11 @@ from dualham.gen import (
     big_vertex_graph,
     h_components_2connected,
     split_vertex,
-    load_catalog,
     meets_h_hypothesis,
 )
 from dualham.structure import is_multi4
 from dualham.ugraph import Graph
+from oracles import load_catalog
 
 
 class TestBipyramid:

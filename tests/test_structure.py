@@ -15,7 +15,6 @@ from dualham.structure import (
     cuts_graph,
     is_multi4,
     minimal_determined_side,
-    naive_all_cycles,
     satisfies_cut_path_condition,
 )
 from dualham.ugraph import Graph
@@ -26,6 +25,7 @@ from lemmas import (
     opposite_corners_check,
     opposite_pairs,
 )
+from oracles import naive_all_cycles
 
 
 def cycle(k: int) -> Graph:
