@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -255,6 +256,7 @@ def _survey_even_tri(g_json: str) -> dict[str, Any]:
         an = treesplit._analyse(g)
         tp, bs, ab = an.tp, an.bs, an.ab
         d = dual(g)
+        dual_ab = d.graph.abstract()
         in_family = an.in_family
         row["checks"]["h-in-family"] = in_family
         hyp = in_family and gen.h_components_2connected(an.h)
@@ -270,9 +272,9 @@ def _survey_even_tri(g_json: str) -> dict[str, Any]:
                 if tp.class_of[w] in (1, 2):
                     e_star = d.edge_map[(min(v, w), max(v, w))]
                     part = treesplit.tree_partition_with_edge(g, v, w, analysis=an)
-                    cyc = duality.tree_partition_to_hamilton(g, part, d)
+                    cyc = duality.tree_partition_to_hamilton(g, part, d, analysis=an)
                     edges_ok &= e_star not in cyc.edges and duality.verify_hamilton(
-                        d.graph.abstract(), cyc
+                        dual_ab, cyc
                     )
                     n_edges += 1
         row["checks"]["avoid-edge"] = edges_ok
@@ -282,12 +284,12 @@ def _survey_even_tri(g_json: str) -> dict[str, Any]:
     if hyp:
         try:
             part, _ = treesplit.tree_partition_face_sparse(g, analysis=an)
-            cyc = duality.tree_partition_to_hamilton(g, part, d)
+            cyc = duality.tree_partition_to_hamilton(g, part, d, analysis=an)
             avoidance = duality.face_avoidance_report(g, cyc, d, analysis=an)
-            back = duality.hamilton_to_tree_partition(g, cyc, d)
+            back = duality.hamilton_to_tree_partition(g, cyc, d, analysis=an)
             row["checks"]["face-sparse"] = avoidance.ok
             row["checks"]["round-trip"] = duality.tree_partition_to_hamilton(
-                g, back, d
+                g, back, d, analysis=an
             ).edges == cyc.edges
         except Exception as exc:
             _failed(row, "face-sparse", exc)
@@ -318,6 +320,8 @@ def _survey_multi4(seed: int) -> dict[str, Any]:
 
 
 def cmd_survey(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     rep = Report(f"survey --family {args.family}", "-")
     if args.family == "multi4":
         tasks: list[Any] = list(range(args.seed, args.seed + args.count))
@@ -334,10 +338,13 @@ def cmd_survey(args: argparse.Namespace) -> int:
         tasks = instances
         worker = _survey_even_tri
     rows = []
-    pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext()
+    # a pool forks all its workers on the first submit, so never ask for
+    # more than there are tasks or CPUs
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
     with pool:
         # each row prints as soon as it and all rows before it are done
-        for row in (pool.map if args.jobs > 1 else map)(worker, tasks):
+        for row in (pool.map if workers > 1 else map)(worker, tasks):
             print(json.dumps(row, sort_keys=True), flush=True)
             rows.append(row)
     all_ok = all(all(r["checks"].values()) for r in rows)
@@ -421,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--count", type=int, default=50,
                    help="number of seeds for randomized families")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per task and per CPU")
     c.set_defaults(func=cmd_survey)
 
     c = sub.add_parser("gen", help="emit instances as JSON lines")

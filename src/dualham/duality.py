@@ -60,51 +60,67 @@ def verify_hamilton(g: Graph, h: HamiltonCycle) -> bool:
     return all(g.has_edge(vs[i], vs[(i + 1) % n]) for i in range(n))
 
 
+def _hamilton_in_rotation(d: DualGraph, h: HamiltonCycle) -> bool:
+    """`verify_hamilton`'s test read off the dual's rotation system, so
+    that the dual's abstract graph need not be built."""
+    rot, vs = d.graph.rotation, h.vertices
+    if len(vs) != len(rot) or set(vs) != set(range(len(rot))):
+        return False
+    return all(vs[i] in rot[vs[i - 1]] for i in range(len(vs)))
+
+
 # --- the correspondence ---------------------------------------------------
 
 
 def tree_partition_to_hamilton(
-    g: EmbeddedGraph, p: TreePartition, d: DualGraph | None = None
+    g: EmbeddedGraph, p: TreePartition, d: DualGraph | None = None,
+    *, analysis: _Analysis | None = None,
 ) -> HamiltonCycle:
     """The dual edges of the cut between the two tree sides, ordered into a
-    Hamilton cycle of the dual."""
+    Hamilton cycle of the dual.  `analysis` is the caller's analysis of g,
+    if it has one; its abstract graph serves the partition check."""
     if d is None:
         d = dual(g)
-    if not verify_tree_partition(g.abstract(), p):
+    ab = analysis.ab if analysis is not None else g.abstract()
+    if not verify_tree_partition(ab, p):
         raise NotTreePartition("input sides do not induce two spanning trees")
-    cut = [e for e in g.edges() if (e[0] in p.s) != (e[1] in p.s)]
-    adj: dict[int, list[int]] = {v: [] for v in range(d.graph.n)}
-    for e in cut:
-        a, b = d.edge_map[e]
-        adj[a].append(b)
-        adj[b].append(a)
-    if any(len(nb) != 2 for nb in adj.values()):
+    # each cut edge read once, from its end on the s side
+    adj: list[list[int]] = [[] for _ in range(d.graph.n)]
+    s, edge_map = p.s, d.edge_map
+    for v in s:
+        for u in g.rotation[v]:
+            if u not in s:
+                a, b = edge_map[(v, u) if v < u else (u, v)]
+                adj[a].append(b)
+                adj[b].append(a)
+    if any(len(nb) != 2 for nb in adj):
         raise NotHamilton("cut does not meet every dual vertex exactly twice")
-    start = 0
-    order = [start, min(adj[start])]
+    order = [0, min(adj[0])]
     while len(order) < d.graph.n:
         a, b = adj[order[-1]]
         order.append(a if a != order[-2] else b)
     h = HamiltonCycle.of(order)
-    if not verify_hamilton(d.graph.abstract(), h):
+    if not _hamilton_in_rotation(d, h):
         raise NotHamilton("cut edges do not close into one Hamilton cycle")
     return h
 
 
 def hamilton_to_tree_partition(
-    g: EmbeddedGraph, h: HamiltonCycle, d: DualGraph | None = None
+    g: EmbeddedGraph, h: HamiltonCycle, d: DualGraph | None = None,
+    *, analysis: _Analysis | None = None,
 ) -> TreePartition:
     """The two sides of a dual Hamilton cycle, read back through the
     face-vertex bijection.  The side holding the lowest primal vertex
-    comes first."""
+    comes first.  `analysis` is the caller's analysis of g, if it has
+    one."""
     if d is None:
         d = dual(g)
-    if not verify_hamilton(d.graph.abstract(), h):
+    if not _hamilton_in_rotation(d, h):
         raise NotHamilton("input is not a Hamilton cycle of the dual")
     cycle_edges = h.edges
     # primal vertices are glued exactly across primal edges whose dual edge
     # the cycle does not use
-    keep = [e for e in g.edges() if d.edge_map[e] not in cycle_edges]
+    keep = [e for e, de in d.edge_map.items() if de not in cycle_edges]
     side_graph = Graph.from_edges(keep, range(g.n))
     comps = side_graph.components()
     if len(comps) != 2:
@@ -114,7 +130,8 @@ def hamilton_to_tree_partition(
     first = comps[0] if 0 in comps[0] else comps[1]
     second = comps[1] if first is comps[0] else comps[0]
     p = TreePartition(frozenset(first), frozenset(second))
-    if not verify_tree_partition(g.abstract(), p):
+    ab = analysis.ab if analysis is not None else g.abstract()
+    if not verify_tree_partition(ab, p):
         raise NotHamilton("cycle sides do not induce trees (not a triangulation dual?)")
     return p
 
@@ -153,7 +170,7 @@ def hamilton_avoiding_edge(
     v = b3_ends[0]
     other = w if v == u else u
     part = tree_partition_with_edge(g, v, other, analysis=an)
-    h = tree_partition_to_hamilton(g, part, d)
+    h = tree_partition_to_hamilton(g, part, d, analysis=an)
     if d.edge_map[norm_edge(u, w)] in h.edges:
         raise NotHamilton(f"cycle uses the dual edge {e_star} it should avoid")
     return h
@@ -222,5 +239,5 @@ def hamilton_face_sparse(
         d = dual(g)
     an = _analyse(g)
     part, _ = tree_partition_face_sparse(g, analysis=an)
-    h = tree_partition_to_hamilton(g, part, d)
+    h = tree_partition_to_hamilton(g, part, d, analysis=an)
     return h, face_avoidance_report(g, h, d, analysis=an)

@@ -21,7 +21,7 @@ from .errors import (
     NonPlanarEmbedding,
     NotEvenTriangulation,
 )
-from .ugraph import Graph, norm_edge
+from .ugraph import Graph
 
 DirEdge = tuple[int, int]
 
@@ -171,13 +171,20 @@ def dual(g: EmbeddedGraph) -> DualGraph:
     give multiple edges, which a rotation system cannot represent.
     """
     fs = g.faces
-    dg = EmbeddedGraph(
-        len(fs.faces), tuple(tuple(fs.face_of[(b, a)] for (a, b) in walk) for walk in fs.faces)
-    )
+    face_of = fs.face_of
+    rotation = []
     edge_map = {}
-    for (a, b) in g.edges():
-        edge_map[(a, b)] = norm_edge(fs.face_of[(a, b)], fs.face_of[(b, a)])
-    return DualGraph(graph=dg, edge_map=edge_map)
+    # one pass: each directed edge (a, b) of face f gives f's rotation
+    # entry across it, and for a < b the edge's dual
+    for f, walk in enumerate(fs.faces):
+        row = []
+        for a, b in walk:
+            o = face_of[(b, a)]
+            row.append(o)
+            if a < b:
+                edge_map[(a, b)] = (f, o) if f < o else (o, f)
+        rotation.append(tuple(row))
+    return DualGraph(graph=EmbeddedGraph(len(rotation), tuple(rotation)), edge_map=edge_map)
 
 
 def is_even_triangulation(g: EmbeddedGraph) -> bool:
@@ -186,7 +193,7 @@ def is_even_triangulation(g: EmbeddedGraph) -> bool:
         return False
     if any(len(f) != 3 for f in g.faces.faces):
         return False
-    return all(g.degree(v) % 2 == 0 for v in range(g.n))
+    return all(len(nb) % 2 == 0 for nb in g.rotation)
 
 
 @dataclass(frozen=True)
@@ -226,11 +233,12 @@ def tri_partition(g: EmbeddedGraph) -> TriPartition:
                 cls[u] = pair[i % 2]
                 entry[u] = v
                 queue.append(u)
+            elif cls[u] != pair[i % 2]:
+                # every rotation is scanned once, so this is the properness
+                # check: each neighbour of v has one of the classes v lacks
+                raise NotEvenTriangulation("improper 3-colouring")
     if any(c == 0 for c in cls):
         raise NotEvenTriangulation("3-colouring propagation incomplete")
-    for u, v in g.edges():
-        if cls[u] == cls[v]:
-            raise NotEvenTriangulation("improper 3-colouring")
     return TriPartition(tuple(cls))
 
 

@@ -35,6 +35,26 @@ v's rotation through w, closed by its two big neighbours, is a fan path
 with poles {v, v'}, and the only one through w with v as a pole: the
 other one through w, along (v, w, v'), has v on it.
 
+The run lemma, which lets `fan_paths` read the family off the rotations.
+In a triangulation (any degrees), a fan path e0, u1, ..., uk, e1 with
+poles p, p' is exactly a maximal run u1, ..., uk of small vertices in
+p's rotation, closed by its two neighbours in that rotation, distinct
+and not small, at least one of them big; and p' is the fourth neighbour
+of u1, opposite p in u1's rotation.  Proof.  Each ui has degree 4, with
+neighbours prev, p, next and p' (the path is induced bar the end chord,
+and p, p' are off it), and consecutive entries of ui's rotation are
+adjacent.  If prev and next were consecutive there, they would be
+adjacent: a chord, or for k = 1 the end chord, where then e0, e1, p, p'
+would be pairwise adjacent and with u1 make a K5.  So prev, next are
+opposite in ui's rotation, and p's two rotation neighbours of ui (the
+third corners of the faces on the edge p-ui) are prev and next: the path
+is consecutive in p's rotation.  Conversely, given such a run, ui's
+rotation is (prev, p, next, qi) up to direction, and the face on the
+edge ui-u(i+1) other than p's has third corner qi and q(i+1), so all qi
+are one vertex p', adjacent to e0 and e1, off the path (it is a fourth
+neighbour of u1 and of uk), and ui has no neighbour on the path beyond
+prev and next: an induced path (bar the end chord) with poles p, p'.
+
 The opposite-corner lemma, which leaves the face-sparse dispatch no mixed
 case.  Let H be 2-connected with every cycle of length 0 mod 4, and
 v-x-y-z a 4-cycle of H with y of degree 2 and t a third neighbour of v.
@@ -49,6 +69,7 @@ and the poles, big on a path of `families_R`'s first family.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -176,49 +197,52 @@ def fan_paths(g: EmbeddedGraph, bs: BigSmall) -> list[FanPath]:
     """The family of all fan paths; every small vertex is interior to at
     least one of them unless g is a bipyramid.
 
-    A depth-first walk from each big vertex through small ones.  Each
-    partial path carries its candidate poles, the common neighbours of its
-    vertices off the path, and stays induced: a fan path's only possible
-    chord joins its two ends.  Both conditions only get worse as a path
-    grows, so a branch is dropped as soon as either fails.
+    One scan of each rotation, by the run lemma: every maximal run of
+    small vertices in a vertex p's rotation, closed by two distinct
+    non-small ends of which at least one is big, is a fan path with p as
+    a pole, and its other pole is opposite p in the rotation of its first
+    inner vertex.  Each path is built from its smaller pole only.
     """
     if bipyramid_poles(g) is not None:
         raise BipyramidSpecialCase("join of a cycle with two poles")
-    adj = g.abstract().adj
-    nbrs = {v: sorted(nb) for v, nb in adj.items()}
-    small = bs.small
-    found: dict[tuple[int, ...], FanPath] = {}
-    for start in sorted(bs.big):
-        stack = [([start, s], adj[start] & adj[s]) for s in nbrs[start] if s in small]
-        while stack:
-            path, common = stack.pop()
-            last, prev = path[-1], path[-2]
-            for nxt in nbrs[last]:
-                # an induced path meets last's neighbourhood only at prev
-                if nxt == prev:
-                    continue
-                # never more than two: an inner vertex has degree 4 and
-                # two of its neighbours on the path
-                poles = common & adj[nxt]
-                if len(poles) < 2:
-                    continue
-                if nxt in small:
-                    if adj[nxt].isdisjoint(path[:-1]):
-                        stack.append((path + [nxt], poles))
-                elif adj[nxt].isdisjoint(path[1:-1]):
-                    kind = "cycle-minus-edge" if start in adj[nxt] else "induced"
-                    p = tuple(path) + (nxt,) if start < nxt else (nxt, *path[::-1])
-                    found.setdefault(
-                        p, FanPath(p, frozenset(poles), frozenset({start, nxt}), kind)
+    rot = g.rotation
+    small, big = bs.small, bs.big
+    found: list[FanPath] = []
+    for p, nb in enumerate(rot):
+        # read the rotation from a non-small entry, so that every run is closed
+        for start, e0 in enumerate(nb):
+            if e0 not in small:
+                break
+        else:
+            continue
+        run: list[int] = []
+        for e1 in nb[start + 1:] + nb[:start + 1]:
+            if e1 in small:
+                run.append(e1)
+                continue
+            if run and e0 != e1 and (e0 in big or e1 in big):
+                rw = rot[run[0]]
+                q = rw[(rw.index(p) + 2) % 4]
+                if p < q:
+                    path = (e0, *run, e1) if e0 < e1 else (e1, *run[::-1], e0)
+                    # the end chord, looked up in the shorter rotation
+                    if len(rot[e0]) <= len(rot[e1]):
+                        chord = e1 in rot[e0]
+                    else:
+                        chord = e0 in rot[e1]
+                    kind = "cycle-minus-edge" if chord else "induced"
+                    found.append(
+                        FanPath(path, frozenset((p, q)), frozenset((e0, e1)), kind)
                     )
-    covered = {u for fp in found.values() for u in fp.interior}
+            e0, run = e1, []
+    covered = {u for fp in found for u in fp.interior}
     missing = small - covered
     if missing:
         raise CaseUnmatched(
             f"small vertices {sorted(missing)} lie on no fan path "
             "in a non-bipyramid triangulation"
         )
-    return sorted(found.values(), key=lambda fp: fp.path)
+    return sorted(found, key=lambda fp: fp.path)
 
 
 def families_R(
@@ -285,17 +309,21 @@ def _seeds(an: _Analysis, b: Mapping[int, int]) -> PartitionConstraint:
 
 
 class _Forest:
-    """Union-find over one side's vertices with an undo trail."""
+    """Union-find over one side's vertices with an undo trail.
 
-    __slots__ = ("parent", "trail")
+    Union by size keeps every tree O(log n) deep; there is no path
+    compression, so undoing a union only unlinks one root."""
+
+    __slots__ = ("parent", "size", "trail")
 
     def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
+        self.parent: dict[int, int] = {}   # keys: exactly the side's members
+        self.size: dict[int, int] = {}     # tree size, kept current at roots
         self.trail: list[tuple[int, int]] = []
 
     def find(self, v: int) -> int:
         p = self.parent
-        while p.get(v, v) != v:
+        while p[v] != v:
             v = p[v]
         return v
 
@@ -303,24 +331,31 @@ class _Forest:
         """Join v with its same-side neighbours; None if a cycle closes.
         Returns the number of trail entries to undo on rollback."""
         mark = len(self.trail)
-        self.trail.append((v, -1))  # membership marker
-        self.parent.setdefault(v, v)
+        parent, size, trail = self.parent, self.size, self.trail
+        trail.append((v, -1))  # membership marker
+        parent[v] = v
+        size[v] = 1
         for w in assigned_neighbors:
             rv, rw = self.find(v), self.find(w)
             if rv == rw:
                 self.undo(mark)
                 return None
-            self.trail.append((rv, self.parent.get(rv, rv)))
-            self.parent[rv] = rw
+            if size[rv] > size[rw]:
+                rv, rw = rw, rv
+            trail.append((rv, rw))   # rv hung below rw
+            parent[rv] = rw
+            size[rw] += size[rv]
         return mark
 
     def undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            v, old = self.trail.pop()
-            if old == -1:
-                del self.parent[v]
+        parent, size, trail = self.parent, self.size, self.trail
+        while len(trail) > mark:
+            v, root = trail.pop()
+            if root == -1:
+                del parent[v], size[v]
             else:
-                self.parent[v] = old
+                parent[v] = v
+                size[root] -= size[v]
 
 
 def tree_partition_solve(
@@ -339,6 +374,13 @@ def tree_partition_solve(
     smallest), side 0 is tried first, and a vertex refused on both sides
     pops the trail and moves the popped vertex to its next side.
 
+    The next vertex is the top of a heap keyed by (-assigned neighbours,
+    vertex) with lazy deletion: a placement or its undo pushes each free
+    neighbour under its new count, an undo pushes the freed vertex, and an
+    entry whose vertex is placed or whose count is stale is dropped when
+    it reaches the top.  Each side's forest is a union-find with union by
+    size, so a cycle test walks O(log n) parents.
+
     A full assignment needs no connectivity test.  In a plane triangulation
     two forest sides are two trees: no face lies inside one side, so each
     of the 2n - 4 faces has two of its edges across, 2n - 4 edges cross,
@@ -351,24 +393,24 @@ def tree_partition_solve(
     an = analysis if analysis is not None else _analyse(g)
     ab = an.ab
     _validate_constraint(an, c, enforce_path_condition)
+    adj = ab.adj
     sides = [_Forest(), _Forest()]
-    assign: dict[int, int] = {}
-    # assigned neighbours per vertex, kept in step with `assign`
-    placed_nbrs = dict.fromkeys(ab.adj, 0)
+    side_of = [-1] * g.n          # -1 while free
+    # assigned neighbours per vertex, kept in step with `side_of`
+    placed_nbrs = [0] * g.n
 
     def place(v: int, side: int) -> int | None:
-        nbrs = [w for w in ab.adj[v] if assign.get(w) == side]
-        mark = sides[side].add(v, nbrs)
+        mark = sides[side].add(v, [w for w in adj[v] if side_of[w] == side])
         if mark is None:
             return None
-        assign[v] = side
-        for w in ab.adj[v]:
+        side_of[v] = side
+        for w in adj[v]:
             placed_nbrs[w] += 1
         return mark
 
     def unplace(v: int, side: int, mark: int) -> None:
-        del assign[v]
-        for w in ab.adj[v]:
+        side_of[v] = -1
+        for w in adj[v]:
             placed_nbrs[w] -= 1
         sides[side].undo(mark)
 
@@ -377,16 +419,24 @@ def tree_partition_solve(
             if place(v, side) is None:
                 raise ConstraintInvalid(f"seed set {side} induces a cycle at {v}")
 
-    free = sorted(set(ab.adj) - set(assign))
+    # (-placed_nbrs[v], v) for every free v, and stale entries too
+    heap = [(-placed_nbrs[v], v) for v in range(g.n) if side_of[v] < 0]
+    heapq.heapify(heap)
+
+    def push_free_neighbours(v: int) -> None:
+        for w in adj[v]:
+            if side_of[w] < 0:
+                heapq.heappush(heap, (-placed_nbrs[w], w))
 
     def choose() -> int | None:
         """The free vertex with the most assigned neighbours, ties to the
-        smallest."""
-        best, score = None, -1
-        for v in free:
-            if v not in assign and placed_nbrs[v] > score:
-                best, score = v, placed_nbrs[v]
-        return best
+        smallest: the top entry that is still current."""
+        while heap:
+            k, v = heap[0]
+            if side_of[v] < 0 and placed_nbrs[v] == -k:
+                return v
+            heapq.heappop(heap)
+        return None
 
     trail: list[tuple[int, int, int]] = []   # (vertex, side, undo mark)
     v, side = choose(), 0
@@ -397,18 +447,21 @@ def tree_partition_solve(
                 side += 1
             else:
                 trail.append((v, side, mark))
+                push_free_neighbours(v)
                 v, side = choose(), 0
         elif trail:
             v, side, mark = trail.pop()
             unplace(v, side, mark)
+            push_free_neighbours(v)
+            heapq.heappush(heap, (-placed_nbrs[v], v))
             side += 1
         else:
             raise SearchExhausted(
                 f"no two-tree partition extends seeds x={sorted(c.x)} y={sorted(c.y)} "
                 f"on a {g.n}-vertex triangulation (potential counterexample)"
             )
-    s = frozenset(u for u, side in assign.items() if side == 0)
-    part = TreePartition(s, frozenset(assign) - s)
+    s = frozenset(u for u, side in enumerate(side_of) if side == 0)
+    part = TreePartition(s, frozenset(u for u, side in enumerate(side_of) if side == 1))
     if not verify_tree_partition(ab, part, c.x, c.y):
         raise NotTreePartition("solver output fails the two-tree audit")
     return part

@@ -348,6 +348,56 @@ class TestGenAndSurvey:
         # face-sparse cycle
         assert len(calls) == 1
 
+    def test_survey_row_builds_each_abstract_graph_once(self, monkeypatch, even10):
+        from dualham.embed import EmbeddedGraph
+
+        real = EmbeddedGraph.abstract
+        calls = []
+
+        def counted(self):
+            calls.append(self.n)
+            return real(self)
+
+        monkeypatch.setattr(EmbeddedGraph, "abstract", counted)
+        row = cli._survey_even_tri(even10.to_json())
+        assert row["hypothesis"] and row["eligible_edges"] == 12
+        assert all(row["checks"].values())
+        # the build's connectivity check, the row's analysis and the dual's
+        # once for all 12 avoided edges; no per-edge or per-cycle rebuild
+        assert calls == [10, 10, 16]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_survey_rejects_jobs_below_one(self, capsys, jobs):
+        code, rows, err = run(capsys, ["survey", "--family", "multi4", "--count", "3",
+                                       "--jobs", jobs])
+        assert code == 2 and not rows
+        assert "error: --jobs must be at least 1" in err
+
+    def test_survey_starts_no_more_workers_than_tasks(self, capsys, monkeypatch):
+        asked = []
+
+        class SerialPool:
+            """Records the pool size it is asked for and starts no process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        code, rows, _ = run(capsys, ["survey", "--family", "multi4", "--count", "3",
+                                     "--jobs", "1000000"])
+        assert code == 0 and rows[-1]["result"]["instances"] == 3
+        assert asked == [3]
+
     def test_survey_multi4(self, capsys):
         code, rows, _ = run(
             capsys, ["survey", "--family", "multi4", "--count", "3", "--seed", "11"]
