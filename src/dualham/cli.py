@@ -322,6 +322,11 @@ def _survey_multi4(seed: int) -> dict[str, Any]:
 def cmd_survey(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
+    # check the sizes before any work: a bad one would only fail at the end
+    if args.family == "multi4" and args.count < 1:
+        raise ParseError(f"--count must be at least 1, got {args.count}")
+    if args.family != "multi4" and not 4 <= args.n_max <= gen.MAX_TRI_N:
+        raise ParseError(f"--n-max must be in [4, {gen.MAX_TRI_N}], got {args.n_max}")
     rep = Report(f"survey --family {args.family}", "-")
     if args.family == "multi4":
         tasks: list[Any] = list(range(args.seed, args.seed + args.count))
@@ -424,9 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("survey", help="run every certificate over a family")
     c.add_argument("--family", required=True,
                    choices=["even-tri", "multi4", "barnette-hypothesis"])
-    c.add_argument("--n-max", type=int, default=10)
+    c.add_argument("--n-max", type=int, default=10,
+                   help=f"largest n for the even-tri families, 4 to {gen.MAX_TRI_N}")
     c.add_argument("--count", type=int, default=50,
-                   help="number of seeds for randomized families")
+                   help="number of seeds for randomized families, at least 1")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at most one per task and per CPU")
@@ -444,6 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.cap < 1:
+            raise ParseError(f"--cap must be at least 1, got {args.cap}")
         return args.func(args)
     except (IoError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

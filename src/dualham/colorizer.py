@@ -101,8 +101,9 @@ def _color_components(
     """Colour each component: the one holding `anchor` from the block
     `colour_root` colours, every other from its lowest beta vertex."""
     b: dict[int, int] = {}
-    for comp in sorted(g.components(), key=min):
-        sub = g.subgraph(comp)
+    comps = g.components()
+    for comp in sorted(comps, key=min):
+        sub = g if len(comps) == 1 else g.subgraph(comp)
         betas = comp & bp.beta
         if anchor <= comp:
             b.update(_glue_blocks(sub, bp, a, anchor, colour_root))
@@ -188,7 +189,7 @@ def _color_block(
     """Colour one block (2-connected, a bridge edge or a lone vertex) with
     its beta vertex pin_v at colour pin_c."""
     betas = set(g.adj) & bp.beta
-    if g.m <= 1:
+    if len(g.adj) <= 2:
         return {v: (pin_c if v == pin_v else 1) for v in betas}
     branch_beta = any(g.degree(v) >= 3 for v in betas)
     branch_alpha = any(g.degree(v) >= 3 and v not in bp.beta for v in g.adj)

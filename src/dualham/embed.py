@@ -202,9 +202,6 @@ class TriPartition:
 
     class_of: tuple[int, ...]
 
-    def vertices_of(self, i: int) -> set[int]:
-        return {v for v, c in enumerate(self.class_of) if c == i}
-
 
 def tri_partition(g: EmbeddedGraph) -> TriPartition:
     """Canonical 3-colouring: vertex 0 -> 1, its rotation-first neighbour -> 2.
@@ -259,14 +256,20 @@ class BigSmall:
 
 
 def classify_big_small(g: EmbeddedGraph, tp: TriPartition) -> BigSmall:
-    for v in range(g.n):
-        if g.degree(v) < 4:
-            raise DegreeBelowFour(f"vertex {v} has degree {g.degree(v)}")
-    big = frozenset(v for v in range(g.n) if g.degree(v) >= 6)
-    small = frozenset(v for v in range(g.n) if g.degree(v) == 4)
-    b = tuple(frozenset(big & tp.vertices_of(i)) for i in (1, 2, 3))
-    s = tuple(frozenset(small & tp.vertices_of(i)) for i in (1, 2, 3))
-    return BigSmall(big, small, b, s)
+    """One pass over the classes: each vertex goes to big or small of its
+    class by degree."""
+    b: tuple[list[int], ...] = ([], [], [])
+    s: tuple[list[int], ...] = ([], [], [])
+    for v, c in enumerate(tp.class_of):
+        d = len(g.rotation[v])
+        if d < 4:
+            raise DegreeBelowFour(f"vertex {v} has degree {d}")
+        if d >= 6:
+            b[c - 1].append(v)
+        elif d == 4:
+            s[c - 1].append(v)
+    return BigSmall(frozenset(b[0] + b[1] + b[2]), frozenset(s[0] + s[1] + s[2]),
+                    tuple(map(frozenset, b)), tuple(map(frozenset, s)))
 
 
 # --- canonical forms -----------------------------------------------------

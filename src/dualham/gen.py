@@ -213,12 +213,17 @@ def big_vertex_graph(
     if tp is None:
         tp = tri_partition(g)
     bs = classify_big_small(g, tp)
-    keep = set(bs.big)
-    edges = []
-    for u, v in g.edges():
-        if u in keep and v in keep and {tp.class_of[u], tp.class_of[v]} != {1, 2}:
-            edges.append((u, v))
-    return Graph.from_edges(edges, keep), bs
+    cls = tp.class_of
+    adj: dict[int, set[int]] = {v: set() for v in set(bs.big)}
+    # each edge u < v once, in sorted order, so every adjacency set is
+    # filled in ascending order and iterates as it always has; adjacent
+    # classes differ, so only a class-1-to-class-2 edge has class sum 3
+    for u in sorted(adj):
+        for v in sorted(g.rotation[u]):
+            if v > u and v in adj and cls[u] + cls[v] != 3:
+                adj[u].add(v)
+                adj[v].add(u)
+    return Graph(adj), bs
 
 
 def h_components_2connected(h: Graph) -> bool:

@@ -124,21 +124,21 @@ class CutPair:
 def is_multi4(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
     """True iff every simple cycle has length congruent to 0 mod 4.
 
-    A fast necessary filter (fundamental cycle lengths; an odd cycle
-    implies an odd fundamental cycle) runs first; the complete per-block
-    cycle enumeration settles the answer.  Raises CycleCapExceeded when
-    enumeration passes `cap` cycles.
+    A fast necessary filter runs first: one depth-first pass checks the
+    fundamental cycles of a DFS forest.  In a DFS forest every non-tree
+    edge joins a vertex to one of its ancestors, so the fundamental cycle
+    of a back edge u-w is depth[u] - depth[w] + 1 long (see
+    `_fundamental_cycles_ok`); an odd cycle implies an odd fundamental
+    cycle.  The complete per-block cycle enumeration settles the answer.
+    Raises CycleCapExceeded when enumeration passes `cap` cycles.
     """
-    if g.m < g.n:
-        if g.is_acyclic():
-            return True
     if not _fundamental_cycles_ok(g):
         return False
     blocks, _ = g.blocks()
     for comp in blocks:
         if len(comp) < 3:
             continue
-        sub = g.subgraph(comp)
+        sub = g if len(comp) == g.n else g.subgraph(comp)
         for cyc in sub.simple_cycles(cap=cap):
             if len(cyc) % 4 != 0:
                 return False
@@ -146,39 +146,34 @@ def is_multi4(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
 
 
 def _fundamental_cycles_ok(g: Graph) -> bool:
+    """Every fundamental cycle of a DFS forest of g has length 0 mod 4.
+
+    Lemma: a depth-first forest has no cross edges, so each non-tree edge
+    u-w joins u to a proper ancestor w, and its fundamental cycle is the
+    tree path from w down to u plus the edge: depth[u] - depth[w] + 1
+    edges.  Seen from u, w is a visited neighbour with depth[w] <
+    depth[u] - 1 (u's parent is the only ancestor one level up), and each
+    back edge is seen from its lower end exactly once.
+    """
     depth: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-    tree_edges = set()
-    for comp in g.components():
-        root = min(comp)
-        depth[root] = 0
-        parent[root] = None
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w not in depth:
-                    depth[w] = depth[u] + 1
-                    parent[w] = u
-                    tree_edges.add(frozenset((u, w)))
-                    stack.append(w)
-    for u, v in g.edges():
-        if frozenset((u, v)) in tree_edges:
+    for root in g.adj:
+        if root in depth:
             continue
-        # tree path length via the lowest common ancestor
-        a, b, la, lb = u, v, depth[u], depth[v]
-        length = 1
-        while la > lb:
-            a, la = parent[a], la - 1
-            length += 1
-        while lb > la:
-            b, lb = parent[b], lb - 1
-            length += 1
-        while a != b:
-            a, b = parent[a], parent[b]
-            length += 2
-        if length % 4 != 0:
-            return False
+        depth[root] = 0
+        stack = [(root, iter(g.adj[root]))]
+        while stack:
+            u, it = stack[-1]
+            du = depth[u]
+            for w in it:
+                dw = depth.get(w)
+                if dw is None:
+                    depth[w] = du + 1
+                    stack.append((w, iter(g.adj[w])))
+                    break
+                if dw < du - 1 and (du - dw + 1) % 4:
+                    return False
+            else:
+                stack.pop()
     return True
 
 

@@ -171,57 +171,59 @@ class Graph:
         """Biconnected components and cut vertices (iterative Hopcroft-Tarjan).
 
         Bridges come out as 2-vertex blocks; an isolated vertex is its own
-        single-vertex block.
+        single-vertex block.  The depth-first walk keeps a stack of
+        vertices: when a child u of p finishes with low[u] >= disc[p], the
+        vertices above u on that stack, u and p form one block.  The list
+        order follows the walk; the blocks and cut vertices do not depend
+        on it.
         """
         disc: dict[int, int] = {}
         low: dict[int, int] = {}
         comp_list: list[set[int]] = []
         cut: set[int] = set()
-        timer = 0
         for root in self.adj:
             if root in disc:
                 continue
             if not self.adj[root]:
                 comp_list.append({root})
                 continue
-            stack: list[Edge] = []
+            disc[root] = low[root] = len(disc)
+            vstack = [root]
+            call = [(root, iter(self.adj[root]))]
             root_children = 0
-            disc[root] = low[root] = timer
-            timer += 1
-            call = [(root, None, iter(sorted(self.adj[root])))]
             while call:
-                u, p, it = call[-1]
-                advanced = False
+                u, it = call[-1]
+                low_u = low[u]
                 for w in it:
-                    if w == p:
-                        continue
-                    if w not in disc:
-                        stack.append((u, w))
-                        disc[w] = low[w] = timer
-                        timer += 1
-                        call.append((w, u, iter(sorted(self.adj[w]))))
-                        advanced = True
+                    dw = disc.get(w)
+                    if dw is None:
+                        low[u] = low_u   # the child lowers it further
+                        disc[w] = low[w] = len(disc)
+                        vstack.append(w)
+                        call.append((w, iter(self.adj[w])))
                         break
-                    elif disc[w] < disc[u]:
-                        stack.append((u, w))
-                        low[u] = min(low[u], disc[w])
-                if advanced:
-                    continue
-                call.pop()
-                if p is not None:
-                    low[p] = min(low[p], low[u])
-                    if low[u] >= disc[p]:
-                        if p == root:
-                            root_children += 1
-                        comp = set()
+                    # the tree edge to u's parent lowers low[u] to at most
+                    # disc[parent], which the test below allows
+                    if dw < low_u:
+                        low_u = dw
+                else:
+                    call.pop()
+                    if not call:
+                        continue
+                    p = call[-1][0]
+                    if low_u < low[p]:
+                        low[p] = low_u
+                    if low_u >= disc[p]:
+                        comp = {p}
                         while True:
-                            a, b = stack.pop()
-                            comp.add(a)
-                            comp.add(b)
-                            if (a, b) == (p, u):
+                            x = vstack.pop()
+                            comp.add(x)
+                            if x == u:
                                 break
                         comp_list.append(comp)
-                        if p != root:
+                        if p == root:
+                            root_children += 1
+                        else:
                             cut.add(p)
             if root_children > 1:
                 cut.add(root)
@@ -240,28 +242,40 @@ class Graph:
         """Yield every simple cycle exactly once (as a vertex list).
 
         Each cycle is rooted at its minimum vertex with its second vertex
-        smaller than its last (direction dedup).  Raises CycleCapExceeded
-        once more than `cap` cycles have been produced.
+        smaller than its last (direction dedup).  Roots are taken in
+        ascending order and each path grows through neighbours in
+        ascending order; a cycle is yielded as its last vertex joins the
+        path.  Raises CycleCapExceeded once more than `cap` cycles have
+        been produced.
+
+        One path and its vertex set are extended and backtracked in place,
+        with one iterator over each path vertex's sorted neighbours.  A
+        path never leaves the root through its largest neighbour: the
+        cycle would have to come back through a larger one.
         """
         count = 0
-        order = self.vertices
-        for root in order:
+        nbrs = {v: sorted(nb) for v, nb in self.adj.items()}
+        for root in sorted(nbrs):
             # paths rooted at `root` that only use vertices > root
-            allowed = {v for v in self.adj if v > root}
-            stack: list[tuple[int, list[int], set[int]]] = [(root, [root], set())]
+            up = [w for w in nbrs[root] if w > root]
+            path = [root]
+            on_path = {root}
+            stack = [iter(up[:-1])]
             while stack:
-                u, path, used = stack.pop()
-                for w in sorted(self.adj[u], reverse=True):
-                    if w == root and len(path) >= 3:
-                        if path[1] < path[-1]:
+                for w in stack[-1]:
+                    if w > root and w not in on_path:
+                        path.append(w)
+                        on_path.add(w)
+                        if len(path) >= 3 and path[1] < w and root in self.adj[w]:
                             count += 1
                             if count > cap:
-                                raise CycleCapExceeded(
-                                    f"more than {cap} simple cycles"
-                                )
+                                raise CycleCapExceeded(f"more than {cap} simple cycles")
                             yield list(path)
-                    elif w in allowed and w not in used:
-                        stack.append((w, path + [w], used | {w}))
+                        stack.append(iter(nbrs[w]))
+                        break
+                else:
+                    stack.pop()
+                    on_path.discard(path.pop())
 
     # --- degree-2 chains -------------------------------------------------
 

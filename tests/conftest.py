@@ -13,6 +13,7 @@ from dualham.gen import gen_bipyramid, gen_even_triangulations, gen_multi4
 from dualham.structure import is_multi4
 from dualham.treesplit import bipyramid_poles
 from dualham.ugraph import Graph
+from lemmas import ear_grown_members
 from oracles import golden_two_squares, load_catalog
 
 DATA = Path(__file__).parent / "data"
@@ -150,3 +151,18 @@ def glued_graphs():
                     if is_multi4(g) and g.is_biconnected():
                         out.append(g)
     return out
+
+
+@pytest.fixture(scope="session")
+def ear_grown() -> list[Graph]:
+    """Every 2-connected family member on at most 14 vertices (117 graphs)."""
+    pytest.importorskip("networkx")
+    return ear_grown_members(14)
+
+
+@pytest.fixture(scope="session")
+def atlas() -> list[Graph]:
+    """Every graph on at most 7 vertices, one per isomorphism class: the
+    1,253 graphs of the networkx atlas."""
+    nx = pytest.importorskip("networkx")
+    return [Graph.from_edges(h.edges(), h.nodes()) for h in nx.graph_atlas_g()]

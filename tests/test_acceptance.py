@@ -279,6 +279,19 @@ def _count_hamilton_by_permutation(g: Graph) -> int:
     return count // 2
 
 
+def test_criterion_10_atlas_oracle_agreement(atlas):
+    # family membership vs naive cycle enumeration on every graph with at
+    # most 7 vertices, up to isomorphism
+    members = 0
+    for g in atlas:
+        naive = all(len(c) % 4 == 0 for c in naive_all_cycles(g))
+        assert is_multi4(g) == naive, g.edges()
+        members += naive
+    # 128 with a vertex, and the empty graph
+    _line(10, members == 129, f"membership oracle agreement on all {len(atlas)} atlas "
+          f"graphs, {members} of them in the family (expect 129)")
+
+
 def test_criterion_10_oracle_agreement(hgraphs):
     # family membership vs naive cycle enumeration: exhaustive over every
     # labelled graph on <= 5 vertices, plus the generated corpus (n <= 12

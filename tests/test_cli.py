@@ -103,11 +103,13 @@ class TestCheck:
     (["check", "--family", "even-tri"], b"\xff" + b'{"n": 0, "rotation": []}'),
     (["check", "--family", "even-tri"], "[" * 200000),
     (["color"], '{"edges": ' + "[" * 200000),
+    (["--cap=0", "check", "--family", "multi4"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}'),
+    (["--cap=-3", "check", "--family", "multi4"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}'),
 ], ids=["not-an-object", "rotation-not-a-list", "row-not-a-list", "a-not-an-object",
         "a-colour-7", "a-adjacent-alpha", "a-vertex-not-in-graph", "a-adjacent-beta",
         "a-colour-true", "a-vertex-not-an-int", "color-edge-end-float", "edge-end-float", "edge-end-string",
         "edge-end-string-and-bool", "edge-end-false", "gen-multi4-size-3", "not-utf8",
-        "nested-too-deep", "color-nested-too-deep"])
+        "nested-too-deep", "color-nested-too-deep", "cap-0", "cap-minus-3"])
 def test_malformed_input_exits_2(capsys, tmp_path, command, text):
     """Bad input file (text, or bytes that are not UTF-8), or (text None)
     a bad option of a file-less command."""
@@ -118,10 +120,22 @@ def test_malformed_input_exits_2(capsys, tmp_path, command, text):
             p.write_bytes(text)
         else:
             p.write_text(text)
-        argv = [command[0], str(p), *command[1:]]
+        # the file follows the subcommand; global options come before it
+        at = next(i for i, word in enumerate(command) if not word.startswith("-")) + 1
+        argv = [*command[:at], str(p), *command[at:]]
     code, rows, err = run(capsys, argv)
     assert code == 2 and not rows
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cap_below_one_rejected_before_any_work(capsys, tmp_path, cap):
+    # a path has no cycle, so no enumeration could trip over the budget
+    p = tmp_path / "path.json"
+    p.write_text(json.dumps({"edges": [[0, 1], [1, 2]]}))
+    code, rows, err = run(capsys, ["--cap", cap, "check", str(p), "--family", "multi4"])
+    assert code == 2 and not rows
+    assert err == f"error: --cap must be at least 1, got {cap}\n"
 
 
 class TestColor:
@@ -372,6 +386,22 @@ class TestGenAndSurvey:
                                        "--jobs", jobs])
         assert code == 2 and not rows
         assert "error: --jobs must be at least 1" in err
+
+    @pytest.mark.parametrize("family, option, value", [
+        ("even-tri", "--n-max", "3"), ("even-tri", "--n-max", "17"),
+        ("barnette-hypothesis", "--n-max", "3"), ("barnette-hypothesis", "--n-max", "17"),
+        ("multi4", "--count", "0"), ("multi4", "--count", "-2"),
+    ])
+    def test_survey_checks_sizes_before_generating(self, capsys, monkeypatch,
+                                                   family, option, value):
+        def generate(*args):
+            raise AssertionError("generated before the sizes were checked")
+
+        monkeypatch.setattr(cli.gen, "gen_even_triangulations", generate)
+        monkeypatch.setattr(cli.gen, "gen_multi4", generate)
+        code, rows, err = run(capsys, ["survey", "--family", family, option, value])
+        assert code == 2 and not rows
+        assert err.startswith(f"error: {option} must be") and "Traceback" not in err
 
     def test_survey_starts_no_more_workers_than_tasks(self, capsys, monkeypatch):
         asked = []

@@ -1,5 +1,6 @@
 """The cycle-free beta colouring: construction, pins, and the verifier."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -259,6 +260,45 @@ def test_matches_reference_on_golden_h():
             an = _analyse(EmbeddedGraph.build(json.loads(line)["rotation"]))
             bp = TypedBipartition(alpha=frozenset(an.a), beta=an.bs.b_of(3))
             _assert_matches_reference(an.h, bp, an.a)
+
+
+# sha256 of every colour map below, taken before the cycle and block walks
+# became one-pass; a changed colouring anywhere changes it
+COLOUR_MAPS_SHA256 = "d9ada144197bad25825782989cafe38e71ad05bef05fbe4c7b068f04aba66d37"
+
+
+def test_colour_maps_unchanged(hgraphs, glued_graphs, ear_grown):
+    """Every pin in both colours, and every opposite beta pair of a 4-cycle
+    both ways round, under the alternating alpha colouring: on `hgraphs`,
+    and on the glued and ear-grown members in both typings.  Every graph
+    here is a member, so the family check is left to its own tests."""
+    typed = [(g, bipartition_typed(g)) for g in hgraphs]
+    for g in glued_graphs + ear_grown:
+        typed += [(g, bipartition_typed(g)), (g, swapped(bipartition_typed(g)))]
+    digest = hashlib.sha256()
+    calls = 0
+
+    def record(head, colour):
+        nonlocal calls
+        out = _outcome(colour)
+        out = sorted(out.items()) if isinstance(out, dict) else out.__name__
+        digest.update(f"{head}: {out}\n".encode())
+        calls += 1
+
+    for g, bp in typed:
+        a = alternating(bp)
+        graph = f"{g.edges()} alpha {sorted(bp.alpha)}"
+        for pin in sorted(bp.beta):
+            for c in (1, 2):
+                record(f"{graph} pin {pin}={c}",
+                       lambda: color_beta(g, bp, a, pin, c, check_family=False).colour_of)
+        for v, y in itertools.combinations(sorted(bp.beta), 2):
+            if len(g.adj[v] & g.adj[y]) < 2:
+                continue
+            for c in (1, 2):
+                record(f"{graph} pair {v},{y}={c}",
+                       lambda: color_beta_4cycle(g, bp, a, v, y, c, check_family=False).colour_of)
+    assert (calls, digest.hexdigest()) == (34076, COLOUR_MAPS_SHA256)
 
 
 def square_chain(k: int) -> Graph:

@@ -10,6 +10,7 @@ from dualham.errors import NoCutPath, NotBipartite
 from dualham.structure import (
     PathRec,
     TypedBipartition,
+    _fundamental_cycles_ok,
     bipartition_typed,
     cut_path_candidates,
     cuts_graph,
@@ -20,7 +21,6 @@ from dualham.structure import (
 from dualham.ugraph import Graph
 from lemmas import (
     cpath_type_check,
-    ear_grown_members,
     heavy_4cycle_check,
     opposite_corners_check,
     opposite_pairs,
@@ -58,6 +58,66 @@ class TestMembership:
         for g in (cycle(4), cycle(6), cycle(8), k34(), two_squares):
             naive = all(len(c) % 4 == 0 for c in naive_all_cycles(g))
             assert is_multi4(g) == naive
+
+
+def _reference_fundamental_cycles_ok(g: Graph) -> bool:
+    """Reference for `_fundamental_cycles_ok`: a search tree with its edge
+    set, then the lowest-common-ancestor walk for each sorted edge."""
+    depth: dict[int, int] = {}
+    parent: dict[int, int | None] = {}
+    tree_edges = set()
+    for comp in g.components():
+        root = min(comp)
+        depth[root] = 0
+        parent[root] = None
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w in g.adj[u]:
+                if w not in depth:
+                    depth[w] = depth[u] + 1
+                    parent[w] = u
+                    tree_edges.add(frozenset((u, w)))
+                    stack.append(w)
+    for u, v in g.edges():
+        if frozenset((u, v)) in tree_edges:
+            continue
+        a, b, la, lb = u, v, depth[u], depth[v]
+        length = 1
+        while la > lb:
+            a, la = parent[a], la - 1
+            length += 1
+        while lb > la:
+            b, lb = parent[b], lb - 1
+            length += 1
+        while a != b:
+            a, b = parent[a], parent[b]
+            length += 2
+        if length % 4 != 0:
+            return False
+    return True
+
+
+def test_fundamental_cycle_filter_against_reference(atlas, hgraphs):
+    """Both filters are necessary conditions over different spanning
+    forests: both pass every member and fail every graph with an odd
+    cycle, and a graph the DFS filter fails is outside the family."""
+    counts = Counter()
+    population = [(g, all(len(c) % 4 == 0 for c in naive_all_cycles(g))) for g in atlas]
+    population += [(g, True) for g in hgraphs]
+    for g, member in population:
+        try:
+            bipartition_typed(g)
+            bipartite = True
+        except NotBipartite:
+            bipartite = False
+        got = _fundamental_cycles_ok(g)
+        if member or not bipartite:
+            assert got == _reference_fundamental_cycles_ok(g) == member, g.edges()
+        else:
+            counts[got] += 1
+    # bipartite non-members: the filter rejects some, enumeration the rest
+    assert counts[False] > 0 and counts[True] > 0
 
 
 class TestBipartition:
@@ -141,12 +201,6 @@ class TestOppositeCorners:
 
 
 # --- every 2-connected member up to 14 vertices --------------------------
-
-
-@pytest.fixture(scope="module")
-def ear_grown():
-    pytest.importorskip("networkx")
-    return ear_grown_members(14)
 
 
 def test_ear_grown_member_counts(ear_grown):
