@@ -279,57 +279,79 @@ def canonical_form(g: EmbeddedGraph) -> tuple:
     """Label-independent code of the embedding, up to reflection.
 
     Minimum over all root directed edges and both orientations of a BFS
-    relabelling code.
+    relabelling code, found row by row (`_min_starts`).  Every code has n
+    rows (the graph is connected) and codes compare row by row, so keeping
+    only the starts whose row i is least, for i = 0, 1, ..., gives the same
+    minimum as comparing whole codes.
     """
-    best = None
-    # the code starts with the root's rotation tuple, and a shorter tuple
-    # sorts before any extension of it, so only minimum-degree roots can win
-    min_deg = min(len(nb) for nb in g.rotation)
-    for rot in (g.rotation, tuple(nb[::-1] for nb in g.rotation)):
+    return _min_starts(g.rotation)[0]
+
+
+def automorphisms(g: EmbeddedGraph) -> list[tuple[int, ...]]:
+    """Every automorphism of the embedding, reflections included, as a
+    vertex map `s` with `s[x]` the image of x; the identity comes first.
+
+    The starts that `_min_starts` keeps are exactly the automorphisms: an
+    automorphism keeps degrees, so it maps a winning start to a minimum-
+    degree start with the same code, and two starts with the same code
+    label the rotations alike, so the map `order_s[pos_0[x]]` from the
+    first survivor's labelling to survivor s's is one.  It is a reflection
+    when s uses the other orientation.  On a path or a cycle both
+    orientations of one root edge give the same labelling, so the maps
+    are deduplicated.
+    """
+    _, orders = _min_starts(g.rotation)
+    pos = [0] * g.n
+    for j, x in enumerate(orders[0]):
+        pos[x] = j
+    return list(dict.fromkeys(tuple(order[p] for p in pos) for order in orders))
+
+
+def _min_starts(rotation: Sequence[Sequence[int]]) -> tuple[tuple, list[list[int]]]:
+    """The least BFS code and the BFS orders of the starts that give it.
+
+    A start is a root of minimum degree, its first neighbour and an
+    orientation: the code starts with the root's rotation tuple, and a
+    shorter tuple sorts before any extension of it, so only minimum-degree
+    roots can win.  Row i lists the labels of the i-th reached vertex's
+    neighbours, starting from the one it was reached from; a label is fixed
+    when its vertex is first reached, so row i is final once that vertex
+    is scanned.  Row i of every surviving start is computed, and only the
+    starts whose row i is least survive to row i + 1.
+    """
+    n = len(rotation)
+    min_deg = min(len(nb) for nb in rotation)
+    starts = []     # (rotation, label, entry, BFS order) per start
+    for rot in (rotation, tuple(nb[::-1] for nb in rotation)):
         for v, nb in enumerate(rot):
             if len(nb) != min_deg:
                 continue
             for u in nb:
-                code = _code_from(rot, v, u, best)
-                if code is not None:
-                    best = code
-    return best
-
-
-def _code_from(
-    rotation: Sequence[Sequence[int]], root: int, first: int, best: tuple | None
-) -> tuple | None:
-    """BFS code from the directed edge (root, first), or None unless it sorts
-    before `best`.
-
-    Row i lists the labels of vertex i's neighbours, starting from the one
-    it was reached from.  A label is fixed when its vertex is first reached,
-    so row i is final once vertex i is scanned and is compared with best[i]
-    at once: a larger row abandons the code, a smaller one ends comparing.
-    """
-    n = len(rotation)
-    label = [-1] * n
-    entry = [0] * n
-    label[root], label[first] = 0, 1
-    entry[root], entry[first] = first, root
-    order = [root, first]
+                label = [-1] * n
+                entry = [0] * n
+                label[v], label[u] = 0, 1
+                entry[v], entry[u] = u, v
+                starts.append((rot, label, entry, [v, u]))
     code = []
-    smaller = best is None
-    for v in order:     # grows while it is scanned: this is the BFS queue
-        nb = rotation[v]
-        k = nb.index(entry[v])
-        row = []
-        for w in nb[k:] + nb[:k]:
-            if label[w] < 0:
-                label[w] = len(order)
-                entry[w] = v
-                order.append(w)
-            row.append(label[w])
-        row = tuple(row)
-        if not smaller:
-            other = best[len(code)]
-            if row > other:
-                return None
-            smaller = row < other
-        code.append(row)
-    return tuple(code) if smaller else None
+    for i in range(n):
+        best = None
+        for s in starts:
+            rot, label, entry, order = s
+            v = order[i]    # the order grows while it is scanned: the BFS queue
+            nb = rot[v]
+            k = nb.index(entry[v])
+            row = []
+            for w in nb[k:] + nb[:k]:
+                if label[w] < 0:
+                    label[w] = len(order)
+                    entry[w] = v
+                    order.append(w)
+                row.append(label[w])
+            if best is None or row < best:
+                best = row
+                keep = [s]
+            elif row == best:
+                keep.append(s)
+        starts = keep
+        code.append(tuple(best))
+    return tuple(code), [s[3] for s in starts]

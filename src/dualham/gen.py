@@ -15,6 +15,7 @@ from typing import Iterator
 from .embed import (
     EmbeddedGraph,
     TriPartition,
+    automorphisms,
     canonical_form,
     classify_big_small,
     is_even_triangulation,
@@ -31,7 +32,11 @@ from .errors import (
 from .structure import is_multi4
 from .ugraph import Graph
 
-MAX_TRI_N = 16
+# Generation holds every class of the level it builds, about 11 KB each
+# (max RSS rose 84 MB for the 7,595 at n = 12).  A000109 gives about 2.4 M
+# classes at n = 15 and 17.5 M at n = 16, some 26 GB and 190 GB, so those
+# sizes would run out of memory instead of ending in an exit code.
+MAX_TRI_N = 14
 
 
 def gen_bipyramid(l: int) -> EmbeddedGraph:
@@ -102,8 +107,17 @@ def gen_triangulations(n: int) -> list[EmbeddedGraph]:
 
     Expansion by vertex splitting from the tetrahedron; every simple plane
     triangulation with more than four vertices contracts some edge, so the
-    closure is complete.  Counts for n = 4..11 match the simplicial
-    polyhedron numbers 1, 1, 2, 5, 14, 50, 233, 1249 (OEIS A000109).
+    closure is complete.  Counts for n = 4..12 match the simplicial
+    polyhedron numbers 1, 1, 2, 5, 14, 50, 233, 1249, 7595 (OEIS A000109).
+
+    One split per automorphism orbit: a split of v is named by v and the
+    unordered pair {a, b} of the two neighbours it shares with the new
+    vertex.  An automorphism σ of the parent maps split(v, {a, b}) to
+    split(σv, {σa, σb}), up to reflection, and `canonical_form` identifies
+    reflections, so a split that is the image of one already tried on
+    this parent would only copy an earlier candidate.  It is skipped.  The
+    first candidate of each class is never such a copy, so the kept list,
+    its order and its rotations are those of trying every split.
 
     Deduplicate, then validate: a candidate is built with
     `EmbeddedGraph.build` only when its canonical form is new, and that
@@ -119,12 +133,20 @@ def gen_triangulations(n: int) -> list[EmbeddedGraph]:
         seen: set[tuple] = set()
         nxt: list[EmbeddedGraph] = []
         for g in level:
-            for v in range(g.n):
-                deg = g.degree(v)
+            autos = automorphisms(g)
+            tried: set[tuple[int, int, int]] = set()    # (v, a, b) with a < b
+            for v, nb in enumerate(g.rotation):
+                deg = len(nb)
                 # (i, j) and (j, i) swap the two halves, giving isomorphic
                 # results, so ordered pairs would double the work
                 for i in range(deg):
                     for j in range(i + 1, deg):
+                        a, b = nb[i], nb[j]
+                        if ((v, a, b) if a < b else (v, b, a)) in tried:
+                            continue
+                        for s in autos:
+                            x, y = s[a], s[b]
+                            tried.add((s[v], x, y) if x < y else (s[v], y, x))
                         h = split_vertex(g, v, i, j)
                         code = canonical_form(h)
                         if code not in seen:

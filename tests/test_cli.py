@@ -315,6 +315,22 @@ class TestGenAndSurvey:
         code, _, _ = run(capsys, ["gen", "--family", "even-tri", "--size", "99"])
         assert code == 2
 
+    def test_sizes_past_max_tri_n_exit_2_without_generating(self, capsys, monkeypatch):
+        # n = 15 has about 2.4 M triangulations: more classes than memory holds
+        def generate(*args):
+            raise AssertionError("generated a size past MAX_TRI_N")
+
+        monkeypatch.setattr(cli.gen, "gen_triangulations", generate)
+        monkeypatch.setattr(cli.gen, "gen_even_triangulations", generate)
+        code, rows, err = run(capsys, ["survey", "--family", "even-tri", "--n-max", "15"])
+        assert code == 2 and not rows
+        assert err.startswith("error: --n-max must be in [4, 14]")
+        monkeypatch.undo()
+        monkeypatch.setattr(cli.gen, "gen_triangulations", generate)
+        code, rows, err = run(capsys, ["gen", "--family", "even-tri", "--size", "15"])
+        assert code == 2 and not rows
+        assert err.startswith("error: SizeOutOfRange") and "Traceback" not in err
+
     def test_survey_even_tri(self, capsys):
         code, rows, _ = run(
             capsys, ["survey", "--family", "even-tri", "--n-max", "8"]

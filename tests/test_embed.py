@@ -7,6 +7,7 @@ import pytest
 from dualham.embed import (
     EmbeddedGraph,
     TriPartition,
+    automorphisms,
     canonical_form,
     classify_big_small,
     dual,
@@ -20,7 +21,7 @@ from dualham.errors import (
     NotEvenTriangulation,
 )
 from dualham import embed, gen
-from dualham.gen import TETRAHEDRON, gen_bipyramid, gen_triangulations
+from dualham.gen import TETRAHEDRON, gen_bipyramid, gen_triangulations, split_vertex
 from dualham.ugraph import norm_edge
 
 
@@ -244,6 +245,76 @@ def _reference_code_from(g: EmbeddedGraph, root: int, first: int) -> tuple:
     return tuple(code)
 
 
+def _reference_canonical_form_early_exit(g: EmbeddedGraph) -> tuple:
+    """Reference: the minimum of BFS codes, one start at a time, each
+    abandoned at its first row larger than the best so far, as canonical
+    forms were computed before the starts were filtered row by row."""
+    best = None
+    min_deg = min(len(nb) for nb in g.rotation)
+    for rot in (g.rotation, tuple(nb[::-1] for nb in g.rotation)):
+        for v, nb in enumerate(rot):
+            if len(nb) != min_deg:
+                continue
+            for u in nb:
+                code = _reference_code_from_early_exit(rot, v, u, best)
+                if code is not None:
+                    best = code
+    return best
+
+
+def _reference_code_from_early_exit(rotation, root: int, first: int, best):
+    """BFS code from the directed edge (root, first), or None unless it sorts
+    before `best`."""
+    n = len(rotation)
+    label = [-1] * n
+    entry = [0] * n
+    label[root], label[first] = 0, 1
+    entry[root], entry[first] = first, root
+    order = [root, first]
+    code = []
+    smaller = best is None
+    for v in order:
+        nb = rotation[v]
+        k = nb.index(entry[v])
+        row = []
+        for w in nb[k:] + nb[:k]:
+            if label[w] < 0:
+                label[w] = len(order)
+                entry[w] = v
+                order.append(w)
+            row.append(label[w])
+        row = tuple(row)
+        if not smaller:
+            other = best[len(code)]
+            if row > other:
+                return None
+            smaller = row < other
+        code.append(row)
+    return tuple(code) if smaller else None
+
+
+def _split_candidates_up_to(n_max: int):
+    """Every split candidate on at most n_max vertices, from every
+    triangulation the generator keeps."""
+    for n in range(4, n_max):
+        for g in gen_triangulations(n):
+            for v in range(n):
+                for i in range(g.degree(v)):
+                    for j in range(i + 1, g.degree(v)):
+                        yield split_vertex(g, v, i, j)
+
+
+def test_canonical_form_matches_both_references_on_split_candidates():
+    checked = 0
+    for h in _split_candidates_up_to(8):
+        for x in (h, h.mirror()):
+            code = canonical_form(x)
+            assert code == _reference_canonical_form(x)
+            assert code == _reference_canonical_form_early_exit(x)
+            checked += 1
+    assert checked == 2 * 372
+
+
 def test_canonical_form_matches_reference():
     rng = random.Random(20)
     checked = 0
@@ -261,17 +332,23 @@ def test_canonical_form_matches_reference():
     assert checked == 6 * (1 + 1 + 2 + 5 + 14 + 50)
 
 
+def _path_and_cycle():
+    path = EmbeddedGraph.build([(1,), (0, 2), (1, 3), (2,)])
+    cycle = EmbeddedGraph.build([((i + 1) % 5, (i - 1) % 5) for i in range(5)])
+    return path, cycle
+
+
 def test_canonical_form_matches_reference_off_triangulations(octahedron):
     # plane graphs that are not triangulations: roots of degree 1 (a path),
     # 2 (a cycle) and 3 (a wheel, the cube, cubic duals)
-    path = EmbeddedGraph.build([(1,), (0, 2), (1, 3), (2,)])
-    cycle = EmbeddedGraph.build([((i + 1) % 5, (i - 1) % 5) for i in range(5)])
+    path, cycle = _path_and_cycle()
     wheel = EmbeddedGraph.build(
         [((i + 1) % 5, 5, (i - 1) % 5) for i in range(5)] + [tuple(range(5))])
     graphs = [path, cycle, wheel, dual(octahedron).graph]
     graphs += [dual(g).graph for g in gen_triangulations(8)]
     for g in graphs + [g.mirror() for g in graphs]:
         assert canonical_form(g) == _reference_canonical_form(g)
+        assert canonical_form(g) == _reference_canonical_form_early_exit(g)
 
 
 def test_gen_triangulations_unchanged_under_reference_dedup(monkeypatch):
@@ -279,6 +356,97 @@ def test_gen_triangulations_unchanged_under_reference_dedup(monkeypatch):
     monkeypatch.setattr(gen, "canonical_form", _reference_canonical_form)
     want = [g.rotation for g in gen_triangulations(9)]
     assert got == want
+
+
+def _is_cyclic_shift(a: tuple, b: tuple) -> bool:
+    return any(a == b[k:] + b[:k] for k in range(len(b)))
+
+
+def _reflects(g: EmbeddedGraph, s: tuple[int, ...]) -> bool | None:
+    """False if s carries every rotation onto its image's rotation, True if
+    onto its image's reversed rotation, None if neither."""
+    for reflect in (False, True):
+        if all(_is_cyclic_shift(tuple(s[u] for u in nb),
+                                g.rotation[s[v]][::-1] if reflect else g.rotation[s[v]])
+               for v, nb in enumerate(g.rotation)):
+            return reflect
+    return None
+
+
+def _brute_force_automorphisms(g: EmbeddedGraph) -> set[tuple[int, ...]]:
+    """Every map that sends the dart (0, first) to some dart, in either
+    orientation, extends along the rotations and is a bijection."""
+    r0, f0 = 0, g.rotation[0][0]
+    found = set()
+    for reflect in (False, True):
+        rot = [nb[::-1] for nb in g.rotation] if reflect else g.rotation
+        for v in range(g.n):
+            for u in g.rotation[v]:
+                s, entry = {r0: v, f0: u}, {r0: f0, f0: r0}
+                queue, ok = [r0, f0], True
+                for x in queue:
+                    nb, img = g.rotation[x], rot[s[x]]
+                    if len(nb) != len(img):
+                        ok = False
+                        break
+                    k, k2 = nb.index(entry[x]), img.index(s[entry[x]])
+                    for t in range(len(nb)):
+                        y, z = nb[(k + t) % len(nb)], img[(k2 + t) % len(img)]
+                        if y not in s:
+                            s[y], entry[y] = z, x
+                            queue.append(y)
+                        elif s[y] != z:
+                            ok = False
+                    if not ok:
+                        break
+                if ok and len(set(s.values())) == g.n:
+                    found.add(tuple(s[x] for x in range(g.n)))
+    return found
+
+
+def test_automorphism_group_sizes(octahedron, bipyramid6):
+    path, cycle = _path_and_cycle()
+    tetrahedron = EmbeddedGraph.build(TETRAHEDRON)
+    cube = dual(octahedron).graph
+    sizes = [len(automorphisms(g)) for g in (tetrahedron, octahedron, bipyramid6, cube,
+                                             cycle, path)]
+    assert sizes == [24, 48, 24, 48, 10, 2]
+    # half of each group reverses the rotations
+    for g in (tetrahedron, octahedron, bipyramid6, cube):
+        assert 2 * sum(_reflects(g, s) for s in automorphisms(g)) == len(automorphisms(g))
+
+
+def test_automorphisms_carry_rotations_onto_rotations(octahedron, bipyramid6):
+    path, cycle = _path_and_cycle()
+    graphs = [EmbeddedGraph.build(TETRAHEDRON), octahedron, bipyramid6,
+              dual(octahedron).graph, cycle, path] + gen_triangulations(8)
+    for g in graphs:
+        autos = automorphisms(g)
+        assert autos[0] == tuple(range(g.n))
+        assert len(set(autos)) == len(autos)
+        for s in autos:
+            assert sorted(s) == list(range(g.n))
+            assert _reflects(g, s) is not None
+
+
+def test_automorphisms_match_brute_force():
+    checked = 0
+    for n in range(4, 9):
+        for g in gen_triangulations(n):
+            autos = automorphisms(g)
+            assert set(autos) == _brute_force_automorphisms(g)
+            checked += 1
+    assert checked == 1 + 1 + 2 + 5 + 14
+
+
+def test_automorphism_group_size_is_label_and_mirror_invariant(bipyramid6):
+    rng = random.Random(22)
+    for g in [bipyramid6] + gen_triangulations(8):
+        size = len(automorphisms(g))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert len(automorphisms(EmbeddedGraph.build(_permute(g, perm)))) == size
+        assert len(automorphisms(g.mirror())) == size
 
 
 def test_different_embeddings_distinguished(octahedron, bipyramid6):

@@ -80,10 +80,29 @@ def _reference_gen_triangulations(n):
 
 
 class TestExhaustiveTriangulations:
-    @pytest.mark.parametrize("n", range(4, 10))
+    @pytest.mark.parametrize("n", range(4, 11))
     def test_same_as_validating_every_candidate(self, n):
+        # the reference tries every split, so it also checks the orbit pruning
         want = [g.rotation for g in _reference_gen_triangulations(n)]
         assert [g.rotation for g in gen_triangulations(n)] == want
+
+    def test_one_split_per_automorphism_orbit(self, monkeypatch):
+        # every split of every parent would be 5,587 calls for n = 10;
+        # one per orbit of the parents' automorphism groups is 3,212
+        parents = [g for n in range(4, 10) for g in gen_triangulations(n)]
+        assert sum(d * (d - 1) // 2 for g in parents for d in map(len, g.rotation)) == 5587
+        calls = []
+        real = gen.split_vertex
+
+        def counted(g, v, i, j):
+            calls.append(g)
+            return real(g, v, i, j)
+
+        monkeypatch.setattr(gen, "split_vertex", counted)
+        assert len(gen_triangulations(10)) == 233
+        assert len(calls) == 3212
+        # every parent is still split at least once
+        assert len({id(g) for g in calls}) == len(parents)
 
     def test_split_of_a_triangulation_is_a_triangulation(self):
         # the lemma that lets the generator skip validating duplicates:
@@ -141,6 +160,11 @@ class TestExhaustiveTriangulations:
             gen_triangulations(3)
         with pytest.raises(SizeOutOfRange):
             gen_triangulations(17)
+        # sizes whose classes would not fit in memory are refused up front
+        with pytest.raises(SizeOutOfRange):
+            gen_triangulations(15)
+        with pytest.raises(SizeOutOfRange):
+            list(gen_even_triangulations(15))
 
     def test_catalog_instances_valid(self, catalog12):
         assert len(catalog12) == 8
