@@ -199,10 +199,10 @@ def cmd_partition(args: argparse.Namespace) -> int:
     an = treesplit._analyse(g)
     if args.with_edge:
         v, w = _parse_edge(args.with_edge)
-        part = treesplit.tree_partition_with_edge(g, v, w, analysis=an)
+        part = treesplit.tree_partition_with_edge(an, v, w)
         rep.check("edge-inside-one-side", (v in part.s) == (w in part.s))
     else:
-        part, vertex_report = treesplit.tree_partition_face_sparse(g, analysis=an)
+        part, vertex_report = treesplit.tree_partition_face_sparse(an)
         rep.result(vertex_report=vertex_report["vertices"])
         rep.check("degree-implications", vertex_report["all_ok"])
     ok = treesplit.verify_tree_partition(an.ab, part, an.bs.b_of(1), an.bs.b_of(2))
@@ -271,8 +271,8 @@ def _survey_even_tri(g_json: str) -> dict[str, Any]:
             for w in sorted(ab.adj[v]):
                 if tp.class_of[w] in (1, 2):
                     e_star = d.edge_map[(min(v, w), max(v, w))]
-                    part = treesplit.tree_partition_with_edge(g, v, w, analysis=an)
-                    cyc = duality.tree_partition_to_hamilton(g, part, d, analysis=an)
+                    part = treesplit.tree_partition_with_edge(an, v, w)
+                    cyc = duality.tree_partition_to_hamilton(g, part, d)
                     edges_ok &= e_star not in cyc.edges and duality.verify_hamilton(
                         dual_ab, cyc
                     )
@@ -283,13 +283,13 @@ def _survey_even_tri(g_json: str) -> dict[str, Any]:
         _failed(row, "avoid-edge", exc)
     if hyp:
         try:
-            part, _ = treesplit.tree_partition_face_sparse(g, analysis=an)
-            cyc = duality.tree_partition_to_hamilton(g, part, d, analysis=an)
-            avoidance = duality.face_avoidance_report(g, cyc, d, analysis=an)
-            back = duality.hamilton_to_tree_partition(g, cyc, d, analysis=an)
+            part, _ = treesplit.tree_partition_face_sparse(an)
+            cyc = duality.tree_partition_to_hamilton(g, part, d)
+            avoidance = duality.face_avoidance_report(an, cyc, d)
+            back = duality.hamilton_to_tree_partition(g, cyc, d)
             row["checks"]["face-sparse"] = avoidance.ok
             row["checks"]["round-trip"] = duality.tree_partition_to_hamilton(
-                g, back, d, analysis=an
+                g, back, d
             ).edges == cyc.edges
         except Exception as exc:
             _failed(row, "face-sparse", exc)
@@ -306,9 +306,11 @@ def _survey_multi4(seed: int) -> dict[str, Any]:
         bp = structure.bipartition_typed(g)
         a = {u: 1 + (i % 2) for i, u in enumerate(sorted(bp.alpha))}
         ok = True
+        # gen_multi4 raises NotInFamilyH rather than return a non-member,
+        # so membership is settled once for the whole row
         for pin in sorted(bp.beta):
             for colour in (1, 2):
-                b = colorizer.color_beta(g, bp, a, pin, colour)
+                b = colorizer.color_beta(g, bp, a, pin, colour, check_family=False)
                 rep = colorizer.verify_coloring(
                     g, bp, colorizer.combine(a, b.colour_of), pin, colour
                 )

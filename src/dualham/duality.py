@@ -6,6 +6,22 @@ two sides visit every face exactly once.  The correspondence runs both
 ways.  On top of it sit the two pipelines stated in terms of the cubic
 dual: a Hamilton cycle avoiding one chosen edge, and one that is sparse
 on every large face of colour 3, with a per-face report.
+
+The bond-cycle lemma, which makes the dual Hamilton check the
+correspondence's only audit (bond-cycle duality; Diestel, Graph Theory,
+section 4.6).  Let g be a connected plane graph and (S, T) a partition of
+its vertices, with cut delta(S) and dual edge set delta(S)*.
+- If g[S] and g[T] are trees, delta(S) is a bond, because both sides are
+  connected, so delta(S)* is a cycle of g*.  The trees keep n - 2 edges,
+  so the cycle has |E| - (n - 2) = f edges by Euler's formula: it passes
+  through every face.
+- If delta(S)* is a Hamilton cycle of g*, delta(S) is a bond, so both
+  sides are connected.  If g[S] had a cycle Z, some faces would lie
+  inside Z and some outside; the Hamilton cycle visits them all, so it
+  would cross Z through the dual of an edge of Z.  But no edge of Z is in
+  the cut.  So both sides are trees.
+So a partition is two induced trees exactly when its cut closes into one
+Hamilton cycle of the dual, and checking that cycle checks the partition.
 """
 
 from __future__ import annotations
@@ -21,7 +37,6 @@ from .treesplit import (
     _Analysis,
     tree_partition_face_sparse,
     tree_partition_with_edge,
-    verify_tree_partition,
 )
 from .ugraph import Graph, norm_edge
 
@@ -73,20 +88,22 @@ def _hamilton_in_rotation(d: DualGraph, h: HamiltonCycle) -> bool:
 
 
 def tree_partition_to_hamilton(
-    g: EmbeddedGraph, p: TreePartition, d: DualGraph | None = None,
-    *, analysis: _Analysis | None = None,
+    g: EmbeddedGraph, p: TreePartition, d: DualGraph
 ) -> HamiltonCycle:
     """The dual edges of the cut between the two tree sides, ordered into a
-    Hamilton cycle of the dual.  `analysis` is the caller's analysis of g,
-    if it has one; its abstract graph serves the partition check."""
-    if d is None:
-        d = dual(g)
-    ab = analysis.ab if analysis is not None else g.abstract()
-    if not verify_tree_partition(ab, p):
-        raise NotTreePartition("input sides do not induce two spanning trees")
+    Hamilton cycle of the dual d of g.
+
+    The sides need not be checked as trees: by the bond-cycle lemma they
+    are two trees exactly when the cut closes into one Hamilton cycle, so
+    a cut that is not 2-regular on the faces, or that closes early, raises
+    `NotTreePartition`, as does a pair of sides that is not an exact cover
+    of g's vertices.  `_hamilton_in_rotation` audits the returned cycle.
+    """
+    s, edge_map = p.s, d.edge_map
+    if not s.isdisjoint(p.t) or s | p.t != set(range(g.n)):
+        raise NotTreePartition("input sides are not an exact cover of the vertices")
     # each cut edge read once, from its end on the s side
     adj: list[list[int]] = [[] for _ in range(d.graph.n)]
-    s, edge_map = p.s, d.edge_map
     for v in s:
         for u in g.rotation[v]:
             if u not in s:
@@ -94,11 +111,14 @@ def tree_partition_to_hamilton(
                 adj[a].append(b)
                 adj[b].append(a)
     if any(len(nb) != 2 for nb in adj):
-        raise NotHamilton("cut does not meet every dual vertex exactly twice")
+        raise NotTreePartition("cut does not meet every face exactly twice: not two trees")
     order = [0, min(adj[0])]
     while len(order) < d.graph.n:
         a, b = adj[order[-1]]
-        order.append(a if a != order[-2] else b)
+        nxt = a if a != order[-2] else b
+        if nxt == 0:
+            raise NotTreePartition("cut closes into more than one cycle: not two trees")
+        order.append(nxt)
     h = HamiltonCycle.of(order)
     if not _hamilton_in_rotation(d, h):
         raise NotHamilton("cut edges do not close into one Hamilton cycle")
@@ -106,15 +126,12 @@ def tree_partition_to_hamilton(
 
 
 def hamilton_to_tree_partition(
-    g: EmbeddedGraph, h: HamiltonCycle, d: DualGraph | None = None,
-    *, analysis: _Analysis | None = None,
+    g: EmbeddedGraph, h: HamiltonCycle, d: DualGraph
 ) -> TreePartition:
-    """The two sides of a dual Hamilton cycle, read back through the
-    face-vertex bijection.  The side holding the lowest primal vertex
-    comes first.  `analysis` is the caller's analysis of g, if it has
-    one."""
-    if d is None:
-        d = dual(g)
+    """The two sides of a Hamilton cycle of the dual d of g, read back
+    through the face-vertex bijection.  The side holding the lowest primal
+    vertex comes first.  Both sides are trees by the bond-cycle lemma, so
+    only the cycle is checked."""
     if not _hamilton_in_rotation(d, h):
         raise NotHamilton("input is not a Hamilton cycle of the dual")
     cycle_edges = h.edges
@@ -129,11 +146,7 @@ def hamilton_to_tree_partition(
         )
     first = comps[0] if 0 in comps[0] else comps[1]
     second = comps[1] if first is comps[0] else comps[0]
-    p = TreePartition(frozenset(first), frozenset(second))
-    ab = analysis.ab if analysis is not None else g.abstract()
-    if not verify_tree_partition(ab, p):
-        raise NotHamilton("cycle sides do not induce trees (not a triangulation dual?)")
-    return p
+    return TreePartition(frozenset(first), frozenset(second))
 
 
 # --- dual statements of the two partition theorems ------------------------
@@ -169,8 +182,8 @@ def hamilton_avoiding_edge(
         )
     v = b3_ends[0]
     other = w if v == u else u
-    part = tree_partition_with_edge(g, v, other, analysis=an)
-    h = tree_partition_to_hamilton(g, part, d, analysis=an)
+    part = tree_partition_with_edge(an, v, other)
+    h = tree_partition_to_hamilton(g, part, d)
     if d.edge_map[norm_edge(u, w)] in h.edges:
         raise NotHamilton(f"cycle uses the dual edge {e_star} it should avoid")
     return h
@@ -196,16 +209,11 @@ class AvoidanceReport:
 
 
 def face_avoidance_report(
-    g: EmbeddedGraph, h: HamiltonCycle, d: DualGraph | None = None,
-    *, analysis: _Analysis | None = None,
+    an: _Analysis, h: HamiltonCycle, d: DualGraph
 ) -> AvoidanceReport:
     """Classify every dual face of colour 3 and size >= 6 against the
-    cycle: either exactly every second boundary edge is avoided, or at
-    most two are.  `analysis` is the caller's analysis of g, if it has
-    one."""
-    if d is None:
-        d = dual(g)
-    an = analysis if analysis is not None else _analyse(g)
+    cycle h of the dual d of the analysed triangulation: either exactly
+    every second boundary edge is avoided, or at most two are."""
     tp, bs = an.tp, an.bs
     cycle_edges = h.edges
     rows = []
@@ -213,7 +221,7 @@ def face_avoidance_report(
         if tp.class_of[v] != 3:
             continue
         boundary = [
-            d.edge_map[norm_edge(v, u)] for u in g.rotation[v]
+            d.edge_map[norm_edge(v, u)] for u in an.g.rotation[v]
         ]
         avoided = [i for i, e in enumerate(boundary) if e not in cycle_edges]
         size = len(boundary)
@@ -238,6 +246,6 @@ def hamilton_face_sparse(
     if d is None:
         d = dual(g)
     an = _analyse(g)
-    part, _ = tree_partition_face_sparse(g, analysis=an)
-    h = tree_partition_to_hamilton(g, part, d, analysis=an)
-    return h, face_avoidance_report(g, h, d, analysis=an)
+    part, _ = tree_partition_face_sparse(an)
+    h = tree_partition_to_hamilton(g, part, d)
+    return h, face_avoidance_report(an, h, d)

@@ -103,7 +103,6 @@ class FanPath:
     path: tuple[int, ...]
     v0: frozenset[int]   # the two vertices adjacent to every path vertex
     v1: frozenset[int]   # the two ends
-    kind: str            # "induced" or "cycle-minus-edge"
 
     @property
     def interior(self) -> tuple[int, ...]:
@@ -225,15 +224,7 @@ def fan_paths(g: EmbeddedGraph, bs: BigSmall) -> list[FanPath]:
                 q = rw[(rw.index(p) + 2) % 4]
                 if p < q:
                     path = (e0, *run, e1) if e0 < e1 else (e1, *run[::-1], e0)
-                    # the end chord, looked up in the shorter rotation
-                    if len(rot[e0]) <= len(rot[e1]):
-                        chord = e1 in rot[e0]
-                    else:
-                        chord = e0 in rot[e1]
-                    kind = "cycle-minus-edge" if chord else "induced"
-                    found.append(
-                        FanPath(path, frozenset((p, q)), frozenset((e0, e1)), kind)
-                    )
+                    found.append(FanPath(path, frozenset((p, q)), frozenset((e0, e1))))
             e0, run = e1, []
     covered = {u for fp in found for u in fp.interior}
     missing = small - covered
@@ -269,10 +260,12 @@ def families_R(
 
 @dataclass(frozen=True)
 class _Analysis:
-    """What a pipeline call derives from the triangulation alone.  Built
-    once per call and passed down; a survey row builds one and passes it
-    to each of its with-edge calls."""
+    """What the pipelines derive from the triangulation g alone.  Built
+    once per instance by `_analyse` and passed to the pipelines and the
+    solver in place of g, which it carries, so that no call can pair an
+    analysis with a different graph."""
 
+    g: EmbeddedGraph
     ab: Graph
     tp: TriPartition
     bs: BigSmall
@@ -293,7 +286,7 @@ def _analyse(g: EmbeddedGraph) -> _Analysis:
     a = {**dict.fromkeys(bs.b_of(1), 1), **dict.fromkeys(bs.b_of(2), 2)}
     poles = bipyramid_poles(g)
     paths = () if poles is not None else tuple(fan_paths(g, bs))
-    return _Analysis(g.abstract(), tp, bs, h, a, poles, paths)
+    return _Analysis(g, g.abstract(), tp, bs, h, a, poles, paths)
 
 
 def _seeds(an: _Analysis, b: Mapping[int, int]) -> PartitionConstraint:
@@ -359,11 +352,7 @@ class _Forest:
 
 
 def tree_partition_solve(
-    g: EmbeddedGraph,
-    c: PartitionConstraint,
-    *,
-    enforce_path_condition: bool = True,
-    analysis: _Analysis | None = None,
+    an: _Analysis, c: PartitionConstraint, *, enforce_path_condition: bool = True
 ) -> TreePartition:
     """Complete depth-first search for a two-tree partition extending the
     seeds.  On valid inputs a solution exists; running out of search space
@@ -386,18 +375,14 @@ def tree_partition_solve(
     of the 2n - 4 faces has two of its edges across, 2n - 4 edges cross,
     and the n - 2 edges left make forests on n vertices with exactly two
     components, one per side.
-
-    `analysis` is the calling pipeline's analysis of g; without one the
-    solver makes its own.
     """
-    an = analysis if analysis is not None else _analyse(g)
-    ab = an.ab
+    ab, n = an.ab, an.g.n
     _validate_constraint(an, c, enforce_path_condition)
     adj = ab.adj
     sides = [_Forest(), _Forest()]
-    side_of = [-1] * g.n          # -1 while free
+    side_of = [-1] * n            # -1 while free
     # assigned neighbours per vertex, kept in step with `side_of`
-    placed_nbrs = [0] * g.n
+    placed_nbrs = [0] * n
 
     def place(v: int, side: int) -> int | None:
         mark = sides[side].add(v, [w for w in adj[v] if side_of[w] == side])
@@ -420,7 +405,7 @@ def tree_partition_solve(
                 raise ConstraintInvalid(f"seed set {side} induces a cycle at {v}")
 
     # (-placed_nbrs[v], v) for every free v, and stale entries too
-    heap = [(-placed_nbrs[v], v) for v in range(g.n) if side_of[v] < 0]
+    heap = [(-placed_nbrs[v], v) for v in range(n) if side_of[v] < 0]
     heapq.heapify(heap)
 
     def push_free_neighbours(v: int) -> None:
@@ -458,7 +443,7 @@ def tree_partition_solve(
         else:
             raise SearchExhausted(
                 f"no two-tree partition extends seeds x={sorted(c.x)} y={sorted(c.y)} "
-                f"on a {g.n}-vertex triangulation (potential counterexample)"
+                f"on a {n}-vertex triangulation (potential counterexample)"
             )
     s = frozenset(u for u, side in enumerate(side_of) if side == 0)
     part = TreePartition(s, frozenset(u for u, side in enumerate(side_of) if side == 1))
@@ -792,23 +777,20 @@ def _audit_step(
 # --- pipelines -----------------------------------------------------------
 
 
-def tree_partition_with_edge(
-    g: EmbeddedGraph, v: int, w: int, *, analysis: _Analysis | None = None
-) -> TreePartition:
-    """Two induced trees with big class-1 vertices on the first side, big
-    class-2 on the second, and the edge vw kept inside one side (chosen by
-    w's class).  `analysis` is the caller's analysis of g, if it has one."""
-    an = analysis if analysis is not None else _analyse(g)
+def tree_partition_with_edge(an: _Analysis, v: int, w: int) -> TreePartition:
+    """Two induced trees of the analysed triangulation with big class-1
+    vertices on the first side, big class-2 on the second, and the edge vw
+    kept inside one side (chosen by w's class)."""
     tp, bs = an.tp, an.bs
     if v not in bs.b_of(3):
         raise BadEdge(f"vertex {v} is not a big class-3 vertex")
-    if not g.has_edge(v, w):
+    if not an.g.has_edge(v, w):
         raise BadEdge(f"{v} and {w} are not adjacent")
     # w is adjacent to a class-3 vertex, so it is of class 1 or 2
     target = tp.class_of[w]
 
     if an.poles is not None:
-        part = _bipyramid_partition(g, an.poles, tp, keep_together=(v, w))
+        part = _bipyramid_partition(an.g, an.poles, tp, keep_together=(v, w))
         if (v in part.s) != (target == 1):
             part = TreePartition(part.t, part.s)
         if not verify_tree_partition(an.ab, part):
@@ -820,7 +802,7 @@ def tree_partition_with_edge(
 
     if w in bs.big:
         b = base_coloring(an, pin=(v, target))
-        part = tree_partition_solve(g, _seeds(an, b), analysis=an)
+        part = tree_partition_solve(an, _seeds(an, b))
         return _kept_together(part, v, w)
 
     p_w = _choose_fan_path(an, v, w)
@@ -836,12 +818,12 @@ def tree_partition_with_edge(
         raise CaseUnmatched("no admissible base colouring exists")
     seeds = _seeds(an, extend_coloring_single_path(an, b, v, w, p_w))
     try:
-        part = tree_partition_solve(g, seeds, analysis=an)
+        part = tree_partition_solve(an, seeds)
     except ConstraintInvalid:
         # usually a second fan path sharing inner vertices with the chosen
         # one; the straddle rule only backs the existence argument, not the
         # solver, so retry without it
-        part = tree_partition_solve(g, seeds, enforce_path_condition=False, analysis=an)
+        part = tree_partition_solve(an, seeds, enforce_path_condition=False)
     return _kept_together(part, v, w)
 
 
@@ -859,19 +841,16 @@ def _choose_fan_path(an: _Analysis, v: int, w: int) -> FanPath:
     return p_w
 
 
-def tree_partition_face_sparse(
-    g: EmbeddedGraph, *, analysis: _Analysis | None = None
-) -> tuple[TreePartition, dict]:
-    """Two induced trees such that every big class-3 vertex keeps almost
-    all of its class-1 neighbours on the first side and class-2 on the
-    second (branching vertices of H exactly; degree-2 vertices up to the
-    two slack neighbours).  Returns the partition and a per-vertex report.
-    `analysis` is the caller's analysis of g, if it has one.
+def tree_partition_face_sparse(an: _Analysis) -> tuple[TreePartition, dict]:
+    """Two induced trees of the analysed triangulation such that every big
+    class-3 vertex keeps almost all of its class-1 neighbours on the first
+    side and class-2 on the second (branching vertices of H exactly;
+    degree-2 vertices up to the two slack neighbours).  Returns the
+    partition and a per-vertex report.
 
     Both hypotheses are checked on entry: they are the opposite-corner
     lemma's.  An audit miss moves on to the next base colouring.
     """
-    an = analysis if analysis is not None else _analyse(g)
     if not an.in_family:
         raise NotInFamilyH("a big-vertex cycle has length not 0 mod 4")
     if not h_components_2connected(an.h):
@@ -880,7 +859,7 @@ def tree_partition_face_sparse(
         )
 
     if an.poles is not None:
-        part = _bipyramid_partition(g, an.poles, an.tp)
+        part = _bipyramid_partition(an.g, an.poles, an.tp)
         return part, _face_sparse_report(an, part, special="bipyramid")
 
     r, r_hat = families_R(an.bs, an.paths)
@@ -893,7 +872,7 @@ def tree_partition_face_sparse(
             last_err = exc
     else:
         raise last_err
-    part = tree_partition_solve(g, _seeds(an, bn), analysis=an)
+    part = tree_partition_solve(an, _seeds(an, bn))
     return part, _face_sparse_report(an, part, steps=steps)
 
 

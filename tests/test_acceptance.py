@@ -254,8 +254,8 @@ def test_criterion_9_solver_never_exhausts(corpus, exhausted_log):
             continue  # covered by the pipelines above
         try:
             treesplit.tree_partition_solve(
-                g, treesplit.PartitionConstraint(frozenset(bs.b_of(1)),
-                                                 frozenset(bs.b_of(2)))
+                treesplit._analyse(g),
+                treesplit.PartitionConstraint(frozenset(bs.b_of(1)), frozenset(bs.b_of(2))),
             )
         except SearchExhausted as exc:
             exhausted_log.append((g.to_json(), str(exc)))

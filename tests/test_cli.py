@@ -396,6 +396,18 @@ class TestGenAndSurvey:
         # once for all 12 avoided edges; no per-edge or per-cycle rebuild
         assert calls == [10, 10, 16]
 
+    def test_survey_multi4_row_checks_membership_once(self, monkeypatch):
+        # gen_multi4 certifies its graph, so the colourer need not
+        from dualham import colorizer
+
+        def refused(*args, **kwargs):
+            raise AssertionError("color_beta ran the family check again")
+
+        monkeypatch.setattr(colorizer, "is_multi4", refused)
+        for seed in (11, 12, 13):
+            row = cli._survey_multi4(seed)
+            assert row == {"seed": seed, "n": row["n"], "checks": {"coloring-sound": True}}
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_survey_rejects_jobs_below_one(self, capsys, jobs):
         code, rows, err = run(capsys, ["survey", "--family", "multi4", "--count", "3",

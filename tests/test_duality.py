@@ -17,8 +17,8 @@ from dualham.duality import (
 )
 from dualham.embed import EmbeddedGraph, classify_big_small, dual, tri_partition
 from dualham.errors import BadEdge, NotHamilton, NotTreePartition
-from dualham.gen import big_vertex_graph, meets_h_hypothesis
-from dualham.treesplit import TreePartition, verify_tree_partition
+from dualham.gen import big_vertex_graph, gen_triangulations, meets_h_hypothesis
+from dualham.treesplit import TreePartition, _analyse, verify_tree_partition
 from dualham.ugraph import Graph, norm_edge
 from oracles import (
     CapExceeded,
@@ -94,19 +94,69 @@ class TestCorrespondence:
             if got:
                 assert hamilton_to_tree_partition(octahedron, h, d) == p
 
-    def test_backward_for_every_cycle(self, bipyramid6):
-        d = dual(bipyramid6)
-        for h in enumerate_hamilton(d.graph.abstract()):
-            p = hamilton_to_tree_partition(bipyramid6, h, d)
-            assert verify_tree_partition(bipyramid6.abstract(), p)
-            assert tree_partition_to_hamilton(bipyramid6, p, d) == h
+    def test_backward_for_every_cycle(self):
+        # every dual Hamilton cycle of every triangulation with n <= 10:
+        # both sides are trees, and the round trip gives the cycle back
+        checked = 0
+        for n in range(4, 11):
+            for g in gen_triangulations(n):
+                d = dual(g)
+                ab = g.abstract()
+                for h in enumerate_hamilton(d.graph.abstract()):
+                    p = hamilton_to_tree_partition(g, h, d)
+                    assert verify_tree_partition(ab, p), (g.rotation, h)
+                    assert tree_partition_to_hamilton(g, p, d) == h
+                    checked += 1
+        assert checked == 1555
+
+    def test_forward_on_every_bipartition_up_to_9(self):
+        # every triangulation, even or not: the cut closes into a dual
+        # Hamilton cycle exactly when both sides are trees (the bond-cycle
+        # lemma), with verify_tree_partition as the oracle
+        checked = trees = 0
+        for n in range(4, 10):
+            for g in gen_triangulations(n):
+                d = dual(g)
+                ab = g.abstract()
+                dual_ab = d.graph.abstract()
+                for bits in itertools.product((0, 1), repeat=n - 1):
+                    s = frozenset({0} | {v + 1 for v, b in enumerate(bits) if b})
+                    t = frozenset(range(n)) - s
+                    if not t:
+                        continue
+                    p = TreePartition(s, t)
+                    try:
+                        h = tree_partition_to_hamilton(g, p, d)
+                    except NotTreePartition:
+                        assert not verify_tree_partition(ab, p), (g.rotation, sorted(s))
+                    else:
+                        assert verify_tree_partition(ab, p), (g.rotation, sorted(s))
+                        assert verify_hamilton(dual_ab, h)
+                        assert hamilton_to_tree_partition(g, h, d) == p
+                        trees += 1
+                    checked += 1
+        assert checked == 14927 and 0 < trees < checked
 
     def test_rejects_bad_inputs(self, octahedron):
-        with pytest.raises(NotTreePartition):
-            tree_partition_to_hamilton(
-                octahedron, TreePartition(frozenset({0}), frozenset(range(1, 6)))
-            )
         d = dual(octahedron)
+        n = octahedron.n
+        every = frozenset(range(n))
+        face = frozenset({0, *octahedron.rotation[0][:2]})
+        good = hamilton_to_tree_partition(
+            octahedron, enumerate_hamilton(d.graph.abstract())[0], d
+        )
+        bad = [
+            TreePartition(frozenset({0}), every - {0}),      # a side with a cycle
+            TreePartition(face, every - face),                # two triangles
+            TreePartition(good.s | {min(good.t)}, good.t),    # overlapping sides
+            TreePartition(good.s, good.t - {max(good.t)}),    # a missing vertex
+            TreePartition(good.s | {n}, good.t),              # an out-of-range id
+            TreePartition(frozenset(), every),                # an empty side
+        ]
+        for p in bad:
+            # a typed error, never an IndexError or KeyError
+            with pytest.raises(NotTreePartition):
+                tree_partition_to_hamilton(octahedron, p, d)
         bogus = HamiltonCycle(tuple(range(d.graph.n)))
         with pytest.raises(NotHamilton):
             hamilton_to_tree_partition(octahedron, bogus, d)
@@ -177,7 +227,7 @@ class TestFaceSparse:
     def test_report_is_pure_classification(self, bipyramid6):
         d = dual(bipyramid6)
         for h in enumerate_hamilton(d.graph.abstract()):
-            rep = face_avoidance_report(bipyramid6, h, d)
+            rep = face_avoidance_report(_analyse(bipyramid6), h, d)
             for f in rep.faces:
                 assert len(f.avoided) + len(h.edges & set(_boundary(bipyramid6, d, f))) \
                     == f.size

@@ -37,6 +37,7 @@ from dualham.treesplit import (
     FanPath,
     PartitionConstraint,
     TreePartition,
+    _analyse,
     bipyramid_poles,
     families_R,
     fan_paths,
@@ -112,11 +113,8 @@ def _reference_classify_fan_path(ab, big, path):
         for j in range(i + 2, len(path))
         if ab.has_edge(path[i], path[j])
     ]
-    if not chords:
-        kind = "induced"
-    elif chords == [(min(path[0], path[-1]), max(path[0], path[-1]))] or chords == [(path[0], path[-1])]:
-        kind = "cycle-minus-edge"
-    else:
+    # induced, or a cycle minus an edge: no chord but the end chord
+    if chords and chords != [(path[0], path[-1])]:
         return None
     poles = set(ab.adj[path[0]])
     for u in path[1:]:
@@ -125,11 +123,11 @@ def _reference_classify_fan_path(ab, big, path):
     if len(poles) != 2:
         # a walk that turns a corner at some small vertex; not a fan
         return None
-    return FanPath(path, frozenset(poles), frozenset({path[0], path[-1]}), kind)
+    return FanPath(path, frozenset(poles), frozenset({path[0], path[-1]}))
 
 
 def _reference_solve(g, c):
-    """Reference for `tree_partition_solve(g, c, enforce_path_condition=False)`:
+    """Reference for `tree_partition_solve(an, c, enforce_path_condition=False)`:
     the recursive search it replaced, with the seed-acyclicity check and the
     leaf connectivity test.  Returns the partition or the error type, the
     (vertex, side, accepted) placements tried after the seeds, and the
@@ -400,8 +398,7 @@ class TestPoleLemma:
             path = path[::-1]
         rot_w = g.rotation[w]
         opposite = rot_w[(rot_w.index(v) + 2) % 4]
-        kind = "cycle-minus-edge" if g.has_edge(path[0], path[-1]) else "induced"
-        return FanPath(path, frozenset({v, opposite}), frozenset({path[0], path[-1]}), kind)
+        return FanPath(path, frozenset({v, opposite}), frozenset({path[0], path[-1]}))
 
     def test_fan_path_through_w_with_v_as_pole(self, even_tri_sweep, catalog12):
         pairs = 0
@@ -460,16 +457,11 @@ class TestFanPathsMatchReference:
         assert sorted(classes.values()) == [6, 8, 9, 10, 10, 11, 11] + [12] * 8
 
     def test_same_paths_and_kinds(self, even_tri_sweep):
-        kinds = Counter()
         for g in even_tri_sweep:
             bs = classify_big_small(g, tri_partition(g))
             if bipyramid_poles(g) is not None:
                 continue
-            paths = fan_paths(g, bs)
-            assert paths == _reference_fan_paths(g, bs)
-            kinds.update(fp.kind for fp in paths)
-        # both kinds occur, so the end-to-end chord is exercised
-        assert kinds["induced"] and kinds["cycle-minus-edge"]
+            assert fan_paths(g, bs) == _reference_fan_paths(g, bs)
 
     def test_same_on_all_triangulations_up_to_10(self):
         # odd triangulations too, with big and small split by degree alone:
@@ -547,21 +539,21 @@ class TestRunLemma:
 class TestSolver:
     def test_octahedron_unseeded(self, octahedron):
         part = tree_partition_solve(
-            octahedron, PartitionConstraint(frozenset(), frozenset())
+            _analyse(octahedron), PartitionConstraint(frozenset(), frozenset())
         )
         assert verify_tree_partition(octahedron.abstract(), part)
 
     def test_seeds_respected(self, bipyramid6):
         # poles of the 6-ring bipyramid are the big class-3 vertices
         c = PartitionConstraint(frozenset({6}), frozenset({7}))
-        part = tree_partition_solve(bipyramid6, c)
+        part = tree_partition_solve(_analyse(bipyramid6), c)
         assert 6 in part.s and 7 in part.t
         assert verify_tree_partition(bipyramid6.abstract(), part)
 
     def test_overlapping_seeds_rejected(self, octahedron):
         with pytest.raises(ConstraintInvalid):
             tree_partition_solve(
-                octahedron, PartitionConstraint(frozenset({0}), frozenset({0}))
+                _analyse(octahedron), PartitionConstraint(frozenset({0}), frozenset({0}))
             )
 
     def test_cyclic_seed_rejected(self, octahedron):
@@ -572,7 +564,7 @@ class TestSolver:
             if w != u and ab.has_edge(w, u)
         )
         with pytest.raises(ConstraintInvalid):
-            tree_partition_solve(octahedron, PartitionConstraint(tri, frozenset()))
+            tree_partition_solve(_analyse(octahedron), PartitionConstraint(tri, frozenset()))
 
     def test_unsatisfiable_seeds_exhaust(self, bipyramid6):
         # with the poles on opposite sides, each side's ring vertices must
@@ -581,7 +573,7 @@ class TestSolver:
         # classes, and 0 and 3 lie in different classes
         with pytest.raises(SearchExhausted):
             tree_partition_solve(
-                bipyramid6, PartitionConstraint(frozenset({6, 0, 3}), frozenset({7}))
+                _analyse(bipyramid6), PartitionConstraint(frozenset({6, 0, 3}), frozenset({7}))
             )
 
     def test_verifier_rejects_bad_partition(self, octahedron):
@@ -621,7 +613,7 @@ class TestSolverMatchesReference:
                 forests.clear()
                 tried.clear()
                 try:
-                    got = tree_partition_solve(g, c, enforce_path_condition=False)
+                    got = tree_partition_solve(_analyse(g), c, enforce_path_condition=False)
                 except DualhamError as exc:
                     got = type(exc)
                 assert got == want, (g.rotation, c)
@@ -690,7 +682,9 @@ class TestSolverMatchesReferenceAtScale:
         forests.clear()
         tried.clear()
         try:
-            got = tree_partition_solve(g, c, enforce_path_condition=enforce_path_condition)
+            got = tree_partition_solve(
+                _analyse(g), c, enforce_path_condition=enforce_path_condition
+            )
         except DualhamError as exc:
             got = type(exc)
         assert got == want
@@ -721,16 +715,15 @@ class TestSolverMatchesReferenceAtScale:
         seeds = []
         real = treesplit.tree_partition_solve
 
-        def recording(g, c, *, enforce_path_condition=True, analysis=None):
+        def recording(an, c, *, enforce_path_condition=True):
             seeds.append((c, enforce_path_condition))
-            return real(g, c, enforce_path_condition=enforce_path_condition,
-                        analysis=analysis)
+            return real(an, c, enforce_path_condition=enforce_path_condition)
 
         an = treesplit._analyse(g)
         with monkeypatch.context() as m:
             m.setattr(treesplit, "tree_partition_solve", recording)
             for v, w in row["big_w"] + row["small_w"]:
-                tree_partition_with_edge(g, v, w, analysis=an)
+                tree_partition_with_edge(an, v, w)
         assert len(seeds) >= len(row["big_w"]) + len(row["small_w"])
         solved = 0
         for c, enforce in seeds:
@@ -776,24 +769,24 @@ class TestWithEdgePipeline:
     def test_rejects_non_even_triangulation(self):
         g = EmbeddedGraph.build(TETRAHEDRON)
         with pytest.raises(NotEvenTriangulation):
-            tree_partition_with_edge(g, 0, 1)
+            tree_partition_with_edge(_analyse(g), 0, 1)
 
     def test_rejects_small_v(self, octahedron):
         with pytest.raises(ValueError):
-            tree_partition_with_edge(octahedron, 0, 1)
+            tree_partition_with_edge(_analyse(octahedron), 0, 1)
 
     def test_bad_edges_raise_a_typed_error(self, bipyramid6):
         # 6 and 7 are the poles (big, class 3), 0 a small ring vertex
         for v, w in ((6, 7), (6, 999), (0, 1)):
             with pytest.raises(BadEdge):
-                tree_partition_with_edge(bipyramid6, v, w)
+                tree_partition_with_edge(_analyse(bipyramid6), v, w)
 
     def test_bipyramid_case(self, bipyramid6):
         tp = tri_partition(bipyramid6)
         bs = classify_big_small(bipyramid6, tp)
         v = min(bs.b_of(3))
         w = next(u for u in bipyramid6.rotation[v] if tp.class_of[u] in (1, 2))
-        part = tree_partition_with_edge(bipyramid6, v, w)
+        part = tree_partition_with_edge(_analyse(bipyramid6), v, w)
         assert verify_tree_partition(bipyramid6.abstract(), part)
         assert (v in part.s) == (w in part.s)
 
@@ -806,13 +799,13 @@ class TestWithEdgePipeline:
                 for w in sorted(ab.adj[v]):
                     if tp.class_of[w] not in (1, 2):
                         continue
-                    part = tree_partition_with_edge(g, v, w)
+                    part = tree_partition_with_edge(_analyse(g), v, w)
                     assert verify_tree_partition(ab, part, bs.b_of(1), bs.b_of(2))
                     assert (v in part.s) == (w in part.s)
 
     def test_rejects_h_outside_the_family(self, h_not_in_family):
         with pytest.raises(NotInFamilyH):
-            tree_partition_with_edge(h_not_in_family, 4, 2)
+            tree_partition_with_edge(_analyse(h_not_in_family), 4, 2)
 
     def test_a_failed_extension_is_raised_not_retried(self, even10, monkeypatch):
         # one fan path and one base colouring per call: a construction
@@ -829,7 +822,7 @@ class TestWithEdgePipeline:
         through = [fp for fp in fan_paths(even10, bs) if 7 in fp.interior and 1 in fp.v0 | fp.v1]
         assert len(through) == 2
         with pytest.raises(ConditionViolated):
-            tree_partition_with_edge(even10, 1, 7)
+            tree_partition_with_edge(_analyse(even10), 1, 7)
         assert len(calls) == 1
 
 
@@ -931,19 +924,19 @@ def _reference_audit(an, trial, l_graph, fp):
 class TestFaceSparsePipeline:
     def test_rejects_h_outside_the_family(self, h_not_in_family):
         with pytest.raises(NotInFamilyH):
-            tree_partition_face_sparse(h_not_in_family)
+            tree_partition_face_sparse(_analyse(h_not_in_family))
 
     def test_rejects_h_not_2connected(self, h_not_2connected):
         with pytest.raises(HComponentNot2Connected):
-            tree_partition_face_sparse(h_not_2connected)
+            tree_partition_face_sparse(_analyse(h_not_2connected))
 
     def test_rejects_non_even_triangulation(self):
         with pytest.raises(NotEvenTriangulation):
-            tree_partition_face_sparse(EmbeddedGraph.build(TETRAHEDRON))
+            tree_partition_face_sparse(_analyse(EmbeddedGraph.build(TETRAHEDRON)))
 
     def test_bipyramids(self, octahedron, bipyramid6):
         for g in (octahedron, bipyramid6):
-            part, rep = tree_partition_face_sparse(g)
+            part, rep = tree_partition_face_sparse(_analyse(g))
             assert verify_tree_partition(g.abstract(), part)
             assert rep["all_ok"] and rep["special_case"] == "bipyramid"
 
@@ -952,7 +945,7 @@ class TestFaceSparsePipeline:
             h, bs = big_vertex_graph(g)
             if not meets_h_hypothesis(h):
                 continue
-            part, rep = tree_partition_face_sparse(g)
+            part, rep = tree_partition_face_sparse(_analyse(g))
             assert verify_tree_partition(
                 g.abstract(), part, bs.b_of(1), bs.b_of(2)
             )
@@ -960,7 +953,7 @@ class TestFaceSparsePipeline:
 
     def test_report_checks_implications_directly(self, even10):
         tp = tri_partition(even10)
-        part, rep = tree_partition_face_sparse(even10)
+        part, rep = tree_partition_face_sparse(_analyse(even10))
         ab = even10.abstract()
         for row in rep["vertices"]:
             v = row["vertex"]
@@ -992,7 +985,7 @@ class TestFrozenOutputs:
                         if tp.class_of[w] in (1, 2)]
             assert eligible == [[v, w] for v, w, _, _ in row["with_edge"]]
             for v, w, s, t in row["with_edge"]:
-                part = tree_partition_with_edge(g, v, w)
+                part = tree_partition_with_edge(_analyse(g), v, w)
                 assert (sorted(part.s), sorted(part.t)) == (s, t)
 
     def test_sequence_extension_matches_reference(self, golden):
@@ -1033,7 +1026,7 @@ class TestFrozenOutputs:
             h, _ = big_vertex_graph(g)
             assert meets_h_hypothesis(h) == (row["face_sparse"] is not None)
             if row["face_sparse"] is not None:
-                part, report = tree_partition_face_sparse(g)
+                part, report = tree_partition_face_sparse(_analyse(g))
                 assert [sorted(part.s), sorted(part.t)] == row["face_sparse"]
                 assert report["all_ok"]
                 cases.update(step["case"] for step in report["steps"])
@@ -1067,10 +1060,10 @@ class TestCatalogs13And14:
             h, bs = big_vertex_graph(g)
             if not meets_h_hypothesis(h):
                 with pytest.raises((NotInFamilyH, HComponentNot2Connected)) as exc:
-                    tree_partition_face_sparse(g)
+                    tree_partition_face_sparse(_analyse(g))
                 refused[exc.type.__name__] += 1
                 continue
-            part, report = tree_partition_face_sparse(g)
+            part, report = tree_partition_face_sparse(_analyse(g))
             assert verify_tree_partition(g.abstract(), part, bs.b_of(1), bs.b_of(2))
             assert report["all_ok"]
             special[report["special_case"]] += 1
