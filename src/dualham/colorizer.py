@@ -336,20 +336,18 @@ def color_beta_4cycle(
     a: Mapping[int, int],
     v: int,
     y: int,
-    v_colour: int = 1,
-    *,
-    check_family: bool = True,
-    cap: int = DEFAULT_CYCLE_CAP,
+    v_colour: int,
 ) -> TwoColoring:
     """Colour the beta side so no cycle is monochromatic, with the two beta
     vertices of a 4-cycle forced to opposite colours (b(v) = v_colour).
+
+    Membership of g in the family is not checked here: the base colouring,
+    the one caller, runs only once H is known to be in it.
     """
     if v == y or y not in bp.beta or v not in bp.beta:
         raise NotOn4Cycle("need two distinct beta vertices")
     if len(g.adj[v] & g.adj[y]) < 2:
         raise NotOn4Cycle(f"{v} and {y} are not opposite on a 4-cycle")
-    if check_family and not is_multi4(g, cap=cap):
-        raise NotInFamilyH("a cycle has length not congruent to 0 mod 4")
     # v and y lie on a common cycle, so exactly one block holds both
     return TwoColoring(_color_components(
         g, bp, a, {v, y},

@@ -86,6 +86,10 @@ class ConstraintInvalid(DualhamError):
     """Seed sets fail the tree-partition preconditions."""
 
 
+class BudgetExceeded(DualhamError):
+    """An enumeration reached its budget before it finished; the result is unknown."""
+
+
 class SearchExhausted(DualhamError):
     """Complete backtracking found no tree partition; potential counterexample."""
 

@@ -233,29 +233,27 @@ def cuts_graph(
 def minimal_determined_side(g: Graph, bp: TypedBipartition) -> CutPair:
     """The cut pair with an inclusion-minimal determined side, as side_c.
 
-    Tries every pair of cut-path candidates with `cuts_graph`.  All
+    Tries every pair of cut-path candidates with `cuts_graph`, and keeps
+    the least side of any pair by (size, sorted side, p, q).  That side is
+    inclusion-minimal: a side strictly inside it would be smaller.  All
     degree->=3 vertices of side_c share one type, and both paths start
     in side_c.
     """
     candidates = cut_path_candidates(g, bp)
     if not candidates:
         raise NoCutPath("no path satisfies the cut-path condition")
-    # (side, other side, p, q) for both sides of every cut pair
-    sides: list[tuple[frozenset[int], frozenset[int], PathRec, PathRec]] = []
+    best = None   # (key, side, other side, p, q)
     for p, q in itertools.combinations(candidates, 2):
         got = cuts_graph(g, bp, p, q)
         if got is None:
             continue
-        c, d = got
-        sides.append((c, d, p, q))
-        sides.append((d, c, p, q))
-    if not sides:
+        for side, other in (got, got[::-1]):
+            key = (len(side), sorted(side), p.vertices, q.vertices)
+            if best is None or key < best[0]:
+                best = (key, side, other, p, q)
+    if best is None:
         raise NoCutPath("no pair of cut paths splits the graph")
-    minimal = [
-        s for s in sides if not any(t[0] < s[0] for t in sides)
-    ]
-    minimal.sort(key=lambda s: (len(s[0]), sorted(s[0]), s[2].vertices, s[3].vertices))
-    side, other, p, q = minimal[0]
+    _, side, other, p, q = best
     # orient both paths so their first ends sit in the minimal side
     if p.x not in side:
         p = p.reversed()

@@ -80,6 +80,7 @@ from .embed import BigSmall, EmbeddedGraph, TriPartition, tri_partition
 from .errors import (
     BadEdge,
     BipyramidSpecialCase,
+    BudgetExceeded,
     CaseUnmatched,
     ConditionViolated,
     ConstraintInvalid,
@@ -158,35 +159,38 @@ def bipyramid_poles(g: EmbeddedGraph) -> tuple[int, int] | None:
 
 
 def _bipyramid_partition(
-    g: EmbeddedGraph, poles: tuple[int, int], tp: TriPartition,
-    keep_together: tuple[int, int] | None = None,
+    an: _Analysis, keep_together: tuple[int, int] | None = None
 ) -> TreePartition:
-    """Direct two-star (or path plus small tree) partition of a bipyramid.
+    """Direct two-star (or path plus small tree) partition of the analysed
+    bipyramid, audited as two induced trees before it is returned.
 
     If `keep_together` is (v, w) with v a pole, both land on the same side;
     which side is the caller's choice.  If the poles share a big class 1
     or 2, they must share a side: that side is the poles plus one ring
     vertex, the other the remaining ring path.
     """
-    p, q = poles
+    g, cls = an.g, an.tp.class_of
+    p, q = an.poles
     ring = set(g.rotation[p])   # p sees every vertex but q
     c = min(ring)
-    pole_class = tp.class_of[p]
-    if g.degree(p) >= 6 and pole_class in (1, 2):
+    if g.degree(p) >= 6 and cls[p] in (1, 2):
         # both poles forced to one side
         side = frozenset({p, q, c})
         other = frozenset(ring - {c})
-        return TreePartition(side, other) if pole_class == 1 else TreePartition(other, side)
-    # poles on opposite sides, ring split by parity: the ring alternates
-    # the two classes the poles lack
-    even = {u for u in ring if tp.class_of[u] == tp.class_of[c]}
-    odd = ring - even
-    s, t = frozenset({p} | even), frozenset({q} | odd)
-    if keep_together is not None:
-        v, w = keep_together
-        if (v in s) != (w in s):
-            s, t = frozenset({p} | odd), frozenset({q} | even)
-    return TreePartition(s, t)
+        part = TreePartition(side, other) if cls[p] == 1 else TreePartition(other, side)
+    else:
+        # poles on opposite sides, ring split by parity: the ring alternates
+        # the two classes the poles lack
+        even = {u for u in ring if cls[u] == cls[c]}
+        odd = ring - even
+        part = TreePartition(frozenset({p} | even), frozenset({q} | odd))
+        if keep_together is not None:
+            v, w = keep_together
+            if (v in part.s) != (w in part.s):
+                part = TreePartition(frozenset({p} | odd), frozenset({q} | even))
+    if not verify_tree_partition(an.ab, part):
+        raise NotTreePartition("bipyramid sides do not induce two trees")
+    return part
 
 
 # --- fan paths -----------------------------------------------------------
@@ -477,35 +481,9 @@ def _validate_constraint(
 # --- the base colouring on big class-3 vertices --------------------------
 
 
-def base_coloring(
-    an: _Analysis, pin: tuple[int, int] | None = None,
-    opposite: tuple[int, int, int] | None = None,
-    degree2_rule: bool = False,
-) -> dict[int, int]:
-    """Monochromatic-cycle-free colouring of the big class-3 vertices.
-
-    `pin` forces one colour; `opposite` = (v, y, colour) forces the two
-    class-3 corners of a 4-cycle apart; `degree2_rule` post-adjusts each
-    degree-2 vertex whose two neighbours share a colour to the other
-    colour (safe: both cycles through it pass those neighbours).
-    """
-    h, a = an.h, an.a
-    bp = TypedBipartition(alpha=frozenset(a), beta=an.bs.b_of(3))
-    if not bp.beta:
-        return {}
-    if opposite is not None:
-        v, y, colour = opposite
-        b = dict(color_beta_4cycle(h, bp, a, v, y, colour, check_family=False).colour_of)
-    else:
-        v, colour = pin if pin is not None else (min(bp.beta), 1)
-        b = dict(color_beta(h, bp, a, v, colour, check_family=False).colour_of)
-    if degree2_rule:
-        for u in sorted(bp.beta):
-            if h.degree(u) == 2:
-                p, q = sorted(h.adj[u])
-                if a[p] == a[q]:
-                    b[u] = 3 - a[p]
-    return b
+# colourings the strict sweep may check after the constructed one: every
+# colouring of |B3| <= 16 vertices; face-sparse has run at |B3| <= 4
+SWEEP_BUDGET = 2 ** 16
 
 
 def _base_conditions_ok(an: _Analysis, b: Mapping[int, int], strict: bool) -> bool:
@@ -537,28 +515,49 @@ def base_coloring_candidates(
     opposite: tuple[int, int, int] | None = None,
     strict: bool = False,
 ) -> Iterator[dict[int, int]]:
-    """The constructed colouring first, then every other admissible one.
+    """Colourings of the big class-3 vertices that pass
+    `_base_conditions_ok`: the constructed one, and, when `strict`, the
+    others after it.
 
-    The enumeration backstops rare inputs where the constructed colouring
-    cannot be extended over the fans; |B3| is small at the sizes this
-    library targets, so the sweep is cheap and every candidate is checked
-    against the base conditions before being offered.
+    The constructed one is the colourer's (the paper's first theorem):
+    `pin` = (v, colour) forces one colour, by default the least vertex's
+    to 1; `opposite` = (v, y, colour) forces the two class-3 corners of a
+    4-cycle apart; `strict` moves each degree-2 vertex whose neighbours
+    share a colour to the other colour (safe: both cycles through it pass
+    those neighbours).
+
+    The strict sweep, which face-sparse runs with no pin, checks at most
+    `SWEEP_BUDGET` colourings of all of B3, every one when |B3| <= 16; one
+    more raises `BudgetExceeded`.
     """
-    first = base_coloring(an, pin=pin, opposite=opposite, degree2_rule=strict)
-    if _base_conditions_ok(an, first, strict):
-        yield first
-    forced: dict[int, int] = {}
-    if pin is not None:
-        forced[pin[0]] = pin[1]
+    h, a = an.h, an.a
+    bp = TypedBipartition(alpha=frozenset(a), beta=an.bs.b_of(3))
+    first: dict[int, int] = {}
     if opposite is not None:
         v, y, colour = opposite
-        forced[v], forced[y] = colour, 3 - colour
-    free = sorted(an.bs.b_of(3) - set(forced))
-    for bits in itertools.product((1, 2), repeat=len(free)):
-        b = {**forced, **dict(zip(free, bits))}
-        if b == first:
-            continue
-        if _base_conditions_ok(an, b, strict):
+        first = dict(color_beta_4cycle(h, bp, a, v, y, colour).colour_of)
+    elif bp.beta:
+        v, colour = pin if pin is not None else (min(bp.beta), 1)
+        first = dict(color_beta(h, bp, a, v, colour, check_family=False).colour_of)
+    if strict:
+        for u in sorted(bp.beta):
+            if h.degree(u) == 2:
+                p, q = sorted(h.adj[u])
+                if a[p] == a[q]:
+                    first[u] = 3 - a[p]
+    if _base_conditions_ok(an, first, strict):
+        yield first
+    if not strict:
+        return
+    free = sorted(bp.beta)
+    for i, bits in enumerate(itertools.product((1, 2), repeat=len(free))):
+        if i == SWEEP_BUDGET:
+            raise BudgetExceeded(
+                f"the strict sweep over |B3| = {len(free)} big class-3 vertices "
+                f"passed its budget of {SWEEP_BUDGET} colourings"
+            )
+        b = dict(zip(free, bits))
+        if b != first and _base_conditions_ok(an, b, strict):
             yield b
 
 
@@ -790,32 +789,26 @@ def tree_partition_with_edge(an: _Analysis, v: int, w: int) -> TreePartition:
     target = tp.class_of[w]
 
     if an.poles is not None:
-        part = _bipyramid_partition(an.g, an.poles, tp, keep_together=(v, w))
+        part = _bipyramid_partition(an, keep_together=(v, w))
         if (v in part.s) != (target == 1):
             part = TreePartition(part.t, part.s)
-        if not verify_tree_partition(an.ab, part):
-            raise NotTreePartition("bipyramid sides do not induce two trees")
         return _kept_together(part, v, w)
 
     if not an.in_family:
         raise NotInFamilyH("a big-vertex cycle has length not 0 mod 4")
 
-    if w in bs.big:
-        b = base_coloring(an, pin=(v, target))
-        part = tree_partition_solve(an, _seeds(an, b))
-        return _kept_together(part, v, w)
-
-    p_w = _choose_fan_path(an, v, w)
-    # by the pole lemma v is a pole of this path and the other pole y is of
-    # class 3; a big y shares a 4-cycle of H with v, so b puts them apart
-    (y,) = p_w.v0 - {v}
+    # for a small w, by the pole lemma v is a pole of p_w and the other pole
+    # y is of class 3; a big y shares a 4-cycle of H with v, so b puts them apart
+    p_w = None if w in bs.big else _choose_fan_path(an, v, w)
+    y = None if p_w is None else min(p_w.v0 - {v})
     if y in bs.big:
-        candidates = base_coloring_candidates(an, opposite=(v, y, target))
+        b = next(base_coloring_candidates(an, opposite=(v, y, target)), None)
     else:
-        candidates = base_coloring_candidates(an, pin=(v, target))
-    b = next(candidates, None)
+        b = next(base_coloring_candidates(an, pin=(v, target)), None)
     if b is None:
-        raise CaseUnmatched("no admissible base colouring exists")
+        raise CaseUnmatched("the constructed base colouring fails its audit")
+    if p_w is None:
+        return _kept_together(tree_partition_solve(an, _seeds(an, b)), v, w)
     seeds = _seeds(an, extend_coloring_single_path(an, b, v, w, p_w))
     try:
         part = tree_partition_solve(an, seeds)
@@ -859,7 +852,7 @@ def tree_partition_face_sparse(an: _Analysis) -> tuple[TreePartition, dict]:
         )
 
     if an.poles is not None:
-        part = _bipyramid_partition(an.g, an.poles, an.tp)
+        part = _bipyramid_partition(an)
         return part, _face_sparse_report(an, part, special="bipyramid")
 
     r, r_hat = families_R(an.bs, an.paths)

@@ -77,6 +77,18 @@ class TestCheck:
         assert code == 0
         assert all(c["passed"] for c in rows[-1]["checks"])
 
+    def test_hypothesis_checks_are_reported_apart(self, capsys, tmp_path, catalog13_14):
+        # H here is outside the family, and its one component is 2-connected
+        p = tmp_path / "g13.json"
+        p.write_text(catalog13_14[13][7].to_json())
+        code, rows, _ = run(capsys, ["check", str(p), "--family", "barnette-hypothesis"])
+        assert code == 1
+        assert {c["name"]: c["passed"] for c in rows[-1]["checks"]} == {
+            "even-triangulation": True,
+            "h-all-cycles-0-mod-4": False,
+            "h-components-2-connected": True,
+        }
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["check", "/nonexistent", "--family", "even-tri"])
         assert code == 2
@@ -340,6 +352,23 @@ class TestGenAndSurvey:
         assert summary["result"]["instances"] == 2
         for row in rows[:-1]:
             assert all(row["checks"].values())
+
+    def test_survey_barnette_hypothesis(self, capsys):
+        code, rows, _ = run(
+            capsys, ["survey", "--family", "barnette-hypothesis", "--n-max", "10"]
+        )
+        assert code == 0
+        assert rows[-1]["result"]["instances"] == 4
+        assert all(all(row["checks"].values()) for row in rows[:-1])
+
+    def test_gen_thm24_valid_feeds_the_hypothesis_check(self, capsys, tmp_path):
+        code, rows, _ = run(capsys, ["gen", "--family", "thm24-valid", "--size", "10"])
+        assert code == 0 and len(rows) == 2
+        for i, row in enumerate(rows):
+            f = tmp_path / f"thm24-{i}.json"
+            f.write_text(json.dumps(row))
+            code, out, _ = run(capsys, ["check", str(f), "--family", "barnette-hypothesis"])
+            assert code == 0 and all(c["passed"] for c in out[-1]["checks"])
 
     def test_survey_row_analyses_its_instance_once(self, monkeypatch, catalog12):
         from dualham import duality, treesplit

@@ -228,7 +228,7 @@ def _assert_matches_reference(g, bp, a, pins=None):
             continue
         for c in (1, 2):
             new = _outcome(
-                lambda: color_beta_4cycle(g, bp, a, v, y, c, check_family=False).colour_of)
+                lambda: color_beta_4cycle(g, bp, a, v, y, c).colour_of)
             assert new == _outcome(lambda: _reference_color_beta_4cycle(g, bp, a, v, y, c)), \
                 (g.edges(), a, v, y, c)
 
@@ -297,7 +297,7 @@ def test_colour_maps_unchanged(hgraphs, glued_graphs, ear_grown):
                 continue
             for c in (1, 2):
                 record(f"{graph} pair {v},{y}={c}",
-                       lambda: color_beta_4cycle(g, bp, a, v, y, c, check_family=False).colour_of)
+                       lambda: color_beta_4cycle(g, bp, a, v, y, c).colour_of)
     assert (calls, digest.hexdigest()) == (34076, COLOUR_MAPS_SHA256)
 
 

@@ -88,7 +88,7 @@ class TestCorrespondence:
             try:
                 h = tree_partition_to_hamilton(octahedron, p, d)
                 got = True
-            except (NotTreePartition, NotHamilton):
+            except NotTreePartition:
                 got = False
             assert got == verify_tree_partition(ab, p)
             if got:

@@ -1,13 +1,15 @@
 """Cycle-length-mod-4 structure: membership, cut paths, cut pairs, and
 the lemma checkers of `lemmas.py`."""
 
+import itertools
 from collections import Counter
 
 import pytest
 
 from dualham.colorizer import color_beta, combine, verify_coloring
-from dualham.errors import NoCutPath, NotBipartite
+from dualham.errors import CaseUnmatched, DualhamError, NoCutPath, NotBipartite
 from dualham.structure import (
+    CutPair,
     PathRec,
     TypedBipartition,
     _fundamental_cycles_ok,
@@ -233,6 +235,76 @@ def test_cut_pair_route_on_ear_grown_members(ear_grown):
                     assert rep.passed, (g.edges(), sorted(bp.alpha), pin, colour)
             assert heavy_4cycle_check(g, bp), g.edges()
     assert mixed == 76
+
+
+def _reference_minimal_determined_side(g, bp):
+    """Reference for `minimal_determined_side`: every side filtered for
+    inclusion-minimality against every other side, then sorted."""
+    candidates = cut_path_candidates(g, bp)
+    if not candidates:
+        raise NoCutPath("no path satisfies the cut-path condition")
+    sides = []
+    for p, q in itertools.combinations(candidates, 2):
+        got = cuts_graph(g, bp, p, q)
+        if got is None:
+            continue
+        c, d = got
+        sides.append((c, d, p, q))
+        sides.append((d, c, p, q))
+    if not sides:
+        raise NoCutPath("no pair of cut paths splits the graph")
+    minimal = [s for s in sides if not any(t[0] < s[0] for t in sides)]
+    minimal.sort(key=lambda s: (len(s[0]), sorted(s[0]), s[2].vertices, s[3].vertices))
+    side, other, p, q = minimal[0]
+    if p.x not in side:
+        p = p.reversed()
+    if q.x not in side:
+        q = q.reversed()
+    if len({bp.is_beta(v) for v in side if g.degree(v) >= 3}) > 1:
+        raise CaseUnmatched("minimal determined side has branching vertices of both types")
+    return CutPair(p, q, side, other)
+
+
+def _both_typings(g):
+    typed = bipartition_typed(g)
+    return typed, TypedBipartition(alpha=typed.beta, beta=typed.alpha)
+
+
+def _minimal_side_outcomes(g, bp):
+    """(routine, reference): each its cut pair or the type of its error."""
+    out = []
+    for f in (minimal_determined_side, _reference_minimal_determined_side):
+        try:
+            out.append(f(g, bp))
+        except DualhamError as exc:
+            out.append(type(exc))
+    return out
+
+
+def test_minimal_side_matches_reference(ear_grown, hgraphs, glued_graphs):
+    """The least side is the minimal one: on the 76 mixed typings of the
+    ear-grown members, and on every 2-connected block of `hgraphs` and
+    `glued_graphs` in both typings."""
+    mixed = 0
+    for g in ear_grown:
+        for bp in _both_typings(g):
+            if len({bp.is_beta(v) for v in g.adj if g.degree(v) >= 3}) == 2:
+                got, want = _minimal_side_outcomes(g, bp)
+                assert got == want, (g.edges(), sorted(bp.alpha))
+                mixed += 1
+    assert mixed == 76
+    outcomes = Counter()
+    for g in hgraphs + glued_graphs:
+        for comp in g.blocks()[0]:
+            if len(comp) < 3:
+                continue
+            block = g.subgraph(comp)
+            for bp in _both_typings(block):
+                got, want = _minimal_side_outcomes(block, bp)
+                assert got == want, (block.edges(), sorted(bp.alpha))
+                outcomes[got if isinstance(got, type) else CutPair] += 1
+    # both outcomes occur, so the comparison is not vacuous
+    assert outcomes == {CutPair: 1032, NoCutPath: 1158}
 
 
 def test_opposite_corners_on_ear_grown_members(ear_grown):

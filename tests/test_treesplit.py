@@ -15,6 +15,7 @@ from dualham.embed import BigSmall, canonical_form, classify_big_small, dual, tr
 from dualham.errors import (
     BadEdge,
     BipyramidSpecialCase,
+    BudgetExceeded,
     CaseUnmatched,
     ConditionViolated,
     ConstraintInvalid,
@@ -22,6 +23,7 @@ from dualham.errors import (
     HComponentNot2Connected,
     NotEvenTriangulation,
     NotInFamilyH,
+    NotTreePartition,
     SearchExhausted,
 )
 from dualham.gen import (
@@ -38,6 +40,7 @@ from dualham.treesplit import (
     PartitionConstraint,
     TreePartition,
     _analyse,
+    base_coloring_candidates,
     bipyramid_poles,
     families_R,
     fan_paths,
@@ -363,14 +366,15 @@ class TestBipyramidPartitionMatchesReference:
         for g in graphs:
             tp = tri_partition(g)
             poles = bipyramid_poles(g)
-            got = treesplit._bipyramid_partition(g, poles, tp)
+            an = _analyse(g)
+            got = treesplit._bipyramid_partition(an)
             assert got == _reference_bipyramid_partition(g, poles, tp)
             # big poles of class 1 or 2 share a side, whatever the kept pair
             shared = tp.class_of[poles[0]] != 3 and g.n >= 8
             forced += shared
             for v in poles:
                 for w in g.rotation[v]:
-                    got = treesplit._bipyramid_partition(g, poles, tp, keep_together=(v, w))
+                    got = treesplit._bipyramid_partition(an, keep_together=(v, w))
                     want = _reference_bipyramid_partition(g, poles, tp, keep_together=(v, w))
                     # the same two sides; the with-edge pipeline picks the order
                     assert {got.s, got.t} == {want.s, want.t}
@@ -825,6 +829,25 @@ class TestWithEdgePipeline:
             tree_partition_with_edge(_analyse(even10), 1, 7)
         assert len(calls) == 1
 
+    def test_a_refused_base_colouring_is_raised_at_once(self, monkeypatch):
+        # the constructed colouring is audited once, and no sweep follows a
+        # miss: a small w with a big and with a small other pole, and a big w
+        with open(LARGE) as f:
+            row = next(r for r in map(json.loads, f) if r["n"] == 152 and r["seed"] == 1)
+        an = _analyse(EmbeddedGraph.build(row["rotation"]))
+        audited = []
+
+        def refuse(an, b, strict):
+            audited.append(b)
+            return False
+
+        monkeypatch.setattr(treesplit, "_base_conditions_ok", refuse)
+        for v, w in (row["small_w"][0], row["small_w"][1], row["big_w"][0]):
+            audited.clear()
+            with pytest.raises(CaseUnmatched):
+                tree_partition_with_edge(an, v, w)
+            assert len(audited) == 1
+
 
 def _reference_extend_coloring_path_sequence(an, b, paths):
     """The sequence extension with mixed dispatch cases, an uncoloured-scope
@@ -939,6 +962,35 @@ class TestFaceSparsePipeline:
             part, rep = tree_partition_face_sparse(_analyse(g))
             assert verify_tree_partition(g.abstract(), part)
             assert rep["all_ok"] and rep["special_case"] == "bipyramid"
+
+    def test_bipyramid_partition_is_audited(self, monkeypatch):
+        monkeypatch.setattr(treesplit, "verify_tree_partition", lambda *args: False)
+        with pytest.raises(NotTreePartition):
+            tree_partition_face_sparse(_analyse(gen_bipyramid(3)))
+
+    def test_strict_sweep_is_exhaustive_within_its_budget(self, monkeypatch):
+        with open(LARGE) as f:
+            row = next(r for r in map(json.loads, f) if r["n"] == 302)
+        an = _analyse(EmbeddedGraph.build(row["rotation"]))
+        assert len(an.bs.b_of(3)) == 16
+        audited = []
+
+        def first_only(an, b, strict):
+            audited.append(b)
+            return len(audited) == 1
+
+        monkeypatch.setattr(treesplit, "_base_conditions_ok", first_only)
+        # 2^16 colourings fit the budget: each is checked once, then the sweep ends
+        assert len(list(base_coloring_candidates(an, strict=True))) == 1
+        assert len(audited) == 2 ** 16
+        # a budget below them ends the sweep with a typed error
+        audited.clear()
+        monkeypatch.setattr(treesplit, "SWEEP_BUDGET", 2 ** 10)
+        candidates = base_coloring_candidates(an, strict=True)
+        next(candidates)
+        with pytest.raises(BudgetExceeded, match=r"\|B3\| = 16 .* 1024 colourings"):
+            next(candidates)
+        assert 2 ** 10 <= len(audited) <= 2 ** 10 + 1
 
     def test_all_hypothesis_instances(self, even10, catalog12):
         for g in [even10] + catalog12:
