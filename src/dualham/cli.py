@@ -21,11 +21,12 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from functools import partial
 from typing import Any, Callable
 
 from . import colorizer, duality, gen, structure, treesplit
 from .embed import EmbeddedGraph, dual, is_even_triangulation
-from .errors import DualhamError, IoError, NotEvenTriangulation, ParseError
+from .errors import DualhamError, IoError, NotEvenTriangulation, NotInFamilyH, ParseError
 from .ugraph import DEFAULT_CYCLE_CAP, Graph
 
 
@@ -110,14 +111,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         rep.check("even-triangulation", is_even_triangulation(g))
     elif args.family == "multi4":
         g, _ = _load_abstract(text)
-        ok = structure.is_multi4(g, cap=args.cap)
-        witness = None
-        if not ok:
-            witness = next(
-                (c for c in g.simple_cycles(cap=args.cap) if len(c) % 4 != 0), None
-            )
+        witness = structure.multi4_witness(g, cap=args.cap)
         rep.result(n=g.n, m=g.m)
-        rep.check("all-cycles-0-mod-4", ok, witness)
+        rep.check("all-cycles-0-mod-4", witness is None, witness)
     else:  # barnette-hypothesis
         g = _load_embedded(text)
         if not is_even_triangulation(g):
@@ -126,7 +122,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         h, bs = gen.big_vertex_graph(g)
         rep.result(n=g.n, big=sorted(bs.big), h_edges=h.edges())
         rep.check("even-triangulation", True)
-        rep.check("h-all-cycles-0-mod-4", structure.is_multi4(h, cap=args.cap))
+        witness = structure.multi4_witness(h, cap=args.cap)
+        rep.check("h-all-cycles-0-mod-4", witness is None, witness)
         rep.check("h-components-2-connected", gen.h_components_2connected(h))
     return rep.emit()
 
@@ -167,7 +164,9 @@ def cmd_color(args: argparse.Namespace) -> int:
             raise ParseError(f"--pin expects V=1 or V=2, got {args.pin!r}")
     else:
         pin_vertex, pin_colour = min(bp.beta), 1
-    b = colorizer.color_beta(g, bp, a, pin_vertex, pin_colour, cap=args.cap)
+    if not structure.is_multi4(g, cap=args.cap):
+        raise NotInFamilyH("a cycle has length not congruent to 0 mod 4")
+    b = colorizer.color_beta(g, bp, a, pin_vertex, pin_colour, check_family=False)
     report = colorizer.verify_coloring(
         g, bp, colorizer.combine(a, b.colour_of), pin_vertex, pin_colour
     )
@@ -194,7 +193,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     rep = Report("partition", _digest(text))
     g = _load_embedded(text)
     # one analysis serves the pipeline and the seeds of the final check
-    an = treesplit._analyse(g)
+    an = treesplit.analyse(g)
     if args.with_edge:
         v, w = _parse_edge(args.with_edge)
         part = treesplit.tree_partition_with_edge(an, v, w)
@@ -243,15 +242,16 @@ def _failed(row: dict[str, Any], check: str, exc: Exception) -> None:
     row["error"] = f"{type(exc).__name__}: {exc}"
 
 
-def _survey_even_tri(g_json: str) -> dict[str, Any]:
+def _survey_even_tri(g_json: str, hypothesis_only: bool = False) -> dict[str, Any] | None:
     """All certificates for one even triangulation; run in a worker.  Any
     exception fails the check it hit and is recorded in the row, so one
-    bad instance cannot sink the survey."""
+    bad instance cannot sink the survey.  With `hypothesis_only`, an
+    instance whose H misses the hypothesis gets no row (None)."""
     row: dict[str, Any] = {"checks": {}}
     try:
         g = EmbeddedGraph.from_json(g_json)
         row["n"] = g.n
-        an = treesplit._analyse(g)
+        an = treesplit.analyse(g)
         tp, bs, ab = an.tp, an.bs, an.ab
         d = dual(g)
         dual_ab = d.graph.abstract()
@@ -262,6 +262,8 @@ def _survey_even_tri(g_json: str) -> dict[str, Any]:
     except Exception as exc:
         _failed(row, "instance", exc)
         return row
+    if hypothesis_only and not hyp:
+        return None
     try:
         edges_ok = True
         n_edges = 0
@@ -330,18 +332,13 @@ def cmd_survey(args: argparse.Namespace) -> int:
     rep = Report(f"survey --family {args.family}", "-")
     if args.family == "multi4":
         tasks: list[Any] = list(range(args.seed, args.seed + args.count))
-        worker: Callable[[Any], dict] = _survey_multi4
+        worker: Callable[[Any], dict | None] = _survey_multi4
     else:
-        instances: list[str] = []
-        for n in range(4, args.n_max + 1):
-            for g in gen.gen_even_triangulations(n):
-                if args.family == "barnette-hypothesis":
-                    h, _ = gen.big_vertex_graph(g)
-                    if not gen.meets_h_hypothesis(h):
-                        continue
-                instances.append(g.to_json())
-        tasks = instances
-        worker = _survey_even_tri
+        tasks = [g.to_json() for n in range(4, args.n_max + 1)
+                 for g in gen.gen_even_triangulations(n)]
+        # the worker's analysis decides the hypothesis, so H is built once
+        worker = partial(_survey_even_tri,
+                         hypothesis_only=args.family == "barnette-hypothesis")
     rows = []
     # a pool forks all its workers on the first submit, so never ask for
     # more than there are tasks or CPUs
@@ -350,6 +347,8 @@ def cmd_survey(args: argparse.Namespace) -> int:
     with pool:
         # each row prints as soon as it and all rows before it are done
         for row in (pool.map if workers > 1 else map)(worker, tasks):
+            if row is None:
+                continue
             print(json.dumps(row, sort_keys=True), flush=True)
             rows.append(row)
     all_ok = all(all(r["checks"].values()) for r in rows)
@@ -397,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         "Hamilton cycles in their duals.",
     )
     p.add_argument("--cap", type=int, default=DEFAULT_CYCLE_CAP,
-                   help="budget for cycle/search enumeration")
+                   help="cycle-enumeration budget of the membership checks in "
+                   "check and color (the other commands ignore it)")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="run a membership certificate")

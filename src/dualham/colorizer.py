@@ -32,7 +32,7 @@ from typing import Callable, Mapping
 
 from .errors import CaseUnmatched, NoCutPath, NotInFamilyH, NotOn4Cycle
 from .structure import TypedBipartition, is_multi4, minimal_determined_side
-from .ugraph import DEFAULT_CYCLE_CAP, Graph
+from .ugraph import Graph
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,18 @@ def color_beta(
     pin_colour: int,
     *,
     check_family: bool = True,
-    cap: int = DEFAULT_CYCLE_CAP,
 ) -> TwoColoring:
     """Colour the beta side so no cycle is monochromatic and the pin holds."""
     if pin_vertex not in bp.beta:
         raise ValueError(f"pin vertex {pin_vertex} is not on the beta side")
+    if pin_vertex not in g.adj:
+        raise ValueError(f"pin vertex {pin_vertex} is not in the graph")
     if pin_colour not in (1, 2):
         raise ValueError("pin colour must be 1 or 2")
     missing = bp.alpha - set(a)
     if missing:
         raise ValueError(f"alpha colouring misses {sorted(missing)}")
-    if check_family and not is_multi4(g, cap=cap):
+    if check_family and not is_multi4(g):
         raise NotInFamilyH("a cycle has length not congruent to 0 mod 4")
     return TwoColoring(_color_components(
         g, bp, a, {pin_vertex},

@@ -32,9 +32,9 @@ from typing import Sequence
 from .embed import DualGraph, EmbeddedGraph, dual
 from .errors import BadEdge, NotHamilton, NotTreePartition
 from .treesplit import (
+    Instance,
     TreePartition,
-    _analyse,
-    _Analysis,
+    analyse,
     tree_partition_face_sparse,
     tree_partition_with_edge,
 )
@@ -152,7 +152,7 @@ def hamilton_to_tree_partition(
 # --- dual statements of the two partition theorems ------------------------
 
 
-def primal_edge_of(g: EmbeddedGraph, d: DualGraph, e_star: tuple[int, int]) -> tuple[int, int]:
+def primal_edge_of(d: DualGraph, e_star: tuple[int, int]) -> tuple[int, int]:
     """Invert the edge bijection."""
     target = norm_edge(*e_star)
     for e, de in d.edge_map.items():
@@ -173,8 +173,8 @@ def hamilton_avoiding_edge(
     """
     if d is None:
         d = dual(g)
-    u, w = primal_edge_of(g, d, e_star)
-    an = _analyse(g)
+    u, w = primal_edge_of(d, e_star)
+    an = analyse(g)
     b3_ends = [x for x in (u, w) if an.tp.class_of[x] == 3 and x in an.bs.big]
     if not b3_ends:
         raise BadEdge(
@@ -209,7 +209,7 @@ class AvoidanceReport:
 
 
 def face_avoidance_report(
-    an: _Analysis, h: HamiltonCycle, d: DualGraph
+    an: Instance, h: HamiltonCycle, d: DualGraph
 ) -> AvoidanceReport:
     """Classify every dual face of colour 3 and size >= 6 against the
     cycle h of the dual d of the analysed triangulation: either exactly
@@ -245,7 +245,7 @@ def hamilton_face_sparse(
     colour 3, with the per-face classification."""
     if d is None:
         d = dual(g)
-    an = _analyse(g)
+    an = analyse(g)
     part, _ = tree_partition_face_sparse(an)
     h = tree_partition_to_hamilton(g, part, d)
     return h, face_avoidance_report(an, h, d)

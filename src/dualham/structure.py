@@ -87,18 +87,6 @@ class PathRec:
         return PathRec(self.vertices[::-1])
 
 
-def minus_interior(g: Graph, *paths: PathRec) -> Graph:
-    """Delete each path's interior: inner vertices, or the edge for length 1."""
-    h = g
-    drop = set()
-    for p in paths:
-        if p.length == 1:
-            h = h.remove_edge(p.x, p.y)
-        else:
-            drop.update(p.interior)
-    return h.remove_vertices(drop) if drop else h
-
-
 def satisfies_cut_path_condition(g: Graph, bp: TypedBipartition, p: PathRec) -> bool:
     """Degree-2 interior, ends of different types with degree >= 3."""
     if any(g.degree(v) != 2 for v in p.interior):
@@ -122,18 +110,22 @@ class CutPair:
 
 
 def is_multi4(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
-    """True iff every simple cycle has length congruent to 0 mod 4.
+    """True iff every simple cycle has length congruent to 0 mod 4."""
+    return multi4_witness(g, cap) is None
+
+
+def multi4_witness(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[int] | None:
+    """A simple cycle whose length is not 0 mod 4, or None if there is none.
 
     A fast necessary filter runs first: one depth-first pass checks the
-    fundamental cycles of a DFS forest.  In a DFS forest every non-tree
-    edge joins a vertex to one of its ancestors, so the fundamental cycle
-    of a back edge u-w is depth[u] - depth[w] + 1 long (see
-    `_fundamental_cycles_ok`); an odd cycle implies an odd fundamental
-    cycle.  The complete per-block cycle enumeration settles the answer.
-    Raises CycleCapExceeded when enumeration passes `cap` cycles.
+    fundamental cycles of a DFS forest (`_bad_fundamental_cycle`); an odd
+    cycle implies an odd fundamental cycle.  The complete per-block cycle
+    enumeration settles the answer, returning its first cycle of bad
+    length.  Raises CycleCapExceeded when enumeration passes `cap` cycles.
     """
-    if not _fundamental_cycles_ok(g):
-        return False
+    cyc = _bad_fundamental_cycle(g)
+    if cyc is not None:
+        return cyc
     blocks, _ = g.blocks()
     for comp in blocks:
         if len(comp) < 3:
@@ -141,19 +133,22 @@ def is_multi4(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
         sub = g if len(comp) == g.n else g.subgraph(comp)
         for cyc in sub.simple_cycles(cap=cap):
             if len(cyc) % 4 != 0:
-                return False
-    return True
+                return cyc
+    return None
 
 
-def _fundamental_cycles_ok(g: Graph) -> bool:
-    """Every fundamental cycle of a DFS forest of g has length 0 mod 4.
+def _bad_fundamental_cycle(g: Graph) -> list[int] | None:
+    """A fundamental cycle of a DFS forest of g whose length is not 0 mod
+    4, or None if every one has length 0 mod 4.
 
     Lemma: a depth-first forest has no cross edges, so each non-tree edge
     u-w joins u to a proper ancestor w, and its fundamental cycle is the
     tree path from w down to u plus the edge: depth[u] - depth[w] + 1
     edges.  Seen from u, w is a visited neighbour with depth[w] <
     depth[u] - 1 (u's parent is the only ancestor one level up), and each
-    back edge is seen from its lower end exactly once.
+    back edge is seen from its lower end exactly once.  The DFS stack is
+    the tree path from the root to u, with entry i at depth i, so the
+    cycle is the stack's vertices from depth[w] on.
     """
     depth: dict[int, int] = {}
     for root in g.adj:
@@ -171,10 +166,10 @@ def _fundamental_cycles_ok(g: Graph) -> bool:
                     stack.append((w, iter(g.adj[w])))
                     break
                 if dw < du - 1 and (du - dw + 1) % 4:
-                    return False
+                    return [x for x, _ in stack[dw:]]
             else:
                 stack.pop()
-    return True
+    return None
 
 
 # --- cut pairs -----------------------------------------------------------
@@ -212,7 +207,13 @@ def cuts_graph(
         and satisfies_cut_path_condition(g, bp, q)
     ):
         return None
-    h = minus_interior(g, p, q)
+    # delete both interiors: the inner vertices, and the edge of a path of
+    # length 1; `subgraph` builds fresh adjacency sets, so g is untouched
+    h = g.subgraph(set(g.adj) - set(p.interior) - set(q.interior))
+    for r in (p, q):
+        if r.length == 1:
+            h.adj[r.x].discard(r.y)
+            h.adj[r.y].discard(r.x)
     comps = h.components()
     if len(comps) != 2:
         return None

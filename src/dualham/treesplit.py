@@ -159,7 +159,7 @@ def bipyramid_poles(g: EmbeddedGraph) -> tuple[int, int] | None:
 
 
 def _bipyramid_partition(
-    an: _Analysis, keep_together: tuple[int, int] | None = None
+    an: Instance, keep_together: tuple[int, int] | None = None
 ) -> TreePartition:
     """Direct two-star (or path plus small tree) partition of the analysed
     bipyramid, audited as two induced trees before it is returned.
@@ -263,9 +263,9 @@ def families_R(
 
 
 @dataclass(frozen=True)
-class _Analysis:
+class Instance:
     """What the pipelines derive from the triangulation g alone.  Built
-    once per instance by `_analyse` and passed to the pipelines and the
+    once per instance by `analyse` and passed to the pipelines and the
     solver in place of g, which it carries, so that no call can pair an
     analysis with a different graph."""
 
@@ -284,16 +284,17 @@ class _Analysis:
         return is_multi4(self.h)
 
 
-def _analyse(g: EmbeddedGraph) -> _Analysis:
+def analyse(g: EmbeddedGraph) -> Instance:
+    """The pipelines' record of g; build it once per triangulation."""
     tp = tri_partition(g)
     h, bs = big_vertex_graph(g, tp=tp)
     a = {**dict.fromkeys(bs.b_of(1), 1), **dict.fromkeys(bs.b_of(2), 2)}
     poles = bipyramid_poles(g)
     paths = () if poles is not None else tuple(fan_paths(g, bs))
-    return _Analysis(g, g.abstract(), tp, bs, h, a, poles, paths)
+    return Instance(g, g.abstract(), tp, bs, h, a, poles, paths)
 
 
-def _seeds(an: _Analysis, b: Mapping[int, int]) -> PartitionConstraint:
+def _seeds(an: Instance, b: Mapping[int, int]) -> PartitionConstraint:
     """Big class 1 and b's colour-1 vertices seed the first side, big
     class 2 and b's colour-2 vertices the second."""
     x, y = ({u for u, c in b.items() if c == colour} for colour in (1, 2))
@@ -356,7 +357,7 @@ class _Forest:
 
 
 def tree_partition_solve(
-    an: _Analysis, c: PartitionConstraint, *, enforce_path_condition: bool = True
+    an: Instance, c: PartitionConstraint, *, enforce_path_condition: bool = True
 ) -> TreePartition:
     """Complete depth-first search for a two-tree partition extending the
     seeds.  On valid inputs a solution exists; running out of search space
@@ -457,7 +458,7 @@ def tree_partition_solve(
 
 
 def _validate_constraint(
-    an: _Analysis, c: PartitionConstraint, enforce_path_condition: bool
+    an: Instance, c: PartitionConstraint, enforce_path_condition: bool
 ) -> None:
     if c.x & c.y:
         raise ConstraintInvalid(f"seed sets overlap on {sorted(c.x & c.y)}")
@@ -486,7 +487,7 @@ def _validate_constraint(
 SWEEP_BUDGET = 2 ** 16
 
 
-def _base_conditions_ok(an: _Analysis, b: Mapping[int, int], strict: bool) -> bool:
+def _base_conditions_ok(an: Instance, b: Mapping[int, int], strict: bool) -> bool:
     """The three base conditions on a big-class-3 colouring: no
     monochromatic cycle, degree->=3 second-neighbour pairs split, forced
     colours at degree-2 vertices between same-coloured neighbours.  The
@@ -510,7 +511,7 @@ def _base_conditions_ok(an: _Analysis, b: Mapping[int, int], strict: bool) -> bo
 
 
 def base_coloring_candidates(
-    an: _Analysis,
+    an: Instance,
     pin: tuple[int, int] | None = None,
     opposite: tuple[int, int, int] | None = None,
     strict: bool = False,
@@ -565,7 +566,7 @@ def base_coloring_candidates(
 
 
 def extend_coloring_single_path(
-    an: _Analysis, b: Mapping[int, int], v: int, w: int, p_w: FanPath
+    an: Instance, b: Mapping[int, int], v: int, w: int, p_w: FanPath
 ) -> dict[int, int]:
     """Extend the big-vertex colouring over one fan path so that the small
     vertex w inherits the colour of its big class-3 neighbour v.
@@ -626,7 +627,7 @@ class StepInfo:
 
 
 def extend_coloring_path_sequence(
-    an: _Analysis, b: Mapping[int, int], paths: Sequence[FanPath]
+    an: Instance, b: Mapping[int, int], paths: Sequence[FanPath]
 ) -> tuple[dict[int, int], list[StepInfo]]:
     """Walk the constrained fan paths in order, extending the colouring one
     path at a time; after every step the no-monochromatic-cycle condition
@@ -658,7 +659,7 @@ def extend_coloring_path_sequence(
     return bn, steps
 
 
-def _corner_layout(an: _Analysis, fp: FanPath) -> tuple[str, int, int, int, int]:
+def _corner_layout(an: Instance, fp: FanPath) -> tuple[str, int, int, int, int]:
     """Name the 4-cycle corners: (shape, v, y, x, z) with v big class 3.
 
     shape is "poles" when the class-3 diagonal is the pole pair, "ends"
@@ -681,7 +682,7 @@ def _corner_layout(an: _Analysis, fp: FanPath) -> tuple[str, int, int, int, int]
 
 
 def _dispatch_sequence_case(
-    an: _Analysis, bn: Mapping[int, int], l_prev: Graph, fp: FanPath
+    an: Instance, bn: Mapping[int, int], l_prev: Graph, fp: FanPath
 ) -> tuple[str, dict[int, int]]:
     h, bs, a = an.h, an.bs, an.a
     cls = an.tp.class_of
@@ -746,7 +747,7 @@ def _dispatch_sequence_case(
 
 
 def _audit_step(
-    an: _Analysis, trial: Mapping[int, int], l_graph: Graph, fp: FanPath
+    an: Instance, trial: Mapping[int, int], l_graph: Graph, fp: FanPath
 ) -> str | None:
     """Check the incremental conditions; return a reason string or None."""
     ab, h = an.ab, an.h
@@ -776,7 +777,7 @@ def _audit_step(
 # --- pipelines -----------------------------------------------------------
 
 
-def tree_partition_with_edge(an: _Analysis, v: int, w: int) -> TreePartition:
+def tree_partition_with_edge(an: Instance, v: int, w: int) -> TreePartition:
     """Two induced trees of the analysed triangulation with big class-1
     vertices on the first side, big class-2 on the second, and the edge vw
     kept inside one side (chosen by w's class)."""
@@ -826,7 +827,7 @@ def _kept_together(part: TreePartition, v: int, w: int) -> TreePartition:
     return part
 
 
-def _choose_fan_path(an: _Analysis, v: int, w: int) -> FanPath:
+def _choose_fan_path(an: Instance, v: int, w: int) -> FanPath:
     """The fan path through w with v as a pole, unique by the pole lemma."""
     p_w = next((fp for fp in an.paths if v in fp.v0 and w in fp.interior), None)
     if p_w is None:
@@ -834,7 +835,7 @@ def _choose_fan_path(an: _Analysis, v: int, w: int) -> FanPath:
     return p_w
 
 
-def tree_partition_face_sparse(an: _Analysis) -> tuple[TreePartition, dict]:
+def tree_partition_face_sparse(an: Instance) -> tuple[TreePartition, dict]:
     """Two induced trees of the analysed triangulation such that every big
     class-3 vertex keeps almost all of its class-1 neighbours on the first
     side and class-2 on the second (branching vertices of H exactly;
@@ -870,7 +871,7 @@ def tree_partition_face_sparse(an: _Analysis) -> tuple[TreePartition, dict]:
 
 
 def _face_sparse_report(
-    an: _Analysis,
+    an: Instance,
     part: TreePartition,
     steps: Sequence[StepInfo] = (),
     special: str | None = None,

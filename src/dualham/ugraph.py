@@ -65,30 +65,11 @@ class Graph:
     def __contains__(self, v: int) -> bool:
         return v in self.adj
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.adj == other.adj
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self.m})"
-
     # --- derived graphs --------------------------------------------------
-
-    def copy(self) -> "Graph":
-        return Graph({v: set(nb) for v, nb in self.adj.items()})
 
     def subgraph(self, keep: Iterable[int]) -> "Graph":
         keep = set(keep)
         return Graph({v: self.adj[v] & keep for v in keep})
-
-    def remove_vertices(self, drop: Iterable[int]) -> "Graph":
-        drop = set(drop)
-        return self.subgraph(set(self.adj) - drop)
-
-    def remove_edge(self, u: int, v: int) -> "Graph":
-        g = self.copy()
-        g.adj[u].discard(v)
-        g.adj[v].discard(u)
-        return g
 
     def union(self, other: "Graph") -> "Graph":
         adj = {v: set(nb) for v, nb in self.adj.items()}

@@ -254,7 +254,7 @@ def test_criterion_9_solver_never_exhausts(corpus, exhausted_log):
             continue  # covered by the pipelines above
         try:
             treesplit.tree_partition_solve(
-                treesplit._analyse(g),
+                treesplit.analyse(g),
                 treesplit.PartitionConstraint(frozenset(bs.b_of(1)), frozenset(bs.b_of(2))),
             )
         except SearchExhausted as exc:

@@ -89,6 +89,38 @@ class TestCheck:
             "h-components-2-connected": True,
         }
 
+    def test_multi4_witness_comes_from_the_deciding_routine(self, capsys, tmp_path,
+                                                            monkeypatch):
+        # the depth-first filter finds the triangle; no second enumeration
+        # may run, whatever the cap
+        from dualham.ugraph import Graph
+
+        def refused(self, cap=None):
+            raise AssertionError("simple_cycles ran")
+
+        monkeypatch.setattr(Graph, "simple_cycles", refused)
+        p = tmp_path / "square-and-triangle.json"
+        p.write_text(json.dumps({"edges": [[0, 1], [1, 2], [2, 3], [3, 0],
+                                           [4, 5], [5, 6], [6, 4]]}))
+        code, rows, _ = run(capsys, ["--cap", "1", "check", str(p), "--family", "multi4"])
+        assert code == 1
+        (check,) = rows[-1]["checks"]
+        assert sorted(check["witness"]) == [4, 5, 6]
+
+    def test_hypothesis_check_reports_an_h_witness(self, capsys, tmp_path, catalog13_14):
+        from dualham.gen import big_vertex_graph
+
+        g = catalog13_14[13][7]
+        p = tmp_path / "g13.json"
+        p.write_text(g.to_json())
+        code, rows, _ = run(capsys, ["check", str(p), "--family", "barnette-hypothesis"])
+        assert code == 1
+        (check,) = [c for c in rows[-1]["checks"] if c["name"] == "h-all-cycles-0-mod-4"]
+        cyc = check["witness"]
+        h, _ = big_vertex_graph(g)
+        assert len(set(cyc)) == len(cyc) >= 3 and len(cyc) % 4 != 0
+        assert all(h.has_edge(cyc[i - 1], cyc[i]) for i in range(len(cyc)))
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["check", "/nonexistent", "--family", "even-tri"])
         assert code == 2
@@ -361,6 +393,33 @@ class TestGenAndSurvey:
         assert rows[-1]["result"]["instances"] == 4
         assert all(all(row["checks"].values()) for row in rows[:-1])
 
+    def test_survey_barnette_hypothesis_builds_h_once(self, capsys, monkeypatch):
+        from dualham import colorizer, gen, structure, treesplit
+
+        built, checked = [], []
+        real_build, real_check = gen.big_vertex_graph, structure.is_multi4
+
+        def counted_build(g, *args, **kwargs):
+            built.append(g.n)
+            return real_build(g, *args, **kwargs)
+
+        def counted_check(g, *args, **kwargs):
+            checked.append(g.n)
+            return real_check(g, *args, **kwargs)
+
+        for mod in (gen, treesplit):
+            monkeypatch.setattr(mod, "big_vertex_graph", counted_build)
+        for mod in (structure, colorizer, gen, treesplit):
+            monkeypatch.setattr(mod, "is_multi4", counted_check)
+        argv = ["survey", "--family", "barnette-hypothesis", "--n-max", "10"]
+        code, rows, _ = run(capsys, argv)
+        # 5 instances generated, each analysed and checked once; 4 kept
+        assert len(built) == 5 and len(checked) == 5
+        assert code == 0 and rows[-1]["result"]["instances"] == 4
+        assert all(all(r["checks"].values()) for r in rows[:-1])
+        code2, rows2, _ = run(capsys, [*argv, "--jobs", "2"])
+        assert code2 == 0 and rows2[:-1] == rows[:-1]
+
     def test_gen_thm24_valid_feeds_the_hypothesis_check(self, capsys, tmp_path):
         code, rows, _ = run(capsys, ["gen", "--family", "thm24-valid", "--size", "10"])
         assert code == 0 and len(rows) == 2
@@ -373,15 +432,15 @@ class TestGenAndSurvey:
     def test_survey_row_analyses_its_instance_once(self, monkeypatch, catalog12):
         from dualham import duality, treesplit
 
-        real = treesplit._analyse
+        real = treesplit.analyse
         calls = []
 
         def counted(g):
             calls.append(g.n)
             return real(g)
 
-        monkeypatch.setattr(treesplit, "_analyse", counted)
-        monkeypatch.setattr(duality, "_analyse", counted)
+        monkeypatch.setattr(treesplit, "analyse", counted)
+        monkeypatch.setattr(duality, "analyse", counted)
         row = cli._survey_even_tri(catalog12[-1].to_json())
         assert row["hypothesis"] and row["eligible_edges"] == 12
         assert all(row["checks"].values())

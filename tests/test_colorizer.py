@@ -23,7 +23,7 @@ from dualham.embed import EmbeddedGraph
 from dualham.errors import CaseUnmatched, NoCutPath, NotOn4Cycle
 from dualham.gen import gen_multi4
 from dualham.structure import TypedBipartition, bipartition_typed, minimal_determined_side
-from dualham.treesplit import _analyse
+from dualham.treesplit import analyse
 from dualham.ugraph import Graph, norm_edge
 from oracles import golden_two_squares
 
@@ -94,6 +94,15 @@ def test_k34_has_no_good_colouring():
         combined = combine(a, dict(zip((0, 1, 2), bits)))
         rep = verify_coloring(g, bp, combined)
         assert not rep.cycle_free, bits
+
+
+def test_pin_outside_the_graph_rejected():
+    # 9 is on the record's beta side but is no vertex of the 4-cycle, so
+    # no colouring of the graph can hold the pin
+    g = cycle(4)
+    bp = TypedBipartition(alpha=frozenset({0, 2}), beta=frozenset({1, 3, 9}))
+    with pytest.raises(ValueError, match="not in the graph"):
+        color_beta(g, bp, {0: 1, 2: 2}, 9, 2)
 
 
 class Test4Cycle:
@@ -257,7 +266,7 @@ def test_matches_reference_on_golden_h():
     """H of every golden row, typed and coloured as the pipelines do."""
     with open(GOLDEN) as f:
         for line in f:
-            an = _analyse(EmbeddedGraph.build(json.loads(line)["rotation"]))
+            an = analyse(EmbeddedGraph.build(json.loads(line)["rotation"]))
             bp = TypedBipartition(alpha=frozenset(an.a), beta=an.bs.b_of(3))
             _assert_matches_reference(an.h, bp, an.a)
 

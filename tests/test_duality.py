@@ -18,7 +18,7 @@ from dualham.duality import (
 from dualham.embed import EmbeddedGraph, classify_big_small, dual, tri_partition
 from dualham.errors import BadEdge, NotHamilton, NotTreePartition
 from dualham.gen import big_vertex_graph, gen_triangulations, meets_h_hypothesis
-from dualham.treesplit import TreePartition, _analyse, verify_tree_partition
+from dualham.treesplit import TreePartition, analyse, verify_tree_partition
 from dualham.ugraph import Graph, norm_edge
 from oracles import (
     CapExceeded,
@@ -166,12 +166,12 @@ class TestEdgeBijection:
     def test_primal_edge_of_inverts(self, octahedron):
         d = dual(octahedron)
         for e, e_star in d.edge_map.items():
-            assert norm_edge(*primal_edge_of(octahedron, d, e_star)) == norm_edge(*e)
+            assert norm_edge(*primal_edge_of(d, e_star)) == norm_edge(*e)
 
     def test_unknown_edge(self, octahedron):
         d = dual(octahedron)
         with pytest.raises(ValueError):
-            primal_edge_of(octahedron, d, (0, 999))
+            primal_edge_of(d, (0, 999))
 
 
 class TestAvoidingEdge:
@@ -185,6 +185,8 @@ class TestAvoidingEdge:
                 if not any(x in bs.b_of(3) for x in e):
                     continue
                 h = hamilton_avoiding_edge(g, e_star, d)
+                # without d, the pipeline builds the same dual itself
+                assert hamilton_avoiding_edge(g, e_star) == h
                 assert verify_hamilton(d.graph.abstract(), h)
                 assert e_star not in h.edges
                 # the oracle agrees such a cycle exists
@@ -200,7 +202,7 @@ class TestAvoidingEdge:
         for g in (octahedron, bipyramid6):
             d = dual(g)
             with pytest.raises(BadEdge):
-                primal_edge_of(g, d, (0, 999))
+                primal_edge_of(d, (0, 999))
             with pytest.raises(BadEdge):
                 hamilton_avoiding_edge(g, (0, 999), d)
         # a ring edge of the bipyramid touches no big class-3 vertex
@@ -227,7 +229,7 @@ class TestFaceSparse:
     def test_report_is_pure_classification(self, bipyramid6):
         d = dual(bipyramid6)
         for h in enumerate_hamilton(d.graph.abstract()):
-            rep = face_avoidance_report(_analyse(bipyramid6), h, d)
+            rep = face_avoidance_report(analyse(bipyramid6), h, d)
             for f in rep.faces:
                 assert len(f.avoided) + len(h.edges & set(_boundary(bipyramid6, d, f))) \
                     == f.size

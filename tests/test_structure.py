@@ -12,7 +12,7 @@ from dualham.structure import (
     CutPair,
     PathRec,
     TypedBipartition,
-    _fundamental_cycles_ok,
+    _bad_fundamental_cycle,
     bipartition_typed,
     cut_path_candidates,
     cuts_graph,
@@ -63,8 +63,9 @@ class TestMembership:
 
 
 def _reference_fundamental_cycles_ok(g: Graph) -> bool:
-    """Reference for `_fundamental_cycles_ok`: a search tree with its edge
-    set, then the lowest-common-ancestor walk for each sorted edge."""
+    """Reference for `_bad_fundamental_cycle(g) is None`: a search tree
+    with its edge set, then the lowest-common-ancestor walk for each
+    sorted edge."""
     depth: dict[int, int] = {}
     parent: dict[int, int | None] = {}
     tree_edges = set()
@@ -113,7 +114,12 @@ def test_fundamental_cycle_filter_against_reference(atlas, hgraphs):
             bipartite = True
         except NotBipartite:
             bipartite = False
-        got = _fundamental_cycles_ok(g)
+        cyc = _bad_fundamental_cycle(g)
+        if cyc is not None:
+            # a cycle of g whose length is not 0 mod 4
+            assert len(set(cyc)) == len(cyc) >= 3 and len(cyc) % 4, g.edges()
+            assert all(g.has_edge(cyc[i - 1], cyc[i]) for i in range(len(cyc))), g.edges()
+        got = cyc is None
         if member or not bipartite:
             assert got == _reference_fundamental_cycles_ok(g) == member, g.edges()
         else:

@@ -39,7 +39,7 @@ from dualham.treesplit import (
     FanPath,
     PartitionConstraint,
     TreePartition,
-    _analyse,
+    analyse,
     base_coloring_candidates,
     bipyramid_poles,
     families_R,
@@ -212,7 +212,7 @@ def _reference_tree_partition_solve(g, c, *, enforce_path_condition=True):
     made by scanning every free vertex, over `_ReferenceForest`.  Returns
     the partition or the error type, and every (vertex, side, accepted)
     placement, seeds included."""
-    an = treesplit._analyse(g)
+    an = treesplit.analyse(g)
     ab = an.ab
     try:
         treesplit._validate_constraint(an, c, enforce_path_condition)
@@ -366,7 +366,7 @@ class TestBipyramidPartitionMatchesReference:
         for g in graphs:
             tp = tri_partition(g)
             poles = bipyramid_poles(g)
-            an = _analyse(g)
+            an = analyse(g)
             got = treesplit._bipyramid_partition(an)
             assert got == _reference_bipyramid_partition(g, poles, tp)
             # big poles of class 1 or 2 share a side, whatever the kept pair
@@ -409,7 +409,7 @@ class TestPoleLemma:
         for g in even_tri_sweep + [g.mirror() for g in catalog12]:
             if bipyramid_poles(g) is not None:
                 continue
-            an = treesplit._analyse(g)
+            an = treesplit.analyse(g)
             for v in sorted(an.bs.big):
                 for w in g.rotation[v]:
                     if w not in an.bs.small:
@@ -543,21 +543,21 @@ class TestRunLemma:
 class TestSolver:
     def test_octahedron_unseeded(self, octahedron):
         part = tree_partition_solve(
-            _analyse(octahedron), PartitionConstraint(frozenset(), frozenset())
+            analyse(octahedron), PartitionConstraint(frozenset(), frozenset())
         )
         assert verify_tree_partition(octahedron.abstract(), part)
 
     def test_seeds_respected(self, bipyramid6):
         # poles of the 6-ring bipyramid are the big class-3 vertices
         c = PartitionConstraint(frozenset({6}), frozenset({7}))
-        part = tree_partition_solve(_analyse(bipyramid6), c)
+        part = tree_partition_solve(analyse(bipyramid6), c)
         assert 6 in part.s and 7 in part.t
         assert verify_tree_partition(bipyramid6.abstract(), part)
 
     def test_overlapping_seeds_rejected(self, octahedron):
         with pytest.raises(ConstraintInvalid):
             tree_partition_solve(
-                _analyse(octahedron), PartitionConstraint(frozenset({0}), frozenset({0}))
+                analyse(octahedron), PartitionConstraint(frozenset({0}), frozenset({0}))
             )
 
     def test_cyclic_seed_rejected(self, octahedron):
@@ -568,7 +568,7 @@ class TestSolver:
             if w != u and ab.has_edge(w, u)
         )
         with pytest.raises(ConstraintInvalid):
-            tree_partition_solve(_analyse(octahedron), PartitionConstraint(tri, frozenset()))
+            tree_partition_solve(analyse(octahedron), PartitionConstraint(tri, frozenset()))
 
     def test_unsatisfiable_seeds_exhaust(self, bipyramid6):
         # with the poles on opposite sides, each side's ring vertices must
@@ -577,7 +577,7 @@ class TestSolver:
         # classes, and 0 and 3 lie in different classes
         with pytest.raises(SearchExhausted):
             tree_partition_solve(
-                _analyse(bipyramid6), PartitionConstraint(frozenset({6, 0, 3}), frozenset({7}))
+                analyse(bipyramid6), PartitionConstraint(frozenset({6, 0, 3}), frozenset({7}))
             )
 
     def test_verifier_rejects_bad_partition(self, octahedron):
@@ -617,7 +617,7 @@ class TestSolverMatchesReference:
                 forests.clear()
                 tried.clear()
                 try:
-                    got = tree_partition_solve(_analyse(g), c, enforce_path_condition=False)
+                    got = tree_partition_solve(analyse(g), c, enforce_path_condition=False)
                 except DualhamError as exc:
                     got = type(exc)
                 assert got == want, (g.rotation, c)
@@ -687,7 +687,7 @@ class TestSolverMatchesReferenceAtScale:
         tried.clear()
         try:
             got = tree_partition_solve(
-                _analyse(g), c, enforce_path_condition=enforce_path_condition
+                analyse(g), c, enforce_path_condition=enforce_path_condition
             )
         except DualhamError as exc:
             got = type(exc)
@@ -723,7 +723,7 @@ class TestSolverMatchesReferenceAtScale:
             seeds.append((c, enforce_path_condition))
             return real(an, c, enforce_path_condition=enforce_path_condition)
 
-        an = treesplit._analyse(g)
+        an = treesplit.analyse(g)
         with monkeypatch.context() as m:
             m.setattr(treesplit, "tree_partition_solve", recording)
             for v, w in row["big_w"] + row["small_w"]:
@@ -773,24 +773,24 @@ class TestWithEdgePipeline:
     def test_rejects_non_even_triangulation(self):
         g = EmbeddedGraph.build(TETRAHEDRON)
         with pytest.raises(NotEvenTriangulation):
-            tree_partition_with_edge(_analyse(g), 0, 1)
+            tree_partition_with_edge(analyse(g), 0, 1)
 
     def test_rejects_small_v(self, octahedron):
         with pytest.raises(ValueError):
-            tree_partition_with_edge(_analyse(octahedron), 0, 1)
+            tree_partition_with_edge(analyse(octahedron), 0, 1)
 
     def test_bad_edges_raise_a_typed_error(self, bipyramid6):
         # 6 and 7 are the poles (big, class 3), 0 a small ring vertex
         for v, w in ((6, 7), (6, 999), (0, 1)):
             with pytest.raises(BadEdge):
-                tree_partition_with_edge(_analyse(bipyramid6), v, w)
+                tree_partition_with_edge(analyse(bipyramid6), v, w)
 
     def test_bipyramid_case(self, bipyramid6):
         tp = tri_partition(bipyramid6)
         bs = classify_big_small(bipyramid6, tp)
         v = min(bs.b_of(3))
         w = next(u for u in bipyramid6.rotation[v] if tp.class_of[u] in (1, 2))
-        part = tree_partition_with_edge(_analyse(bipyramid6), v, w)
+        part = tree_partition_with_edge(analyse(bipyramid6), v, w)
         assert verify_tree_partition(bipyramid6.abstract(), part)
         assert (v in part.s) == (w in part.s)
 
@@ -803,13 +803,13 @@ class TestWithEdgePipeline:
                 for w in sorted(ab.adj[v]):
                     if tp.class_of[w] not in (1, 2):
                         continue
-                    part = tree_partition_with_edge(_analyse(g), v, w)
+                    part = tree_partition_with_edge(analyse(g), v, w)
                     assert verify_tree_partition(ab, part, bs.b_of(1), bs.b_of(2))
                     assert (v in part.s) == (w in part.s)
 
     def test_rejects_h_outside_the_family(self, h_not_in_family):
         with pytest.raises(NotInFamilyH):
-            tree_partition_with_edge(_analyse(h_not_in_family), 4, 2)
+            tree_partition_with_edge(analyse(h_not_in_family), 4, 2)
 
     def test_a_failed_extension_is_raised_not_retried(self, even10, monkeypatch):
         # one fan path and one base colouring per call: a construction
@@ -826,7 +826,7 @@ class TestWithEdgePipeline:
         through = [fp for fp in fan_paths(even10, bs) if 7 in fp.interior and 1 in fp.v0 | fp.v1]
         assert len(through) == 2
         with pytest.raises(ConditionViolated):
-            tree_partition_with_edge(_analyse(even10), 1, 7)
+            tree_partition_with_edge(analyse(even10), 1, 7)
         assert len(calls) == 1
 
     def test_a_refused_base_colouring_is_raised_at_once(self, monkeypatch):
@@ -834,7 +834,7 @@ class TestWithEdgePipeline:
         # miss: a small w with a big and with a small other pole, and a big w
         with open(LARGE) as f:
             row = next(r for r in map(json.loads, f) if r["n"] == 152 and r["seed"] == 1)
-        an = _analyse(EmbeddedGraph.build(row["rotation"]))
+        an = analyse(EmbeddedGraph.build(row["rotation"]))
         audited = []
 
         def refuse(an, b, strict):
@@ -947,31 +947,31 @@ def _reference_audit(an, trial, l_graph, fp):
 class TestFaceSparsePipeline:
     def test_rejects_h_outside_the_family(self, h_not_in_family):
         with pytest.raises(NotInFamilyH):
-            tree_partition_face_sparse(_analyse(h_not_in_family))
+            tree_partition_face_sparse(analyse(h_not_in_family))
 
     def test_rejects_h_not_2connected(self, h_not_2connected):
         with pytest.raises(HComponentNot2Connected):
-            tree_partition_face_sparse(_analyse(h_not_2connected))
+            tree_partition_face_sparse(analyse(h_not_2connected))
 
     def test_rejects_non_even_triangulation(self):
         with pytest.raises(NotEvenTriangulation):
-            tree_partition_face_sparse(_analyse(EmbeddedGraph.build(TETRAHEDRON)))
+            tree_partition_face_sparse(analyse(EmbeddedGraph.build(TETRAHEDRON)))
 
     def test_bipyramids(self, octahedron, bipyramid6):
         for g in (octahedron, bipyramid6):
-            part, rep = tree_partition_face_sparse(_analyse(g))
+            part, rep = tree_partition_face_sparse(analyse(g))
             assert verify_tree_partition(g.abstract(), part)
             assert rep["all_ok"] and rep["special_case"] == "bipyramid"
 
     def test_bipyramid_partition_is_audited(self, monkeypatch):
         monkeypatch.setattr(treesplit, "verify_tree_partition", lambda *args: False)
         with pytest.raises(NotTreePartition):
-            tree_partition_face_sparse(_analyse(gen_bipyramid(3)))
+            tree_partition_face_sparse(analyse(gen_bipyramid(3)))
 
     def test_strict_sweep_is_exhaustive_within_its_budget(self, monkeypatch):
         with open(LARGE) as f:
             row = next(r for r in map(json.loads, f) if r["n"] == 302)
-        an = _analyse(EmbeddedGraph.build(row["rotation"]))
+        an = analyse(EmbeddedGraph.build(row["rotation"]))
         assert len(an.bs.b_of(3)) == 16
         audited = []
 
@@ -997,7 +997,7 @@ class TestFaceSparsePipeline:
             h, bs = big_vertex_graph(g)
             if not meets_h_hypothesis(h):
                 continue
-            part, rep = tree_partition_face_sparse(_analyse(g))
+            part, rep = tree_partition_face_sparse(analyse(g))
             assert verify_tree_partition(
                 g.abstract(), part, bs.b_of(1), bs.b_of(2)
             )
@@ -1005,7 +1005,7 @@ class TestFaceSparsePipeline:
 
     def test_report_checks_implications_directly(self, even10):
         tp = tri_partition(even10)
-        part, rep = tree_partition_face_sparse(_analyse(even10))
+        part, rep = tree_partition_face_sparse(analyse(even10))
         ab = even10.abstract()
         for row in rep["vertices"]:
             v = row["vertex"]
@@ -1037,7 +1037,7 @@ class TestFrozenOutputs:
                         if tp.class_of[w] in (1, 2)]
             assert eligible == [[v, w] for v, w, _, _ in row["with_edge"]]
             for v, w, s, t in row["with_edge"]:
-                part = tree_partition_with_edge(_analyse(g), v, w)
+                part = tree_partition_with_edge(analyse(g), v, w)
                 assert (sorted(part.s), sorted(part.t)) == (s, t)
 
     def test_sequence_extension_matches_reference(self, golden):
@@ -1048,7 +1048,7 @@ class TestFrozenOutputs:
             g = EmbeddedGraph.build(row["rotation"])
             if row["face_sparse"] is None or bipyramid_poles(g) is not None:
                 continue
-            an = treesplit._analyse(g)
+            an = treesplit.analyse(g)
             r, r_hat = families_R(an.bs, an.paths)
             for b in treesplit.base_coloring_candidates(an, strict=True):
                 tried += 1
@@ -1078,7 +1078,7 @@ class TestFrozenOutputs:
             h, _ = big_vertex_graph(g)
             assert meets_h_hypothesis(h) == (row["face_sparse"] is not None)
             if row["face_sparse"] is not None:
-                part, report = tree_partition_face_sparse(_analyse(g))
+                part, report = tree_partition_face_sparse(analyse(g))
                 assert [sorted(part.s), sorted(part.t)] == row["face_sparse"]
                 assert report["all_ok"]
                 cases.update(step["case"] for step in report["steps"])
@@ -1112,10 +1112,10 @@ class TestCatalogs13And14:
             h, bs = big_vertex_graph(g)
             if not meets_h_hypothesis(h):
                 with pytest.raises((NotInFamilyH, HComponentNot2Connected)) as exc:
-                    tree_partition_face_sparse(_analyse(g))
+                    tree_partition_face_sparse(analyse(g))
                 refused[exc.type.__name__] += 1
                 continue
-            part, report = tree_partition_face_sparse(_analyse(g))
+            part, report = tree_partition_face_sparse(analyse(g))
             assert verify_tree_partition(g.abstract(), part, bs.b_of(1), bs.b_of(2))
             assert report["all_ok"]
             special[report["special_case"]] += 1
@@ -1135,7 +1135,7 @@ class TestCatalogs13And14:
     def test_avoid_every_eligible_edge(self, orientations):
         avoided = refused = 0
         for g in orientations:
-            an = treesplit._analyse(g)
+            an = treesplit.analyse(g)
             d = dual(g)
             for v in sorted(an.bs.b_of(3)):
                 for w in sorted(an.ab.adj[v]):
