@@ -300,8 +300,12 @@ def automorphisms(g: EmbeddedGraph) -> list[tuple[int, ...]]:
     orientations of one root edge give the same labelling, so the maps
     are deduplicated.
     """
-    _, orders = _min_starts(g.rotation)
-    pos = [0] * g.n
+    return _automorphisms(_min_starts(g.rotation)[1])
+
+
+def _automorphisms(orders: list[list[int]]) -> list[tuple[int, ...]]:
+    """`automorphisms` from the BFS orders that `_min_starts` returns."""
+    pos = [0] * len(orders[0])
     for j, x in enumerate(orders[0]):
         pos[x] = j
     return list(dict.fromkeys(tuple(order[p] for p in pos) for order in orders))

@@ -1,10 +1,11 @@
 """Instance generators.
 
-Bipyramids, exhaustive small even triangulations (vertex splitting; each
-candidate is deduplicated by canonical form first, and only the ones kept
-are validated), random members of the mod-4 cycle family via a sound
-gluing grammar, and filtered even triangulations whose big-vertex graph
-H = G[B1 u B3] + G[B2 u B3] lies in that family.
+Bipyramids, exhaustive small even triangulations (vertex splitting with
+McKay's canonical augmentation: a split child gets a canonical form only
+when its new edge passes a degree-sum test, and each class comes out once,
+canonically labelled), random members of the mod-4 cycle family via a
+sound gluing grammar, and filtered even triangulations whose big-vertex
+graph H = G[B1 u B3] + G[B2 u B3] lies in that family.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Iterator
 from .embed import (
     EmbeddedGraph,
     TriPartition,
-    automorphisms,
-    canonical_form,
+    _automorphisms,
+    _min_starts,
     classify_big_small,
     is_even_triangulation,
     tri_partition,
@@ -32,9 +33,9 @@ from .errors import (
 from .structure import is_multi4
 from .ugraph import Graph
 
-# Generation holds every class of the level it builds, about 11 KB each
-# (max RSS rose 84 MB for the 7,595 at n = 12).  A000109 gives about 2.4 M
-# classes at n = 15 and 17.5 M at n = 16, some 26 GB and 190 GB, so those
+# The returned list holds every class on n vertices, about 9 KB each (max
+# RSS rose 66 MB for the 7,595 at n = 12).  A000109 gives about 2.4 M
+# classes at n = 15 and 17.5 M at n = 16, some 21 GB and 150 GB, so those
 # sizes would run out of memory instead of ending in an exit code.
 MAX_TRI_N = 14
 
@@ -103,57 +104,120 @@ def split_vertex(g: EmbeddedGraph, v: int, i: int, j: int) -> EmbeddedGraph:
 
 
 def gen_triangulations(n: int) -> list[EmbeddedGraph]:
-    """All plane triangulations on n vertices, one per isomorphism class.
+    """All plane triangulations on n vertices, one per isomorphism class,
+    each canonically labelled, in increasing order of rotation.
 
-    Expansion by vertex splitting from the tetrahedron; every simple plane
-    triangulation with more than four vertices contracts some edge, so the
-    closure is complete.  Counts for n = 4..12 match the simplicial
-    polyhedron numbers 1, 1, 2, 5, 14, 50, 233, 1249, 7595 (OEIS A000109).
+    Depth-first canonical augmentation (McKay, *Isomorph-free exhaustive
+    generation*, J. Algorithms 26, 1998) by vertex splitting from the
+    tetrahedron.  Counts for n = 4..12 match the simplicial polyhedron
+    numbers 1, 1, 2, 5, 14, 50, 233, 1249, 7595 (OEIS A000109).  It rests
+    on three lemmas:
+
+    - every plane triangulation with n >= 5 has a contractible edge, one
+      whose ends have exactly two common neighbours (it lies on no
+      separating triangle), and contracting it leaves a plane
+      triangulation on n - 1 vertices;
+    - a split child h of g has its new edge e = (v, g.n) contractible,
+      and contracting e gives back g;
+    - McKay's rule keeps each class exactly once.  `_canonical_reduction`
+      accepts h iff e lies in the Aut(h)-orbit of h's canonical reduction
+      edge, a contractible edge of least degree sum whose orbit depends
+      only on h's class.  Every class with n >= 5 is reached: contract
+      that edge, take the parent's kept representative, and the split of
+      the matching orbit is accepted.  None is reached twice: an
+      isomorphism between two accepted children can be chosen to carry
+      one new edge onto the other, so it induces an automorphism of one
+      kept parent that carries one split onto the other.
 
     One split per automorphism orbit: a split of v is named by v and the
     unordered pair {a, b} of the two neighbours it shares with the new
-    vertex.  An automorphism σ of the parent maps split(v, {a, b}) to
-    split(σv, {σa, σb}), up to reflection, and `canonical_form` identifies
-    reflections, so a split that is the image of one already tried on
-    this parent would only copy an earlier candidate.  It is skipped.  The
-    first candidate of each class is never such a copy, so the kept list,
-    its order and its rotations are those of trying every split.
+    vertex.  An automorphism of the parent, reflections included, maps
+    split(v, {a, b}) to split(σv, {σa, σb}) up to reflection, and the
+    acceptance rule is invariant under both, so a split that is the image
+    of one already tried on this parent is skipped.
 
-    Deduplicate, then validate: a candidate is built with
-    `EmbeddedGraph.build` only when its canonical form is new, and that
-    validated graph is the one kept.  A discarded candidate needs no
-    check: it is connected, and its BFS code lists every vertex's
-    rotation, so an equal code means an embedding isomorphic to one
-    already validated.
+    A parent is the split child itself, unvalidated (`split_vertex`).  An
+    output is built once, from its code: the code is a rotation system
+    with each vertex named by its BFS label, so `EmbeddedGraph.build`
+    validates it and `canonical_form` maps it to itself.  Sorting by code
+    makes the list depend on n alone, not on the route that reached each
+    class.
     """
     if not 4 <= n <= MAX_TRI_N:
         raise SizeOutOfRange(f"n must be in [4, {MAX_TRI_N}], got {n}")
-    level = [EmbeddedGraph.build(TETRAHEDRON)]
-    for _ in range(n - 4):
-        seen: set[tuple] = set()
-        nxt: list[EmbeddedGraph] = []
-        for g in level:
-            autos = automorphisms(g)
-            tried: set[tuple[int, int, int]] = set()    # (v, a, b) with a < b
-            for v, nb in enumerate(g.rotation):
-                deg = len(nb)
-                # (i, j) and (j, i) swap the two halves, giving isomorphic
-                # results, so ordered pairs would double the work
-                for i in range(deg):
-                    for j in range(i + 1, deg):
-                        a, b = nb[i], nb[j]
-                        if ((v, a, b) if a < b else (v, b, a)) in tried:
-                            continue
-                        for s in autos:
-                            x, y = s[a], s[b]
-                            tried.add((s[v], x, y) if x < y else (s[v], y, x))
-                        h = split_vertex(g, v, i, j)
-                        code = canonical_form(h)
-                        if code not in seen:
-                            seen.add(code)
-                            nxt.append(EmbeddedGraph.build(h.rotation))
-        level = nxt
-    return level
+    codes: list[tuple] = []
+    tetrahedron = EmbeddedGraph.build(TETRAHEDRON)
+    # depth first: each entry is a kept graph with its `_min_starts`
+    stack = [(tetrahedron, _min_starts(tetrahedron.rotation))]
+    while stack:
+        g, (code, orders) = stack.pop()
+        if g.n == n:
+            codes.append(code)
+            continue
+        autos = _automorphisms(orders)
+        tried: set[tuple[int, int, int]] = set()    # (v, a, b) with a < b
+        for v, nb in enumerate(g.rotation):
+            deg = len(nb)
+            # (i, j) and (j, i) swap the two halves, giving isomorphic
+            # results, so ordered pairs would double the work
+            for i in range(deg):
+                for j in range(i + 1, deg):
+                    a, b = nb[i], nb[j]
+                    if ((v, a, b) if a < b else (v, b, a)) in tried:
+                        continue
+                    for s in autos:
+                        x, y = s[a], s[b]
+                        tried.add((s[v], x, y) if x < y else (s[v], y, x))
+                    h = split_vertex(g, v, i, j)
+                    starts = _canonical_reduction(h, v)
+                    if starts is not None:
+                        stack.append((h, starts))
+    return [EmbeddedGraph.build(code) for code in sorted(codes)]
+
+
+def _canonical_reduction(
+    h: EmbeddedGraph, v: int
+) -> tuple[tuple, list[list[int]]] | None:
+    """McKay's acceptance test for the split child h with new edge
+    e = (v, h.n - 1): h's `_min_starts` (code and automorphism orders) if
+    e lies in the Aut(h)-orbit of h's canonical reduction edge, else None.
+
+    The reduction edge is, among the contractible edges of least degree
+    sum, the one whose canonical labels are least.  Two shortcuts avoid
+    the canonical form: a contractible edge of lower degree sum than e
+    rejects h at once, and e alone at its degree sum is accepted.  Only
+    ties need the labels; each surviving start of `_min_starts` labels h
+    by an automorphism of the first one's labelling, so e is in the
+    reduction edge's orbit iff some start gives e the reduction edge's
+    labels.
+    """
+    rot = h.rotation
+    new = h.n - 1
+    least = len(rot[v]) + len(rot[new])
+    tied = []
+    for x, nb in enumerate(rot):
+        dx = len(nb)
+        around = None
+        for y in nb:
+            if y > x and dx + len(rot[y]) <= least:
+                if around is None:
+                    around = set(nb)
+                if len(around.intersection(rot[y])) == 2:
+                    if dx + len(rot[y]) < least:
+                        return None
+                    tied.append((x, y))
+    starts = _min_starts(rot)
+    if len(tied) == 1:
+        return starts
+    orders = starts[1]
+    label = [0] * h.n
+    for i, x in enumerate(orders[0]):
+        label[x] = i
+    first = min(sorted((label[x], label[y])) for x, y in tied)
+    for order in orders:
+        if sorted((order.index(v), order.index(new))) == first:
+            return starts
+    return None
 
 
 def gen_even_triangulations(n: int) -> Iterator[EmbeddedGraph]:

@@ -111,9 +111,6 @@ class Graph:
                     queue.append(w)
         return dist
 
-    def is_acyclic(self) -> bool:
-        return self.find_cycle() is None
-
     def is_tree(self) -> bool:
         return self.n > 0 and self.is_connected() and self.m == self.n - 1
 

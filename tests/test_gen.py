@@ -1,10 +1,20 @@
 """Generators: bipyramids, exhaustive triangulations, family members."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualham.embed import EmbeddedGraph, canonical_form, is_even_triangulation, tri_partition
+from dualham.embed import (
+    EmbeddedGraph,
+    _min_starts,
+    automorphisms,
+    canonical_form,
+    classify_big_small,
+    is_even_triangulation,
+    tri_partition,
+)
 from dualham import gen
 from dualham.embed import dual
 from dualham.errors import (
@@ -28,6 +38,7 @@ from dualham.gen import (
     meets_h_hypothesis,
 )
 from dualham.structure import is_multi4
+from dualham.treesplit import bipyramid_poles
 from dualham.ugraph import Graph
 from oracles import load_catalog
 
@@ -63,7 +74,8 @@ def _split_candidates(g):
 
 
 def _reference_gen_triangulations(n):
-    """The generator with every candidate validated before deduplication."""
+    """Level-by-level generation that tries every split, validates every
+    candidate and keeps the first of each canonical form."""
     level = [EmbeddedGraph.build(gen.TETRAHEDRON)]
     for _ in range(n - 4):
         seen = set()
@@ -79,12 +91,56 @@ def _reference_gen_triangulations(n):
     return level
 
 
+def _brute_force_reduction(h, v):
+    """McKay's rule with a canonical form for every child: whether the new
+    edge (v, h.n - 1) is accepted, that is, whether an automorphism of h
+    carries it onto the least-labelled contractible edge of least degree
+    sum; and which shortcut, if any, settles it without the labels."""
+    _, orders = _min_starts(h.rotation)
+    label = {x: i for i, x in enumerate(orders[0])}
+    contractible = [(x, y) for x, y in h.edges()
+                    if len(set(h.rotation[x]) & set(h.rotation[y])) == 2]
+    least = min(h.degree(x) + h.degree(y) for x, y in contractible)
+    tied = [(x, y) for x, y in contractible if h.degree(x) + h.degree(y) == least]
+    reduction = min(tied, key=lambda e: sorted((label[e[0]], label[e[1]])))
+    new_edge = {v, h.n - 1}
+    accepted = any({s[x] for x in reduction} == new_edge for s in automorphisms(h))
+    if h.degree(v) + h.degree(h.n - 1) > least:
+        return accepted, "lower sum"
+    return accepted, "alone" if len(tied) == 1 else "tied"
+
+
 class TestExhaustiveTriangulations:
     @pytest.mark.parametrize("n", range(4, 11))
     def test_same_as_validating_every_candidate(self, n):
-        # the reference tries every split, so it also checks the orbit pruning
-        want = [g.rotation for g in _reference_gen_triangulations(n)]
-        assert [g.rotation for g in gen_triangulations(n)] == want
+        # the reference tries every split, so it also checks the orbit
+        # pruning; the generator emits each class as its sorted code
+        want = [EmbeddedGraph.build(c)
+                for c in sorted(canonical_form(g) for g in _reference_gen_triangulations(n))]
+        assert gen_triangulations(n) == want
+
+    def test_acceptance_shortcuts_match_canonicalising_every_child(self):
+        # every split of every triangulation on up to 9 vertices: the new
+        # edge is contractible, and the rule with its two degree-sum
+        # shortcuts accepts exactly the children that the rule without
+        # them accepts
+        outcomes = Counter()
+        for n in range(4, 10):
+            for g in gen_triangulations(n):
+                for v, nb in enumerate(g.rotation):
+                    for i in range(len(nb)):
+                        for j in range(i + 1, len(nb)):
+                            h = split_vertex(g, v, i, j)
+                            assert len(set(h.rotation[v]) & set(h.rotation[n])) == 2
+                            got = gen._canonical_reduction(h, v)
+                            accepted, route = _brute_force_reduction(h, v)
+                            assert (got is not None) == accepted
+                            if accepted:
+                                assert got == _min_starts(h.rotation)
+                            outcomes[route, accepted] += 1
+        # both shortcuts fire, and ties go both ways
+        assert outcomes == {("lower sum", False): 4571, ("alone", True): 217,
+                            ("tied", True): 545, ("tied", False): 254}
 
     def test_one_split_per_automorphism_orbit(self, monkeypatch):
         # every split of every parent would be 5,587 calls for n = 10;
@@ -140,6 +196,12 @@ class TestExhaustiveTriangulations:
         assert len(list(gen_even_triangulations(7))) == 0
         assert len(list(gen_even_triangulations(8))) == 1
         assert len(list(gen_even_triangulations(9))) == 1
+
+    def test_even10_fixture_is_generated(self, even10):
+        # the fixture is frozen; its class still comes out of the generator
+        bs = classify_big_small(even10, tri_partition(even10))
+        assert bs.b_of(3) and bipyramid_poles(even10) is None
+        assert canonical_form(even10) in {canonical_form(g) for g in gen_even_triangulations(10)}
 
     def test_unique_6_vertex_even_is_octahedron(self, octahedron):
         (g,) = gen_even_triangulations(6)

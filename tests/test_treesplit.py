@@ -129,6 +129,10 @@ def _reference_classify_fan_path(ab, big, path):
     return FanPath(path, frozenset(poles), frozenset({path[0], path[-1]}))
 
 
+def _is_acyclic(g) -> bool:
+    return g.find_cycle() is None
+
+
 def _reference_solve(g, c):
     """Reference for `tree_partition_solve(an, c, enforce_path_condition=False)`:
     the recursive search it replaced, with the seed-acyclicity check and the
@@ -139,7 +143,7 @@ def _reference_solve(g, c):
     bs = classify_big_small(g, tri_partition(g))
     if (c.x & c.y or not bs.b_of(1) <= c.x or not bs.b_of(2) <= c.y
             or not bs.b_of(3) <= c.x | c.y
-            or not ab.subgraph(c.x).is_acyclic() or not ab.subgraph(c.y).is_acyclic()):
+            or not _is_acyclic(ab.subgraph(c.x)) or not _is_acyclic(ab.subgraph(c.y))):
         return ConstraintInvalid, [], 0
     assign = {**dict.fromkeys(c.x, 0), **dict.fromkeys(c.y, 1)}
     tried = []
@@ -154,7 +158,7 @@ def _reference_solve(g, c):
             return s and t and ab.subgraph(s).is_connected() and ab.subgraph(t).is_connected()
         v = min(free, key=lambda v: (-sum(w in assign for w in ab.adj[v]), v))
         for side in (0, 1):
-            fits = ab.subgraph({u for u in assign if assign[u] == side} | {v}).is_acyclic()
+            fits = _is_acyclic(ab.subgraph({u for u in assign if assign[u] == side} | {v}))
             tried.append((v, side, fits))
             if not fits:
                 continue
