@@ -80,10 +80,7 @@ def color_beta(
         raise ValueError(f"alpha colouring misses {sorted(missing)}")
     if check_family and not is_multi4(g):
         raise NotInFamilyH("a cycle has length not congruent to 0 mod 4")
-    return TwoColoring(_color_components(
-        g, bp, a, {pin_vertex},
-        lambda block: _color_block(block, bp, a, pin_vertex, pin_colour),
-    ))
+    return TwoColoring(_color_pinned(g, bp, a, pin_vertex, pin_colour))
 
 
 # --- recursive machinery -------------------------------------------------
@@ -92,31 +89,10 @@ def color_beta(
 RootColouring = Callable[[Graph], dict[int, int]]
 
 
-def _color_components(
-    g: Graph,
-    bp: TypedBipartition,
-    a: Mapping[int, int],
-    anchor: set[int],
-    colour_root: RootColouring,
-) -> dict[int, int]:
-    """Colour each component: the one holding `anchor` from the block
-    `colour_root` colours, every other from its lowest beta vertex."""
-    b: dict[int, int] = {}
-    comps = g.components()
-    for comp in sorted(comps, key=min):
-        sub = g if len(comps) == 1 else g.subgraph(comp)
-        betas = comp & bp.beta
-        if anchor <= comp:
-            b.update(_glue_blocks(sub, bp, a, anchor, colour_root))
-        elif betas:
-            b.update(_color_connected(sub, bp, a, min(betas), 1))
-    return b
-
-
-def _color_connected(
+def _color_pinned(
     g: Graph, bp: TypedBipartition, a: Mapping[int, int], pin_v: int, pin_c: int
 ) -> dict[int, int]:
-    """Colour a connected graph with the beta vertex pin_v at colour pin_c."""
+    """Colour g with the beta vertex pin_v at colour pin_c."""
     return _glue_blocks(
         g, bp, a, {pin_v}, lambda block: _color_block(block, bp, a, pin_v, pin_c)
     )
@@ -129,54 +105,74 @@ def _glue_blocks(
     anchor: set[int],
     colour_root: RootColouring,
 ) -> dict[int, int]:
-    """Colour the lowest block holding `anchor` with `colour_root`, then BFS
-    the block tree outward from it, pinning each new block at the cut
-    vertex it hangs from (or, for a degree-2 alpha cut vertex, at the beta
-    neighbour just past it, to keep chain alternation intact).
+    """Colour g, which may be disconnected, by one walk over its block
+    forest: one `blocks()` call and no separate component pass.
 
+    Each component's block tree is walked from one root block.  The
+    anchor's component goes first, from the lowest block holding `anchor`,
+    coloured by `colour_root`.  Every other component with a beta vertex
+    goes from the lowest block holding its least beta vertex, pinned to 1.
+    The walk is breadth first, pinning each new block at the cut vertex it
+    hangs from (or, for a degree-2 alpha cut vertex, at the beta neighbour
+    just past it, to keep chain alternation intact).
+
+    Lemma: the walk from a block reaches exactly the blocks of its
+    component, so a beta vertex that no walk has reached when the
+    ascending scan comes to it is the least beta vertex of its component.
     A block's neighbours are the blocks at its cut vertices, taken in
     block order; each cut vertex is passed once, so the walk is linear in
-    the size of the block tree.
+    the size of the block forest.
     """
     blocks, cuts = g.blocks()
     comps = [frozenset(c) for c in blocks]
+    home = {v: i for i, comp in enumerate(comps) for v in comp}
     at_cut: dict[int, list[int]] = {c: [] for c in cuts}
     for i, comp in enumerate(comps):
         for c in comp & cuts:
             at_cut[c].append(i)
-    root = min((i for i, c in enumerate(comps) if anchor <= c),
-               key=lambda i: sorted(comps[i]))
-    b = colour_root(g.subgraph(comps[root]))
-    done = {root}
-    frontier = [root]
-    while frontier:
-        nxt: list[int] = []
-        for i in frontier:
-            # two blocks share at most one vertex, a cut vertex; once a
-            # cut vertex is passed, every block at it is done
-            shared_at = {j: c for c in comps[i] & cuts
-                         for j in at_cut.pop(c, ()) if j not in done}
-            for j in sorted(shared_at):
-                c = shared_at[j]
-                block = g.subgraph(comps[j])
-                if c in bp.beta:
-                    sub_pin, sub_col = c, b[c]
-                elif g.degree(c) == 2:
-                    # degree-2 alpha cut vertex: both incident blocks are
-                    # bridges; keep the two beta neighbours apart
-                    prev = next(w for w in g.adj[c] if w in comps[i])
-                    here = next(w for w in g.adj[c] if w in comps[j])
-                    sub_pin, sub_col = here, 3 - b[prev]
-                else:
-                    sub_pin, sub_col = min(set(block.adj) & bp.beta), 1
-                sub = _color_block(block, bp, a, sub_pin, sub_col)
-                for v, col in sub.items():
-                    if v in b and b[v] != col:
-                        raise CaseUnmatched(f"block gluing conflict at {v}")
-                b.update(sub)
-                done.add(j)
-                nxt.append(j)
-        frontier = nxt
+    b: dict[int, int] = {}
+    walked: set[int] = set()
+
+    def walk(v: int, held: set[int], colour: RootColouring) -> None:
+        root = min((i for i in at_cut.get(v, [home[v]]) if held <= comps[i]),
+                   key=lambda i: sorted(comps[i]))
+        b.update(colour(g.subgraph(comps[root])))
+        walked.add(root)
+        frontier = [root]
+        while frontier:
+            nxt: list[int] = []
+            for i in frontier:
+                # a cut vertex is first passed from its parent block, i;
+                # the other blocks at it are its children, and popping it
+                # passes it once
+                shared_at = {j: c for c in comps[i] & cuts
+                             for j in at_cut.pop(c, ()) if j != i}
+                for j in sorted(shared_at):
+                    c = shared_at[j]
+                    block = g.subgraph(comps[j])
+                    if c in bp.beta:
+                        sub_pin, sub_col = c, b[c]
+                    elif g.degree(c) == 2:
+                        # degree-2 alpha cut vertex: both incident blocks
+                        # are bridges; keep the two beta neighbours apart
+                        prev = next(w for w in g.adj[c] if w in comps[i])
+                        here = next(w for w in g.adj[c] if w in comps[j])
+                        sub_pin, sub_col = here, 3 - b[prev]
+                    else:
+                        sub_pin, sub_col = min(set(block.adj) & bp.beta), 1
+                    sub = _color_block(block, bp, a, sub_pin, sub_col)
+                    for w, col in sub.items():
+                        if w in b and b[w] != col:
+                            raise CaseUnmatched(f"block gluing conflict at {w}")
+                    b.update(sub)
+                    walked.add(j)
+                    nxt.append(j)
+            frontier = nxt
+
+    walk(min(anchor), anchor, colour_root)
+    for v in sorted(u for u in g.adj if u in bp.beta):
+        if home[v] not in walked:
+            walk(v, {v}, lambda block: _color_block(block, bp, a, v, 1))
     return b
 
 
@@ -276,7 +272,14 @@ def _split_on_cut_pair(
     pin_v: int,
     pin_c: int,
 ) -> dict[int, int]:
-    """Mixed branching types: split along a minimal determined side."""
+    """Mixed branching types: split along a minimal determined side.
+
+    A side goes with both cut paths as the subgraph g induces on them,
+    which adds no edge beyond the paths' own.  Lemma: once the interiors
+    are removed, only path edges join C to D; inner path vertices have
+    degree 2; the near ends share a type and so do the far ends, so
+    neither pair is adjacent.
+    """
     try:
         pair = minimal_determined_side(g, bp)
     except NoCutPath:
@@ -286,35 +289,28 @@ def _split_on_cut_pair(
         )
     c_side, d_side = pair.side_c, pair.side_d
     p, q = pair.p, pair.q
-    path_edges = [
-        (u, v)
-        for pr in (p, q)
-        for u, v in zip(pr.vertices, pr.vertices[1:])
-    ]
     paths = set(p.vertices) | set(q.vertices)
     if all(bp.is_beta(v) for v in c_side if g.degree(v) >= 3):
         # near side beta: colour C plus both paths by distance parity,
         # the far component independently
-        k_graph = Graph.from_edges(g.subgraph(c_side).edges() + path_edges,
-                                   set(c_side) | paths)
+        k_graph = g.subgraph(c_side | paths)
         d_graph = g.subgraph(d_side)
         if pin_v in k_graph.adj:
             k = _procedure_distance_parity(k_graph, bp, pin_v, pin_c)
-            d = _color_connected(d_graph, bp, a, min(d_side & bp.beta), 1)
+            d = _color_pinned(d_graph, bp, a, min(d_side & bp.beta), 1)
         else:
             k = _procedure_distance_parity(k_graph, bp, None, None)
-            d = _color_connected(d_graph, bp, a, pin_v, pin_c)
+            d = _color_pinned(d_graph, bp, a, pin_v, pin_c)
         return _merge_disjoint(k, d)
     # near side alpha: colour C by chain alternation, recurse on the far
     # component together with both paths
     l_graph = g.subgraph(c_side)
-    dpq_graph = Graph.from_edges(g.subgraph(d_side).edges() + path_edges,
-                                 set(d_side) | paths)
+    dpq_graph = g.subgraph(d_side | paths)
     if pin_v in dpq_graph.adj:
-        c1 = _color_connected(dpq_graph, bp, a, pin_v, pin_c)
+        c1 = _color_pinned(dpq_graph, bp, a, pin_v, pin_c)
         l = _procedure_chain_alternate(l_graph, g, bp, a, None, None)
     else:
-        c1 = _color_connected(dpq_graph, bp, a, p.y, 3 - a[p.x])
+        c1 = _color_pinned(dpq_graph, bp, a, p.y, 3 - a[p.x])
         l = _procedure_chain_alternate(l_graph, g, bp, a, pin_v, pin_c)
     return _merge_disjoint(l, c1)
 
@@ -350,7 +346,7 @@ def color_beta_4cycle(
     if len(g.adj[v] & g.adj[y]) < 2:
         raise NotOn4Cycle(f"{v} and {y} are not opposite on a 4-cycle")
     # v and y lie on a common cycle, so exactly one block holds both
-    return TwoColoring(_color_components(
+    return TwoColoring(_glue_blocks(
         g, bp, a, {v, y},
         lambda block: _orient_opposite_pair(block, bp, a, v, y, v_colour),
     ))

@@ -314,13 +314,16 @@ def big_vertex_graph(
 
 def h_components_2connected(h: Graph) -> bool:
     """Every multi-vertex component of H is 2-connected (single vertices
-    are allowed, e.g. bipyramid poles)."""
-    for comp in h.components():
-        if len(comp) == 2:
-            return False
-        if len(comp) >= 3 and not h.subgraph(comp).is_biconnected():
-            return False
-    return True
+    are allowed, e.g. bipyramid poles).
+
+    One `blocks()` call decides it.  Lemma: a component on 2 vertices is
+    a 2-vertex block, and a connected graph on >= 3 vertices is
+    2-connected iff it has no cut vertex, and then it is one block of
+    >= 3 vertices.  So every multi-vertex component is 2-connected iff H
+    has no cut vertex and no 2-vertex block.
+    """
+    blocks, cuts = h.blocks()
+    return not cuts and all(len(block) != 2 for block in blocks)
 
 
 def meets_h_hypothesis(h: Graph) -> bool:

@@ -31,10 +31,16 @@ class TypedBipartition:
 
 
 def bipartition_typed(g: Graph) -> TypedBipartition:
-    """2-colour by type; the lowest vertex of each component gets alpha."""
+    """2-colour by type; the lowest vertex of each component gets alpha.
+
+    A depth-first search starts at each vertex still unvisited, in
+    ascending order.  Lemma: such a vertex is the lowest of its component,
+    since a lower vertex of the same component would have reached it.
+    """
     side: dict[int, int] = {}
-    for comp in sorted(g.components(), key=min):
-        root = min(comp)
+    for root in sorted(g.adj):
+        if root in side:
+            continue
         side[root] = 0
         stack = [root]
         while stack:

@@ -207,13 +207,6 @@ class Graph:
                 cut.add(root)
         return comp_list, cut
 
-    def is_biconnected(self) -> bool:
-        """True for graphs on >= 3 vertices with a single block and no cut vertex."""
-        if self.n < 3:
-            return False
-        comps, cuts = self.blocks()
-        return len(comps) == 1 and not cuts and self.is_connected()
-
     # --- cycles ----------------------------------------------------------
 
     def simple_cycles(self, cap: int = DEFAULT_CYCLE_CAP) -> Iterator[list[int]]:

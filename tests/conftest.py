@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from dualham.embed import EmbeddedGraph
-from dualham.gen import gen_bipyramid, gen_multi4
+from dualham.gen import big_vertex_graph, gen_bipyramid, gen_multi4
 from dualham.structure import is_multi4
 from dualham.ugraph import Graph
-from lemmas import ear_grown_members
+from lemmas import ear_grown_members, is_biconnected
 from oracles import golden_two_squares, load_catalog
 
 DATA = Path(__file__).parent / "data"
@@ -100,6 +100,39 @@ def even_tri_sweep(catalog12) -> list[EmbeddedGraph]:
 
 
 @pytest.fixture(scope="session")
+def one_pass_graphs(hgraphs) -> list[Graph]:
+    """Inputs on which a one-pass routine must match the component pass
+    it replaced: the triangulation G and its big-vertex graph H of every
+    frozen instance (the catalogs on 12 to 14 vertices, the with-edge
+    golden rows and the benchmark's corpus and large instances), the
+    generated `hgraphs`, and disconnected graphs whose components
+    interleave their labels."""
+    out = []
+    for path in sorted(DATA.glob("*.jsonl")) + [LARGE.with_name("corpus12.jsonl"), LARGE]:
+        with open(path) as f:
+            for line in f:
+                g = EmbeddedGraph.build(json.loads(line)["rotation"])
+                out += [g.abstract(), big_vertex_graph(g)[0]]
+    rng = random.Random(29)
+    extras = [Graph.from_edges([], [0]), Graph.from_edges([(0, 1)]),
+              Graph.from_edges([(0, 1), (1, 2), (2, 0)])]
+    for _ in range(40):
+        # generated members and a lone vertex, a lone edge or a triangle,
+        # disjoint, under one shuffled labelling
+        parts = [gen_multi4(rng.choice((4, 8, 12)), rng.randrange(100))
+                 for _ in range(rng.randint(2, 3))] + [rng.choice(extras)]
+        edges, n = [], 0
+        for part in parts:
+            label = {v: n + i for i, v in enumerate(sorted(part.adj))}
+            edges += [(label[u], label[v]) for u, v in part.edges()]
+            n += part.n
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append(Graph.from_edges([(perm[u], perm[v]) for u, v in edges], range(n)))
+    return out + hgraphs
+
+
+@pytest.fixture(scope="session")
 def h_not_in_family() -> EmbeddedGraph:
     """An even triangulation on 13 vertices whose H has the 6-cycle
     2-4-9-12-7-8; 4 is big class 3 and 2 big class 2."""
@@ -148,7 +181,7 @@ def glued_graphs():
                         edges += list(zip(path, path[1:]))
                         nxt += l - 1
                     g = Graph.from_edges(edges)
-                    if is_multi4(g) and g.is_biconnected():
+                    if is_multi4(g) and is_biconnected(g):
                         out.append(g)
     return out
 

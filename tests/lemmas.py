@@ -1,5 +1,6 @@
-"""Lemma checkers for graphs whose every cycle has length 0 mod 4, and an
-exhaustive generator of small 2-connected members of that family.
+"""Lemma checkers for graphs whose every cycle has length 0 mod 4, a
+2-connectivity test, and an exhaustive generator of small 2-connected
+members of that family.
 
 The checkers are falsification targets: the colourer does not call them,
 the tests run them on every member they build.  The generator needs
@@ -66,6 +67,15 @@ def opposite_corners_check(g: Graph) -> bool:
     (the opposite-corner lemma of `dualham.treesplit`).
     """
     return all((g.degree(u) >= 3) == (g.degree(v) >= 3) for u, v in opposite_pairs(g))
+
+
+def is_biconnected(g: Graph) -> bool:
+    """True for graphs on >= 3 vertices with a single block.
+
+    One block on >= 3 vertices is the whole graph, connected and with no
+    cut vertex: every vertex lies in a block, and a cut vertex in two.
+    """
+    return g.n >= 3 and len(g.blocks()[0]) == 1
 
 
 def ear_grown_members(n_max: int) -> list[Graph]:

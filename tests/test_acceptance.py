@@ -21,7 +21,7 @@ from dualham.gen import (
 )
 from dualham.structure import TypedBipartition, bipartition_typed, is_multi4
 from dualham.ugraph import Graph, norm_edge
-from lemmas import heavy_4cycle_check
+from lemmas import heavy_4cycle_check, is_biconnected
 from oracles import enumerate_hamilton, naive_all_cycles
 
 
@@ -160,7 +160,7 @@ def _two_connected_blocks(graphs):
                 continue
             block = g.subgraph(comp)
             key = tuple(block.edges())
-            if key in seen or not block.is_biconnected():
+            if key in seen or not is_biconnected(block):
                 continue
             seen.add(key)
             yield block

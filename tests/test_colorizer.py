@@ -20,7 +20,7 @@ from dualham.colorizer import (
     verify_coloring,
 )
 from dualham.embed import EmbeddedGraph
-from dualham.errors import CaseUnmatched, NoCutPath, NotOn4Cycle
+from dualham.errors import CaseUnmatched, NoCutPath, NotBipartite, NotOn4Cycle
 from dualham.gen import gen_multi4
 from dualham.structure import TypedBipartition, bipartition_typed, minimal_determined_side
 from dualham.treesplit import analyse
@@ -220,26 +220,43 @@ def test_disconnected_input(swap):
 def _outcome(colour):
     try:
         return dict(colour())
-    except Exception as exc:  # then both sides must raise the same type
+    except Exception as exc:  # the colour-map digest records the error type
         return type(exc)
 
 
-def _assert_matches_reference(g, bp, a, pins=None):
+def _exact_outcome(colour):
+    try:
+        return dict(colour())
+    except Exception as exc:  # then both sides must raise it word for word
+        return type(exc), str(exc)
+
+
+def _reference_color_components(g, bp, a, anchor, colour):
+    """The component pass the block-forest walk replaced, as the reference
+    colourer runs it: the beta vertex `anchor` at `colour`, or the
+    opposite pair `anchor` = (v, y) with b(v) = colour."""
+    if isinstance(anchor, tuple):
+        return _reference_color_beta_4cycle(g, bp, a, *anchor, colour)
+    return _reference_color_beta(g, bp, a, anchor, colour)
+
+
+def _assert_matches_reference(g, bp, a, pins=None) -> int:
     """Each pin (every beta vertex by default) in both colours, and every
-    opposite pair of a 4-cycle both ways round."""
-    for pin in sorted(bp.beta) if pins is None else pins:
+    opposite pair of a 4-cycle both ways round, give the same colouring
+    or the same error, word for word; returns the number of calls."""
+    pairs = [(v, y) for v, y in itertools.combinations(sorted(bp.beta), 2)
+             if len(g.adj[v] & g.adj[y]) >= 2]
+    anchors = (sorted(bp.beta) if pins is None else list(pins)) + pairs
+    for anchor in anchors:
         for c in (1, 2):
-            new = _outcome(lambda: color_beta(g, bp, a, pin, c, check_family=False).colour_of)
-            assert new == _outcome(lambda: _reference_color_beta(g, bp, a, pin, c)), \
-                (g.edges(), a, pin, c)
-    for v, y in itertools.combinations(sorted(bp.beta), 2):
-        if len(g.adj[v] & g.adj[y]) < 2:
-            continue
-        for c in (1, 2):
-            new = _outcome(
-                lambda: color_beta_4cycle(g, bp, a, v, y, c).colour_of)
-            assert new == _outcome(lambda: _reference_color_beta_4cycle(g, bp, a, v, y, c)), \
-                (g.edges(), a, v, y, c)
+            if isinstance(anchor, tuple):
+                new = _exact_outcome(lambda: color_beta_4cycle(g, bp, a, *anchor, c).colour_of)
+            else:
+                new = _exact_outcome(
+                    lambda: color_beta(g, bp, a, anchor, c, check_family=False).colour_of)
+            ref = _exact_outcome(lambda: _reference_color_components(g, bp, a, anchor, c))
+            assert new == ref, (g.edges(), sorted(bp.alpha), anchor, c)
+    return 2 * len(anchors)
 
 
 def test_matches_reference_on_generated_graphs(hgraphs):
@@ -257,9 +274,29 @@ def test_matches_reference_on_glued_graphs(glued_graphs):
 
 
 def test_matches_reference_on_disconnected_input():
-    g = disconnected()
-    for bp in (bipartition_typed(g), swapped(bipartition_typed(g))):
-        _assert_matches_reference(g, bp, alternating(bp))
+    """Pins in a component that is not the lowest, a lone alpha and a lone
+    beta vertex, and (in the second graph) a 4-cycle pair whose component
+    comes last."""
+    late = Graph.from_edges([(i, (i + 1) % 8) for i in range(8)]
+                            + [(u + 10, v + 10) for u, v in golden_two_squares().edges()], [8])
+    for g, lone in ((disconnected(), 18), (late, 8)):
+        typed = bipartition_typed(g)
+        assert not g.adj[lone] and lone in typed.alpha
+        for bp in (typed, swapped(typed)):
+            _assert_matches_reference(g, bp, alternating(bp))
+
+
+@pytest.mark.parametrize("graphs", ["one_pass_graphs", "atlas"])
+def test_block_forest_walk_matches_component_pass(graphs, request):
+    calls = 0
+    for g in request.getfixturevalue(graphs):
+        try:
+            typed = bipartition_typed(g)
+        except NotBipartite:
+            continue
+        for bp in (typed, swapped(typed)):
+            calls += _assert_matches_reference(g, bp, alternating(bp))
+    assert calls
 
 
 def test_matches_reference_on_golden_h():

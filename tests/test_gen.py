@@ -269,6 +269,19 @@ def test_gen_multi4_deterministic():
     assert gen_multi4(16, 7).edges() == gen_multi4(16, 7).edges()
 
 
+def _reference_h_components_2connected(h: Graph) -> bool:
+    """The component pass `h_components_2connected` replaced: a subgraph
+    per component, then the blocks of each one on >= 3 vertices."""
+    for comp in h.components():
+        if len(comp) == 2:
+            return False
+        if len(comp) >= 3:
+            blocks, cuts = h.subgraph(comp).blocks()
+            if len(blocks) != 1 or cuts:
+                return False
+    return True
+
+
 class TestHypothesisFilter:
     def test_big_vertex_graph_excludes_class12_edges(self, catalog12):
         for g in catalog12:
@@ -290,6 +303,15 @@ class TestHypothesisFilter:
         # the 2-connectivity half alone: C6 passes it, a lone edge does not
         assert h_components_2connected(c6)
         assert not h_components_2connected(Graph.from_edges([(0, 1)]))
+
+    @pytest.mark.parametrize("graphs", ["one_pass_graphs", "atlas"])
+    def test_2connected_matches_component_pass(self, graphs, request):
+        verdicts = Counter()
+        for h in request.getfixturevalue(graphs):
+            got = h_components_2connected(h)
+            assert got == _reference_h_components_2connected(h), h.edges()
+            verdicts[got] += 1
+        assert verdicts[True] and verdicts[False], verdicts
 
     def test_thm24_instances(self):
         got = gen_thm24_instances(10, seed=1)

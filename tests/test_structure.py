@@ -24,6 +24,7 @@ from dualham.ugraph import Graph
 from lemmas import (
     cpath_type_check,
     heavy_4cycle_check,
+    is_biconnected,
     opposite_corners_check,
     opposite_pairs,
 )
@@ -128,7 +129,46 @@ def test_fundamental_cycle_filter_against_reference(atlas, hgraphs):
     assert counts[False] > 0 and counts[True] > 0
 
 
+def _reference_bipartition_typed(g: Graph) -> TypedBipartition:
+    """The component pass `bipartition_typed` replaced: the components,
+    by least vertex, each searched from that vertex."""
+    side: dict[int, int] = {}
+    for comp in sorted(g.components(), key=min):
+        root = min(comp)
+        side[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w in g.adj[u]:
+                if w not in side:
+                    side[w] = 1 - side[u]
+                    stack.append(w)
+                elif side[w] == side[u]:
+                    raise NotBipartite(f"odd cycle through edge {u}-{w}")
+    return TypedBipartition(
+        alpha=frozenset(v for v, s in side.items() if s == 0),
+        beta=frozenset(v for v, s in side.items() if s == 1),
+    )
+
+
+def _typed_or_error(bipartition, g):
+    try:
+        return bipartition(g)
+    except NotBipartite as exc:
+        return str(exc)
+
+
 class TestBipartition:
+    @pytest.mark.parametrize("graphs", ["one_pass_graphs", "atlas"])
+    def test_matches_component_pass(self, graphs, request):
+        kinds = Counter()
+        for g in request.getfixturevalue(graphs):
+            got = _typed_or_error(bipartition_typed, g)
+            assert got == _typed_or_error(_reference_bipartition_typed, g), g.edges()
+            kinds[type(got).__name__] += 1
+        # bipartite graphs and odd cycles both occur
+        assert kinds["TypedBipartition"] and kinds["str"], kinds
+
     def test_odd_cycle_rejected(self):
         with pytest.raises(NotBipartite):
             bipartition_typed(cycle(5))
@@ -204,7 +244,7 @@ class TestOppositeCorners:
         # an ear of length 3 on the 4-cycle 0-1-2-3 closes a 6-cycle; 0
         # branches, its opposite corner 2 does not
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 1)])
-        assert not is_multi4(g) and g.is_biconnected()
+        assert not is_multi4(g) and is_biconnected(g)
         assert not opposite_corners_check(g)
 
 
@@ -214,7 +254,7 @@ class TestOppositeCorners:
 def test_ear_grown_member_counts(ear_grown):
     counts = Counter(g.n for g in ear_grown)
     assert [counts[n] for n in range(4, 15)] == [1, 1, 1, 1, 2, 2, 5, 8, 16, 26, 54]
-    assert all(is_multi4(g) and g.is_biconnected() for g in ear_grown)
+    assert all(is_multi4(g) and is_biconnected(g) for g in ear_grown)
 
 
 def test_cut_pair_route_on_ear_grown_members(ear_grown):
