@@ -252,7 +252,6 @@ def _survey_even_tri(g_json: str, hypothesis_only: bool = False) -> dict[str, An
         g = EmbeddedGraph.from_json(g_json)
         row["n"] = g.n
         an = treesplit.analyse(g)
-        tp, bs, ab = an.tp, an.bs, an.ab
         d = dual(g)
         dual_ab = d.graph.abstract()
         in_family = an.in_family
@@ -267,16 +266,15 @@ def _survey_even_tri(g_json: str, hypothesis_only: bool = False) -> dict[str, An
     try:
         edges_ok = True
         n_edges = 0
-        for v in sorted(bs.b_of(3)):
-            for w in sorted(ab.adj[v]):
-                if tp.class_of[w] in (1, 2):
-                    e_star = d.edge_map[(min(v, w), max(v, w))]
-                    part = treesplit.tree_partition_with_edge(an, v, w)
-                    cyc = duality.tree_partition_to_hamilton(g, part, d)
-                    edges_ok &= e_star not in cyc.edges and duality.verify_hamilton(
-                        dual_ab, cyc
-                    )
-                    n_edges += 1
+        for v in sorted(an.bs.b_of(3)):
+            for w in sorted(an.ab.adj[v]):
+                e_star = d.edge_map[(min(v, w), max(v, w))]
+                part = treesplit.tree_partition_with_edge(an, v, w)
+                cyc = duality.tree_partition_to_hamilton(g, part, d)
+                edges_ok &= e_star not in cyc.edges and duality.verify_hamilton(
+                    dual_ab, cyc
+                )
+                n_edges += 1
         row["checks"]["avoid-edge"] = edges_ok
         row["eligible_edges"] = n_edges
     except Exception as exc:
@@ -414,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("partition", help="split the vertices into two trees")
     c.add_argument("path")
     grp = c.add_mutually_exclusive_group()
-    grp.add_argument("--with-edge", help="keep this primal edge inside a side (U,V)")
+    grp.add_argument("--with-edge",
+                     help="keep this primal edge inside a side (U,V, either order)")
     grp.add_argument("--face-sparse", action="store_true",
                      help="per-vertex neighbour-balance variant (default)")
     c.set_defaults(func=cmd_partition)

@@ -174,15 +174,7 @@ def hamilton_avoiding_edge(
     if d is None:
         d = dual(g)
     u, w = primal_edge_of(d, e_star)
-    an = analyse(g)
-    b3_ends = [x for x in (u, w) if an.tp.class_of[x] == 3 and x in an.bs.big]
-    if not b3_ends:
-        raise BadEdge(
-            f"dual edge {e_star} borders no face of colour 3 and size >= 6"
-        )
-    v = b3_ends[0]
-    other = w if v == u else u
-    part = tree_partition_with_edge(an, v, other)
+    part = tree_partition_with_edge(analyse(g), u, w)
     h = tree_partition_to_hamilton(g, part, d)
     if d.edge_map[norm_edge(u, w)] in h.edges:
         raise NotHamilton(f"cycle uses the dual edge {e_star} it should avoid")
@@ -214,12 +206,9 @@ def face_avoidance_report(
     """Classify every dual face of colour 3 and size >= 6 against the
     cycle h of the dual d of the analysed triangulation: either exactly
     every second boundary edge is avoided, or at most two are."""
-    tp, bs = an.tp, an.bs
     cycle_edges = h.edges
     rows = []
-    for v in sorted(bs.big):
-        if tp.class_of[v] != 3:
-            continue
+    for v in sorted(an.bs.b_of(3)):
         boundary = [
             d.edge_map[norm_edge(v, u)] for u in an.g.rotation[v]
         ]

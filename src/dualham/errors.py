@@ -60,8 +60,8 @@ class NotOn4Cycle(DualhamError):
 # --- partition machinery ---
 
 class BadEdge(DualhamError, ValueError):
-    """The chosen edge is not one the construction can keep or avoid: not
-    an edge at all, or not at a big class-3 vertex with a class-1/2 end."""
+    """The chosen edge, given with its ends in either order, is not one the
+    construction can keep or avoid: not an edge, or with no big class-3 end."""
 
 
 class CaseUnmatched(DualhamError):
@@ -104,10 +104,6 @@ class NotHamilton(DualhamError):
 
 class HComponentNot2Connected(DualhamError):
     """A component of the big-vertex hypothesis graph is not 2-connected."""
-
-
-class BipyramidSpecialCase(DualhamError):
-    """The triangulation is a bipyramid; fan-path machinery does not apply."""
 
 
 # --- generators ---

@@ -33,10 +33,12 @@ from .errors import (
 from .structure import is_multi4
 from .ugraph import Graph
 
-# The returned list holds every class on n vertices, about 9 KB each (max
-# RSS rose 66 MB for the 7,595 at n = 12).  A000109 gives about 2.4 M
-# classes at n = 15 and 17.5 M at n = 16, some 21 GB and 150 GB, so those
-# sizes would run out of memory instead of ending in an exit code.
+# `gen_triangulations` returns every class on n vertices, about 9 KB each
+# (max RSS rose 66 MB for the 7,595 at n = 12).  A000109 gives about 2.4 M
+# classes at n = 15 and 17.5 M at n = 16, some 21 GB and 150 GB, so there
+# the limit guards memory.  `gen_even_triangulations` keeps only the even
+# codes, so for it the limit guards time: the search still visits every
+# class, about 20 s at n = 13 and some 7 times longer per further vertex.
 MAX_TRI_N = 14
 
 
@@ -143,16 +145,21 @@ def gen_triangulations(n: int) -> list[EmbeddedGraph]:
     makes the list depend on n alone, not on the route that reached each
     class.
     """
+    return [EmbeddedGraph.build(code) for code in sorted(_triangulation_codes(n))]
+
+
+def _triangulation_codes(n: int) -> Iterator[tuple]:
+    """The canonical code of each class on n vertices, in the order the
+    depth-first search of `gen_triangulations` reaches them."""
     if not 4 <= n <= MAX_TRI_N:
         raise SizeOutOfRange(f"n must be in [4, {MAX_TRI_N}], got {n}")
-    codes: list[tuple] = []
     tetrahedron = EmbeddedGraph.build(TETRAHEDRON)
     # depth first: each entry is a kept graph with its `_min_starts`
     stack = [(tetrahedron, _min_starts(tetrahedron.rotation))]
     while stack:
         g, (code, orders) = stack.pop()
         if g.n == n:
-            codes.append(code)
+            yield code
             continue
         autos = _automorphisms(orders)
         tried: set[tuple[int, int, int]] = set()    # (v, a, b) with a < b
@@ -172,7 +179,6 @@ def gen_triangulations(n: int) -> list[EmbeddedGraph]:
                     starts = _canonical_reduction(h, v)
                     if starts is not None:
                         stack.append((h, starts))
-    return [EmbeddedGraph.build(code) for code in sorted(codes)]
 
 
 def _canonical_reduction(
@@ -221,12 +227,12 @@ def _canonical_reduction(
 
 
 def gen_even_triangulations(n: int) -> Iterator[EmbeddedGraph]:
-    """All even plane triangulations on n vertices, up to isomorphism."""
-    if not 4 <= n <= MAX_TRI_N:
-        raise SizeOutOfRange(f"n must be in [4, {MAX_TRI_N}], got {n}")
-    for g in gen_triangulations(n):
-        if is_even_triangulation(g):
-            yield g
+    """The even ones of `gen_triangulations(n)`, in its order.  Each row of
+    a code is one vertex's rotation, so only the codes whose rows all have
+    even length are kept and built: no other class is held."""
+    codes = [c for c in _triangulation_codes(n) if all(len(row) % 2 == 0 for row in c)]
+    for code in sorted(codes):
+        yield EmbeddedGraph.build(code)
 
 
 # --- members of the mod-4 cycle family -----------------------------------

@@ -79,7 +79,6 @@ from .colorizer import color_beta, color_beta_4cycle, combine, mono_cycle
 from .embed import BigSmall, EmbeddedGraph, TriPartition, tri_partition
 from .errors import (
     BadEdge,
-    BipyramidSpecialCase,
     BudgetExceeded,
     CaseUnmatched,
     ConditionViolated,
@@ -197,17 +196,17 @@ def _bipyramid_partition(
 
 
 def fan_paths(g: EmbeddedGraph, bs: BigSmall) -> list[FanPath]:
-    """The family of all fan paths; every small vertex is interior to at
-    least one of them unless g is a bipyramid.
+    """All fan paths; `CaseUnmatched` if a small vertex is inside none.
 
     One scan of each rotation, by the run lemma: every maximal run of
     small vertices in a vertex p's rotation, closed by two distinct
     non-small ends of which at least one is big, is a fan path with p as
     a pole, and its other pole is opposite p in the rotation of its first
-    inner vertex.  Each path is built from its smaller pole only.
+    inner vertex.  Each path is built from its smaller pole only.  The
+    lemma holds in any triangulation, so no bipyramid test is needed: on
+    a 2l-ring with l >= 3, each ring vertex is a run of one closed by the
+    two big poles, and the octahedron (no big vertex) raises.
     """
-    if bipyramid_poles(g) is not None:
-        raise BipyramidSpecialCase("join of a cycle with two poles")
     rot = g.rotation
     small, big = bs.small, bs.big
     found: list[FanPath] = []
@@ -230,13 +229,9 @@ def fan_paths(g: EmbeddedGraph, bs: BigSmall) -> list[FanPath]:
                     path = (e0, *run, e1) if e0 < e1 else (e1, *run[::-1], e0)
                     found.append(FanPath(path, frozenset((p, q)), frozenset((e0, e1))))
             e0, run = e1, []
-    covered = {u for fp in found for u in fp.interior}
-    missing = small - covered
+    missing = small - {u for fp in found for u in fp.interior}
     if missing:
-        raise CaseUnmatched(
-            f"small vertices {sorted(missing)} lie on no fan path "
-            "in a non-bipyramid triangulation"
-        )
+        raise CaseUnmatched(f"small vertices {sorted(missing)} lie on no fan path")
     return sorted(found, key=lambda fp: fp.path)
 
 
@@ -780,10 +775,14 @@ def _audit_step(
 def tree_partition_with_edge(an: Instance, v: int, w: int) -> TreePartition:
     """Two induced trees of the analysed triangulation with big class-1
     vertices on the first side, big class-2 on the second, and the edge vw
-    kept inside one side (chosen by w's class)."""
+    kept inside one side (chosen by w's class).  Either order is taken:
+    adjacent vertices differ in class, so one end at most is big class 3,
+    and it becomes v."""
     tp, bs = an.tp, an.bs
     if v not in bs.b_of(3):
-        raise BadEdge(f"vertex {v} is not a big class-3 vertex")
+        v, w = w, v
+    if v not in bs.b_of(3):
+        raise BadEdge(f"neither {w} nor {v} is a big class-3 vertex")
     if not an.g.has_edge(v, w):
         raise BadEdge(f"{v} and {w} are not adjacent")
     # w is adjacent to a class-3 vertex, so it is of class 1 or 2

@@ -227,10 +227,12 @@ class TestPartitionAndHamilton:
         assert sorted(res["s"] + res["t"]) == list(range(8))
 
     def test_partition_with_edge(self, capsys, bipyr_file):
-        code, rows, _ = run(capsys, ["partition", bipyr_file, "--with-edge", "6,0"])
-        assert code == 0
-        res = rows[-1]["result"]
-        assert (6 in res["s"]) == (0 in res["s"])
+        # the pole 6 is the big class-3 end, given first or second
+        for edge in ("6,0", "0,6"):
+            code, rows, _ = run(capsys, ["partition", bipyr_file, "--with-edge", edge])
+            assert code == 0
+            res = rows[-1]["result"]
+            assert (6 in res["s"]) == (0 in res["s"])
 
     def test_partition_bad_edge_syntax(self, capsys, bipyr_file):
         code, _, _ = run(capsys, ["partition", bipyr_file, "--with-edge", "6;0"])

@@ -197,6 +197,23 @@ class TestExhaustiveTriangulations:
         assert len(list(gen_even_triangulations(8))) == 1
         assert len(list(gen_even_triangulations(9))) == 1
 
+    def test_even_ones_built_alone(self, monkeypatch):
+        # the even classes of the full list, in its order, and only they
+        # are built (with the tetrahedron the search starts from)
+        real = EmbeddedGraph.build
+        for n in range(4, 13):
+            want = [g for g in gen_triangulations(n) if is_even_triangulation(g)]
+            calls = []
+
+            def counted(rotation):
+                calls.append(rotation)
+                return real(rotation)
+
+            monkeypatch.setattr(EmbeddedGraph, "build", staticmethod(counted))
+            assert list(gen_even_triangulations(n)) == want
+            monkeypatch.undo()
+            assert len(calls) == len(want) + 1
+
     def test_even10_fixture_is_generated(self, even10):
         # the fixture is frozen; its class still comes out of the generator
         bs = classify_big_small(even10, tri_partition(even10))

@@ -14,7 +14,6 @@ from dualham.duality import hamilton_avoiding_edge, verify_hamilton
 from dualham.embed import BigSmall, canonical_form, classify_big_small, dual, tri_partition
 from dualham.errors import (
     BadEdge,
-    BipyramidSpecialCase,
     BudgetExceeded,
     CaseUnmatched,
     ConditionViolated,
@@ -76,8 +75,6 @@ def _poles_by_pair_scan(g):
 def _reference_fan_paths(g, bs):
     """Reference for `fan_paths`: every walk through small vertices is
     followed to a big end, then classified whole."""
-    if bipyramid_poles(g) is not None:
-        raise BipyramidSpecialCase("join of a cycle with two poles")
     ab = g.abstract()
     small = bs.small
     big = bs.big
@@ -99,10 +96,7 @@ def _reference_fan_paths(g, bs):
     covered = {u for fp in found.values() for u in fp.interior}
     missing = small - covered
     if missing:
-        raise CaseUnmatched(
-            f"small vertices {sorted(missing)} lie on no fan path "
-            "in a non-bipyramid triangulation"
-        )
+        raise CaseUnmatched(f"small vertices {sorted(missing)} lie on no fan path")
     return sorted(found.values(), key=lambda fp: fp.path)
 
 
@@ -325,10 +319,15 @@ class TestBipyramidDetection:
     def test_not_a_bipyramid(self, even10):
         assert bipyramid_poles(even10) is None
 
-    def test_fan_paths_refuse_bipyramids(self, bipyramid6):
+    def test_fan_paths_refuse_bipyramids(self, octahedron, bipyramid6):
+        # of the bipyramids only the octahedron is refused: it has no big
+        # vertex to end a run, so its small vertices lie on no fan path
+        bs = classify_big_small(octahedron, tri_partition(octahedron))
+        assert not bs.big
+        with pytest.raises(CaseUnmatched):
+            fan_paths(octahedron, bs)
         bs = classify_big_small(bipyramid6, tri_partition(bipyramid6))
-        with pytest.raises(BipyramidSpecialCase):
-            fan_paths(bipyramid6, bs)
+        assert len(fan_paths(bipyramid6, bs)) == len(bs.small)
 
 
 def _reference_bipyramid_partition(g, poles, tp, keep_together=None):
@@ -485,17 +484,36 @@ class TestFanPathsMatchReference:
                     for impl in (fan_paths, _reference_fan_paths):
                         try:
                             outcomes.append(impl(h, bs))
-                        except (BipyramidSpecialCase, CaseUnmatched) as exc:
+                        except CaseUnmatched as exc:
                             outcomes.append(type(exc))
                     assert outcomes[0] == outcomes[1]
 
     def test_both_refuse_bipyramids(self):
+        # both refuse the octahedron alone and agree on every larger bipyramid
         for l in range(2, 9):
             g = gen_bipyramid(l)
             bs = classify_big_small(g, tri_partition(g))
+            outcomes = []
             for impl in (fan_paths, _reference_fan_paths):
-                with pytest.raises(BipyramidSpecialCase):
-                    impl(g, bs)
+                try:
+                    outcomes.append(impl(g, bs))
+                except CaseUnmatched as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1]
+            assert (outcomes[0] is CaseUnmatched) == (l == 2)
+
+    def test_bipyramids_need_no_special_case(self):
+        # the run lemma holds on a bipyramid too: with big poles, each ring
+        # vertex lies on one pole-to-pole path, whose own poles are its two
+        # ring neighbours
+        for l in range(3, 9):
+            g = gen_bipyramid(l)
+            bs = classify_big_small(g, tri_partition(g))
+            paths = fan_paths(g, bs)
+            assert sorted(fp.path[1] for fp in paths) == sorted(bs.small)
+            for fp in paths:
+                assert fp.v1 == frozenset(bipyramid_poles(g))
+                assert fp.v0 == frozenset(g.rotation[fp.path[1]]) - fp.v1
 
 
 class TestRunLemma:
@@ -539,7 +557,7 @@ class TestRunLemma:
                     bs = BigSmall(big, small, (big, none, none), (small, none, none))
                     try:
                         checked += self._check(h, bs)
-                    except (BipyramidSpecialCase, CaseUnmatched):
+                    except CaseUnmatched:
                         pass
         assert checked > 1000
 
@@ -785,9 +803,29 @@ class TestWithEdgePipeline:
 
     def test_bad_edges_raise_a_typed_error(self, bipyramid6):
         # 6 and 7 are the poles (big, class 3), 0 a small ring vertex
-        for v, w in ((6, 7), (6, 999), (0, 1)):
+        for v, w in ((6, 7), (6, 999), (999, 6), (0, 1)):
             with pytest.raises(BadEdge):
                 tree_partition_with_edge(analyse(bipyramid6), v, w)
+
+    def test_either_order(self, catalog12, catalog13_14):
+        # every eligible edge of the golden rows and the 12- to 14-vertex
+        # catalogs, given again with its big class-3 end second
+        with open(GOLDEN) as f:
+            graphs = [EmbeddedGraph.build(json.loads(line)["rotation"]) for line in f]
+        outcomes = Counter()
+        for g in graphs + catalog12 + catalog13_14[13] + catalog13_14[14]:
+            an = analyse(g)
+            for v in sorted(an.bs.b_of(3)):
+                for w in sorted(an.ab.adj[v]):
+                    got = []
+                    for ends in ((v, w), (w, v)):
+                        try:
+                            got.append(tree_partition_with_edge(an, *ends))
+                        except DualhamError as exc:
+                            got.append(type(exc))
+                    assert got[0] == got[1]
+                    outcomes[getattr(got[0], "__name__", "solved")] += 1
+        assert outcomes == {"solved": 802, "NotInFamilyH": 102}
 
     def test_bipyramid_case(self, bipyramid6):
         tp = tri_partition(bipyramid6)
