@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 from . import colorizer, duality, gen, structure, treesplit
 from .embed import EmbeddedGraph, dual, is_even_triangulation
-from .errors import DualhamError, IoError, NotEvenTriangulation, NotInFamilyH, ParseError
+from .errors import DualhamError, IoError, NotEvenTriangulation, ParseError
 from .ugraph import DEFAULT_CYCLE_CAP, Graph
 
 
@@ -51,14 +51,17 @@ def _load_embedded(text: str) -> EmbeddedGraph:
         raise ParseError(f"bad embedded-graph JSON: {exc}") from exc
 
 
-def _load_abstract(text: str) -> tuple[Graph, dict[int, int]]:
-    """Abstract graph plus optional alpha-colouring `a` from the input."""
+def _load_abstract(text: str) -> tuple[Graph, dict[int, int] | None]:
+    """Abstract graph plus the alpha-colouring `a` from the input, None
+    when the input has no "a"."""
     try:
         data = json.loads(text)
         edges = [(u, v) for u, v in data["edges"]]
         if not all(type(u) is int and type(v) is int for u, v in edges):
             raise ValueError('"edges" must be a list of pairs of ints')
-        a = data.get("a", {})
+        if "a" not in data:
+            return Graph.from_edges(edges), None
+        a = data["a"]
         if not isinstance(a, dict) or any(k != str(int(k)) or type(c) is not int
                                           or c not in (1, 2) for k, c in a.items()):
             raise ValueError('"a" must map vertices to colours 1 or 2')
@@ -135,7 +138,7 @@ def cmd_color(args: argparse.Namespace) -> int:
     text = _read(args.path)
     rep = Report("color", _digest(text))
     g, a = _load_abstract(text)
-    if not a:
+    if a is None:
         raise ParseError('input JSON must embed the alpha colouring as "a"')
     outside = sorted(set(a) - set(g.adj))
     if outside:
@@ -164,9 +167,8 @@ def cmd_color(args: argparse.Namespace) -> int:
             raise ParseError(f"--pin expects V=1 or V=2, got {args.pin!r}")
     else:
         pin_vertex, pin_colour = min(bp.beta), 1
-    if not structure.is_multi4(g, cap=args.cap):
-        raise NotInFamilyH("a cycle has length not congruent to 0 mod 4")
-    b = colorizer.color_beta(g, bp, a, pin_vertex, pin_colour, check_family=False)
+    # the family check reads the block forest the colouring walks
+    b = colorizer.prepare(g, bp, cap=args.cap).solve(a, pin_vertex, pin_colour)
     report = colorizer.verify_coloring(
         g, bp, colorizer.combine(a, b.colour_of), pin_vertex, pin_colour
     )
@@ -305,10 +307,12 @@ def _survey_multi4(seed: int) -> dict[str, Any]:
         a = {u: 1 + (i % 2) for i, u in enumerate(sorted(bp.alpha))}
         ok = True
         # gen_multi4 raises NotInFamilyH rather than return a non-member,
-        # so membership is settled once for the whole row
+        # so membership is settled once for the whole row, and the graph
+        # is prepared once for all its pins
+        plan = colorizer.prepare(g, bp, check_family=False)
         for pin in sorted(bp.beta):
             for colour in (1, 2):
-                b = colorizer.color_beta(g, bp, a, pin, colour, check_family=False)
+                b = plan.solve(a, pin, colour)
                 rep = colorizer.verify_coloring(
                     g, bp, colorizer.combine(a, b.colour_of), pin, colour
                 )

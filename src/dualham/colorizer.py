@@ -5,12 +5,20 @@ of the alpha side and a pinned beta vertex, build a colouring `b` of the
 beta side so that under the combined colouring no cycle is monochromatic
 and degree-2 beta-to-beta stretches alternate.
 
-The construction walks the block-cut tree of each component outward from
+The work is split in two.  `prepare(g, bp)` makes one `blocks()` call and
+prepares each block of g: its vertex set, its subgraph (only for 3 or
+more vertices), its cut vertices and its rule.  A block whose branching
+vertices are all beta is coloured by distance parity, one whose branching
+vertices are all alpha by chain alternation, and a mixed block is split
+along a minimal determined side of a cut pair into parts prepared the same
+way.  None of this depends on (a, pin, colour): the block forest, the
+block subgraphs and the block kinds depend on g and the typing alone, and
+so do the parity colouring of a parity block (up to a swap), the chains of
+a chain block and the minimal side of a mixed block.  `ColourPlan.solve`
+and `ColourPlan.solve_4cycle` then walk the prepared forest outward from
 the block that holds the anchor (the pin, or the 4-cycle of
-`color_beta_4cycle`).  A block whose branching vertices are all beta is
-coloured by distance parity, one whose branching vertices are all alpha
-by chain alternation, and a mixed block is split along a minimal
-determined side of a cut pair.
+`solve_4cycle`) for one (a, pin, colour) or one opposite pair.
+`color_beta` and `color_beta_4cycle` are one prepare and one solve.
 
 Every edge joins alpha to beta, so every block with an edge holds a beta
 vertex.  The branches left out rest on one lemma:
@@ -32,7 +40,7 @@ from typing import Callable, Mapping
 
 from .errors import CaseUnmatched, NoCutPath, NotInFamilyH, NotOn4Cycle
 from .structure import TypedBipartition, is_multi4, minimal_determined_side
-from .ugraph import Graph
+from .ugraph import DEFAULT_CYCLE_CAP, Graph
 
 
 @dataclass(frozen=True)
@@ -51,7 +59,40 @@ def combine(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
 
 def mono_cycle(g: Graph, colours: Mapping[int, int]) -> list[int] | None:
     """A cycle of g whose vertices all have colour 1, else one in colour 2,
-    else None.  Uncoloured vertices lie on no such cycle."""
+    else None.  Uncoloured vertices lie on no such cycle.
+
+    Lemma: the subgraph a colour class induces has exactly the edges of g
+    whose two ends have that colour.  So no class holds a cycle iff one
+    union-find pass over those edges never meets an edge whose ends are
+    joined already, and that pass copies nothing.  Only when it meets one
+    is a class's subgraph built, colour 1 first, for `find_cycle`'s
+    witness.
+    """
+    parent: dict[int, int] = {}   # non-roots only
+
+    def root(v: int) -> int:
+        while v in parent:
+            up = parent[v]
+            if up in parent:
+                parent[v] = up = parent[up]   # path halving
+            v = up
+        return v
+
+    for u, nbrs in g.adj.items():
+        c = colours.get(u)
+        if c != 1 and c != 2:
+            continue
+        for w in nbrs:
+            if u < w and colours.get(w) == c:
+                ru, rw = root(u), root(w)
+                if ru == rw:
+                    return _class_cycle(g, colours)
+                parent[ru] = rw
+    return None
+
+
+def _class_cycle(g: Graph, colours: Mapping[int, int]) -> list[int] | None:
+    """`find_cycle` on the subgraph of colour 1, else of colour 2."""
     for c in (1, 2):
         cyc = g.subgraph({v for v in g.adj if colours.get(v) == c}).find_cycle()
         if cyc is not None:
@@ -68,185 +109,197 @@ def color_beta(
     *,
     check_family: bool = True,
 ) -> TwoColoring:
-    """Colour the beta side so no cycle is monochromatic and the pin holds."""
-    if pin_vertex not in bp.beta:
-        raise ValueError(f"pin vertex {pin_vertex} is not on the beta side")
-    if pin_vertex not in g.adj:
-        raise ValueError(f"pin vertex {pin_vertex} is not in the graph")
-    if pin_colour not in (1, 2):
-        raise ValueError("pin colour must be 1 or 2")
-    missing = bp.alpha - set(a)
-    if missing:
-        raise ValueError(f"alpha colouring misses {sorted(missing)}")
-    if check_family and not is_multi4(g):
-        raise NotInFamilyH("a cycle has length not congruent to 0 mod 4")
-    return TwoColoring(_color_pinned(g, bp, a, pin_vertex, pin_colour))
+    """Colour the beta side so no cycle is monochromatic and the pin holds:
+    one `prepare` and one `ColourPlan.solve`."""
+    return prepare(g, bp, check_family=check_family).solve(a, pin_vertex, pin_colour)
 
 
-# --- recursive machinery -------------------------------------------------
-
-
-RootColouring = Callable[[Graph], dict[int, int]]
-
-
-def _color_pinned(
-    g: Graph, bp: TypedBipartition, a: Mapping[int, int], pin_v: int, pin_c: int
-) -> dict[int, int]:
-    """Colour g with the beta vertex pin_v at colour pin_c."""
-    return _glue_blocks(
-        g, bp, a, {pin_v}, lambda block: _color_block(block, bp, a, pin_v, pin_c)
-    )
-
-
-def _glue_blocks(
+def color_beta_4cycle(
     g: Graph,
     bp: TypedBipartition,
     a: Mapping[int, int],
-    anchor: set[int],
-    colour_root: RootColouring,
-) -> dict[int, int]:
-    """Colour g, which may be disconnected, by one walk over its block
-    forest: one `blocks()` call and no separate component pass.
+    v: int,
+    y: int,
+    v_colour: int,
+) -> TwoColoring:
+    """Colour the beta side so no cycle is monochromatic, with the two beta
+    vertices of a 4-cycle forced to opposite colours (b(v) = v_colour): one
+    `prepare` and one `ColourPlan.solve_4cycle`.
 
-    Each component's block tree is walked from one root block.  The
-    anchor's component goes first, from the lowest block holding `anchor`,
-    coloured by `colour_root`.  Every other component with a beta vertex
-    goes from the lowest block holding its least beta vertex, pinned to 1.
-    The walk is breadth first, pinning each new block at the cut vertex it
-    hangs from (or, for a degree-2 alpha cut vertex, at the beta neighbour
-    just past it, to keep chain alternation intact).
-
-    Lemma: the walk from a block reaches exactly the blocks of its
-    component, so a beta vertex that no walk has reached when the
-    ascending scan comes to it is the least beta vertex of its component.
-    A block's neighbours are the blocks at its cut vertices, taken in
-    block order; each cut vertex is passed once, so the walk is linear in
-    the size of the block forest.
+    Membership of g in the family is not checked here: the base colouring,
+    the one caller, runs only once H is known to be in it.
     """
-    blocks, cuts = g.blocks()
-    comps = [frozenset(c) for c in blocks]
-    home = {v: i for i, comp in enumerate(comps) for v in comp}
-    at_cut: dict[int, list[int]] = {c: [] for c in cuts}
-    for i, comp in enumerate(comps):
-        for c in comp & cuts:
-            at_cut[c].append(i)
-    b: dict[int, int] = {}
-    walked: set[int] = set()
-
-    def walk(v: int, held: set[int], colour: RootColouring) -> None:
-        root = min((i for i in at_cut.get(v, [home[v]]) if held <= comps[i]),
-                   key=lambda i: sorted(comps[i]))
-        b.update(colour(g.subgraph(comps[root])))
-        walked.add(root)
-        frontier = [root]
-        while frontier:
-            nxt: list[int] = []
-            for i in frontier:
-                # a cut vertex is first passed from its parent block, i;
-                # the other blocks at it are its children, and popping it
-                # passes it once
-                shared_at = {j: c for c in comps[i] & cuts
-                             for j in at_cut.pop(c, ()) if j != i}
-                for j in sorted(shared_at):
-                    c = shared_at[j]
-                    block = g.subgraph(comps[j])
-                    if c in bp.beta:
-                        sub_pin, sub_col = c, b[c]
-                    elif g.degree(c) == 2:
-                        # degree-2 alpha cut vertex: both incident blocks
-                        # are bridges; keep the two beta neighbours apart
-                        prev = next(w for w in g.adj[c] if w in comps[i])
-                        here = next(w for w in g.adj[c] if w in comps[j])
-                        sub_pin, sub_col = here, 3 - b[prev]
-                    else:
-                        sub_pin, sub_col = min(set(block.adj) & bp.beta), 1
-                    sub = _color_block(block, bp, a, sub_pin, sub_col)
-                    for w, col in sub.items():
-                        if w in b and b[w] != col:
-                            raise CaseUnmatched(f"block gluing conflict at {w}")
-                    b.update(sub)
-                    walked.add(j)
-                    nxt.append(j)
-            frontier = nxt
-
-    walk(min(anchor), anchor, colour_root)
-    for v in sorted(u for u in g.adj if u in bp.beta):
-        if home[v] not in walked:
-            walk(v, {v}, lambda block: _color_block(block, bp, a, v, 1))
-    return b
+    return prepare(g, bp, check_family=False).solve_4cycle(a, v, y, v_colour)
 
 
-def _color_block(
+# --- the prepare step ----------------------------------------------------
+
+
+def prepare(
     g: Graph,
     bp: TypedBipartition,
-    a: Mapping[int, int],
-    pin_v: int,
-    pin_c: int,
-) -> dict[int, int]:
-    """Colour one block (2-connected, a bridge edge or a lone vertex) with
-    its beta vertex pin_v at colour pin_c."""
-    betas = set(g.adj) & bp.beta
-    if len(g.adj) <= 2:
-        return {v: (pin_c if v == pin_v else 1) for v in betas}
-    branch_beta = any(g.degree(v) >= 3 for v in betas)
-    branch_alpha = any(g.degree(v) >= 3 and v not in bp.beta for v in g.adj)
-    if branch_beta and branch_alpha:
-        return _split_on_cut_pair(g, bp, a, pin_v, pin_c)
-    if branch_alpha:
-        return _procedure_chain_alternate(g, g, bp, a, pin_v, pin_c)
-    return _procedure_distance_parity(g, bp, pin_v, pin_c)
+    *,
+    check_family: bool = True,
+    cap: int = DEFAULT_CYCLE_CAP,
+) -> ColourPlan:
+    """Everything colouring g needs that does not depend on (a, pin,
+    colour), from one `blocks()` call.
+
+    With `check_family`, `is_multi4` (with `cap`) reads the block
+    subgraphs built here and raises NotInFamilyH for a non-member before
+    any block gets its rule, since the rules rest on the family's lemmas.
+    """
+    comps, cuts = g.blocks()
+    graphs = [None if len(c) < 3 else g if len(c) == g.n else g.subgraph(c) for c in comps]
+    if check_family and not is_multi4(
+            g, cap=cap, blocks=[sub for sub in graphs if sub is not None]):
+        raise NotInFamilyH("a cycle has length not congruent to 0 mod 4")
+    return ColourPlan(g, bp, comps, cuts, graphs)
 
 
-def _procedure_distance_parity(
-    g: Graph, bp: TypedBipartition, pin_v: int | None, pin_c: int | None
-) -> dict[int, int]:
-    """All branching vertices beta: colour by parity of beta-to-beta distance.
+class ColourPlan:
+    """A graph's block forest prepared for colouring; made by `prepare`."""
+
+    __slots__ = ("g", "bp", "blocks", "home", "at_cut", "betas")
+
+    def __init__(self, g: Graph, bp: TypedBipartition, comps: list[set[int]],
+                 cuts: set[int], graphs: list[Graph | None]):
+        self.g, self.bp = g, bp
+        self.blocks = [_Block(c, sub, c & cuts, bp) for c, sub in zip(comps, graphs)]
+        self.home = {v: i for i, c in enumerate(comps) for v in c}
+        self.at_cut: dict[int, list[int]] = {c: [] for c in cuts}
+        for i, block in enumerate(self.blocks):
+            for c in block.cuts:
+                self.at_cut[c].append(i)
+        self.betas = sorted(v for v in g.adj if v in bp.beta)
+
+    def solve(self, a: Mapping[int, int], pin_vertex: int, pin_colour: int) -> TwoColoring:
+        """Colour the beta side so no cycle is monochromatic and the pin
+        holds."""
+        bp = self.bp
+        if pin_vertex not in bp.beta:
+            raise ValueError(f"pin vertex {pin_vertex} is not on the beta side")
+        if pin_vertex not in self.g.adj:
+            raise ValueError(f"pin vertex {pin_vertex} is not in the graph")
+        if pin_colour not in (1, 2):
+            raise ValueError("pin colour must be 1 or 2")
+        missing = bp.alpha - set(a)
+        if missing:
+            raise ValueError(f"alpha colouring misses {sorted(missing)}")
+        return TwoColoring(_pinned(self, a, pin_vertex, pin_colour))
+
+    def solve_4cycle(self, a: Mapping[int, int], v: int, y: int, v_colour: int) -> TwoColoring:
+        """Colour the beta side so no cycle is monochromatic, with the beta
+        corners v and y of a 4-cycle at opposite colours, b(v) = v_colour."""
+        g, bp = self.g, self.bp
+        if v == y or y not in bp.beta or v not in bp.beta:
+            raise NotOn4Cycle("need two distinct beta vertices")
+        if len(g.adj[v] & g.adj[y]) < 2:
+            raise NotOn4Cycle(f"{v} and {y} are not opposite on a 4-cycle")
+        # v and y lie on a common cycle, so exactly one block holds both
+        return TwoColoring(_walk(
+            self, a, {v, y},
+            lambda block: _orient_opposite_pair(block, a, v, y, v_colour),
+        ))
+
+
+class _Block:
+    """One block: its vertices, its subgraph (None under 3 vertices), its
+    cut vertices and the rule that colours it."""
+
+    __slots__ = ("verts", "graph", "cuts", "rule")
+
+    def __init__(self, verts: set[int], graph: Graph | None, cuts: set[int],
+                 bp: TypedBipartition):
+        self.verts, self.graph, self.cuts = verts, graph, cuts
+        self.rule = _Tiny(verts & bp.beta) if graph is None else _rule(graph, bp)
+
+
+def _rule(block: Graph, bp: TypedBipartition) -> Rule:
+    """The rule of a block with >= 3 vertices, by its branching vertices'
+    types."""
+    types = {v in bp.beta for v, nbrs in block.adj.items() if len(nbrs) >= 3}
+    if len(types) == 2:
+        return _Split(block, bp)
+    if types == {False}:
+        return _Chains(block, block, bp)
+    return _Parity(block, bp)
+
+
+# --- the rules: each colours its part for one (a, pin, colour) ------------
+
+
+class _Tiny:
+    """A bridge or a lone vertex: the pin takes its colour, any other beta
+    vertex colour 1."""
+
+    __slots__ = ("betas",)
+
+    def __init__(self, betas: set[int]):
+        self.betas = betas
+
+    def colour(self, a: Mapping[int, int], pin_v: int | None, pin_c: int | None) -> dict[int, int]:
+        return {v: (pin_c if v == pin_v else 1) for v in self.betas}
+
+
+class _Parity:
+    """All branching vertices beta: colour by parity of beta-to-beta
+    distance, swapped if the pin needs it.
 
     Well defined because any two paths between the same ends have lengths
     congruent mod 4.
     """
-    betas = sorted(set(g.adj) & bp.beta)
-    dist = g.bfs_dist(betas[0])
-    b = {u: 1 + (dist[u] // 2) % 2 for u in betas}
-    if pin_v is not None and b[pin_v] != pin_c:
-        b = {u: 3 - col for u, col in b.items()}
-    return b
+
+    __slots__ = ("base",)
+
+    def __init__(self, g: Graph, bp: TypedBipartition):
+        betas = sorted(set(g.adj) & bp.beta)
+        dist = g.bfs_dist(betas[0])
+        self.base = {u: 1 + (dist[u] // 2) % 2 for u in betas}
+
+    def colour(self, a: Mapping[int, int], pin_v: int | None, pin_c: int | None) -> dict[int, int]:
+        if pin_v is not None and self.base[pin_v] != pin_c:
+            return {u: 3 - col for u, col in self.base.items()}
+        return dict(self.base)
 
 
-def _procedure_chain_alternate(
-    l_graph: Graph,
-    ambient: Graph,
-    bp: TypedBipartition,
-    a: Mapping[int, int],
-    pin_v: int | None,
-    pin_c: int | None,
-) -> dict[int, int]:
+class _Chains:
     """All branching vertices alpha: alternate beta colours along each
     degree-2 chain; a chain carrying a single beta vertex is coloured away
     from its lower-id branching end.
 
     Degrees that decide what counts as a chain are taken in `ambient`
-    (the graph the recursion is currently working inside), which may be a
-    supergraph of `l_graph`.  By the module's lemma the chains are open,
-    end at branching vertices and hold every beta vertex exactly once.
+    (the block itself, or the block whose near side `l_graph` is), which
+    may be a supergraph of `l_graph`.  By
+    the module's lemma the chains are open, end at branching vertices and
+    hold every beta vertex exactly once.  Each chain is kept as its
+    lower-id end and its beta vertices in walk order.
     """
-    b: dict[int, int] = {}
-    deg2 = {v for v in l_graph.adj if ambient.degree(v) == 2}
-    seen: set[int] = set()
-    for v in sorted(deg2):
-        if v in seen:
-            continue
-        walk = _chain_walk(l_graph, deg2, v)
-        seen.update(walk)
-        beta_seq = [u for u in walk if u in bp.beta]
-        if len(beta_seq) == 1 and beta_seq[0] != pin_v:
-            b[beta_seq[0]] = 3 - a[min(walk[0], walk[-1])]
-            continue
-        colours = {u: 1 + i % 2 for i, u in enumerate(beta_seq)}
-        if pin_v in colours and colours[pin_v] != pin_c:
-            colours = {u: 3 - col for u, col in colours.items()}
-        b.update(colours)
-    return b
+
+    __slots__ = ("chains",)
+
+    def __init__(self, l_graph: Graph, ambient: Graph, bp: TypedBipartition):
+        self.chains: list[tuple[int, list[int]]] = []
+        deg2 = {v for v in l_graph.adj if ambient.degree(v) == 2}
+        seen: set[int] = set()
+        for v in sorted(deg2):
+            if v in seen:
+                continue
+            walk = _chain_walk(l_graph, deg2, v)
+            seen.update(walk)
+            self.chains.append((min(walk[0], walk[-1]), [u for u in walk if u in bp.beta]))
+
+    def colour(self, a: Mapping[int, int], pin_v: int | None, pin_c: int | None) -> dict[int, int]:
+        b: dict[int, int] = {}
+        for end, beta_seq in self.chains:
+            if len(beta_seq) == 1 and beta_seq[0] != pin_v:
+                b[beta_seq[0]] = 3 - a[end]
+                continue
+            colours = {u: 1 + i % 2 for i, u in enumerate(beta_seq)}
+            if pin_v in colours and colours[pin_v] != pin_c:
+                colours = {u: 3 - col for u, col in colours.items()}
+            b.update(colours)
+        return b
 
 
 def _chain_walk(g: Graph, deg2: set[int], v: int) -> list[int]:
@@ -265,54 +318,57 @@ def _run_to_end(g: Graph, deg2: set[int], prev: int, cur: int) -> list[int]:
     return out
 
 
-def _split_on_cut_pair(
-    g: Graph,
-    bp: TypedBipartition,
-    a: Mapping[int, int],
-    pin_v: int,
-    pin_c: int,
-) -> dict[int, int]:
-    """Mixed branching types: split along a minimal determined side.
+class _Split:
+    """Mixed branching types: split along a minimal determined side into a
+    near part, coloured by one rule, and a far part, prepared as a graph.
 
-    A side goes with both cut paths as the subgraph g induces on them,
-    which adds no edge beyond the paths' own.  Lemma: once the interiors
-    are removed, only path edges join C to D; inner path vertices have
-    degree 2; the near ends share a type and so do the far ends, so
-    neither pair is adjacent.
+    A near side of beta type goes with both cut paths into distance
+    parity, and the far side is coloured on its own.  A near side of alpha
+    type is coloured by chain alternation, and the far side goes with both
+    paths.  A side goes with the paths as the subgraph the block induces
+    on them, which adds no edge beyond the paths' own.  Lemma: once the
+    interiors are removed, only path edges join C to D; inner path
+    vertices have degree 2; the near ends share a type and so do the far
+    ends, so neither pair is adjacent.  The pin lies in exactly one part
+    (the two share only alpha path ends); the part without it is coloured
+    unpinned (near) or from its default pin (far).
     """
-    try:
-        pair = minimal_determined_side(g, bp)
-    except NoCutPath:
-        raise CaseUnmatched(
-            "2-connected block with branching vertices of both types but "
-            "no cut path; impossible in the mod-4 family"
-        )
-    c_side, d_side = pair.side_c, pair.side_d
-    p, q = pair.p, pair.q
-    paths = set(p.vertices) | set(q.vertices)
-    if all(bp.is_beta(v) for v in c_side if g.degree(v) >= 3):
-        # near side beta: colour C plus both paths by distance parity,
-        # the far component independently
-        k_graph = g.subgraph(c_side | paths)
-        d_graph = g.subgraph(d_side)
-        if pin_v in k_graph.adj:
-            k = _procedure_distance_parity(k_graph, bp, pin_v, pin_c)
-            d = _color_pinned(d_graph, bp, a, min(d_side & bp.beta), 1)
+
+    __slots__ = ("near", "far", "near_beta", "p")
+
+    def __init__(self, g: Graph, bp: TypedBipartition):
+        try:
+            pair = minimal_determined_side(g, bp)
+        except NoCutPath:
+            raise CaseUnmatched(
+                "2-connected block with branching vertices of both types but "
+                "no cut path; impossible in the mod-4 family"
+            )
+        c_side, d_side, self.p = pair.side_c, pair.side_d, pair.p
+        paths = set(pair.p.vertices) | set(pair.q.vertices)
+        self.near_beta = all(bp.is_beta(v) for v in c_side if g.degree(v) >= 3)
+        if self.near_beta:
+            self.near: Rule = _Parity(g.subgraph(c_side | paths), bp)
+            far = g.subgraph(d_side)
         else:
-            k = _procedure_distance_parity(k_graph, bp, None, None)
-            d = _color_pinned(d_graph, bp, a, pin_v, pin_c)
-        return _merge_disjoint(k, d)
-    # near side alpha: colour C by chain alternation, recurse on the far
-    # component together with both paths
-    l_graph = g.subgraph(c_side)
-    dpq_graph = g.subgraph(d_side | paths)
-    if pin_v in dpq_graph.adj:
-        c1 = _color_pinned(dpq_graph, bp, a, pin_v, pin_c)
-        l = _procedure_chain_alternate(l_graph, g, bp, a, None, None)
-    else:
-        c1 = _color_pinned(dpq_graph, bp, a, p.y, 3 - a[p.x])
-        l = _procedure_chain_alternate(l_graph, g, bp, a, pin_v, pin_c)
-    return _merge_disjoint(l, c1)
+            self.near = _Chains(g.subgraph(c_side), g, bp)
+            far = g.subgraph(d_side | paths)
+        self.far = prepare(far, bp, check_family=False)
+
+    def colour(self, a: Mapping[int, int], pin_v: int | None, pin_c: int | None) -> dict[int, int]:
+        if pin_v in self.far.g.adj:
+            far = _pinned(self.far, a, pin_v, pin_c)
+            near = self.near.colour(a, None, None)
+        else:
+            if self.near_beta:
+                far = _pinned(self.far, a, min(self.far.betas), 1)
+            else:
+                far = _pinned(self.far, a, self.p.y, 3 - a[self.p.x])
+            near = self.near.colour(a, pin_v, pin_c)
+        return _merge_disjoint(near, far)
+
+
+Rule = _Tiny | _Parity | _Chains | _Split
 
 
 def _merge_disjoint(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
@@ -324,37 +380,94 @@ def _merge_disjoint(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
     return out
 
 
-# --- the opposite-pair variant -------------------------------------------
+# --- the solve step ------------------------------------------------------
 
 
-def color_beta_4cycle(
-    g: Graph,
-    bp: TypedBipartition,
+RootColouring = Callable[[_Block], dict[int, int]]
+
+
+def _pinned(plan: ColourPlan, a: Mapping[int, int], pin_v: int, pin_c: int) -> dict[int, int]:
+    """Colour the plan's graph with the beta vertex pin_v at colour pin_c."""
+    return _walk(plan, a, {pin_v}, lambda block: block.rule.colour(a, pin_v, pin_c))
+
+
+def _walk(
+    plan: ColourPlan,
     a: Mapping[int, int],
-    v: int,
-    y: int,
-    v_colour: int,
-) -> TwoColoring:
-    """Colour the beta side so no cycle is monochromatic, with the two beta
-    vertices of a 4-cycle forced to opposite colours (b(v) = v_colour).
+    anchor: set[int],
+    colour_root: RootColouring,
+) -> dict[int, int]:
+    """Colour the plan's graph, which may be disconnected, by one walk over
+    its prepared block forest.
 
-    Membership of g in the family is not checked here: the base colouring,
-    the one caller, runs only once H is known to be in it.
+    Each component's block tree is walked from one root block.  The
+    anchor's component goes first, from the lowest block holding `anchor`,
+    coloured by `colour_root`.  Every other component with a beta vertex
+    goes from the lowest block holding its least beta vertex, pinned to 1.
+    The walk is breadth first, pinning each new block at the cut vertex it
+    hangs from (or, for a degree-2 alpha cut vertex, at the beta neighbour
+    just past it, to keep chain alternation intact).
+
+    Lemma: the walk from a block reaches exactly the blocks of its
+    component, so a beta vertex that no walk has reached when the
+    ascending scan comes to it is the least beta vertex of its component.
+    A block's neighbours are the blocks at its cut vertices, taken in
+    block order; each cut vertex is passed once, so the walk is linear in
+    the size of the block forest.
     """
-    if v == y or y not in bp.beta or v not in bp.beta:
-        raise NotOn4Cycle("need two distinct beta vertices")
-    if len(g.adj[v] & g.adj[y]) < 2:
-        raise NotOn4Cycle(f"{v} and {y} are not opposite on a 4-cycle")
-    # v and y lie on a common cycle, so exactly one block holds both
-    return TwoColoring(_glue_blocks(
-        g, bp, a, {v, y},
-        lambda block: _orient_opposite_pair(block, bp, a, v, y, v_colour),
-    ))
+    g, beta, blocks, at_cut = plan.g, plan.bp.beta, plan.blocks, plan.at_cut
+    b: dict[int, int] = {}
+    walked: set[int] = set()
+    passed: set[int] = set()
+
+    def walk(v: int, held: set[int], colour: RootColouring) -> None:
+        root = min((i for i in at_cut.get(v, [plan.home[v]]) if held <= blocks[i].verts),
+                   key=lambda i: sorted(blocks[i].verts))
+        b.update(colour(blocks[root]))
+        walked.add(root)
+        frontier = [root]
+        while frontier:
+            nxt: list[int] = []
+            for i in frontier:
+                # a cut vertex is first passed from its parent block, i;
+                # the other blocks at it are its children
+                shared_at = {}
+                for c in blocks[i].cuts - passed:
+                    passed.add(c)
+                    for j in at_cut[c]:
+                        if j != i:
+                            shared_at[j] = c
+                for j in sorted(shared_at):
+                    c = shared_at[j]
+                    block = blocks[j]
+                    if c in beta:
+                        sub_pin, sub_col = c, b[c]
+                    elif g.degree(c) == 2:
+                        # degree-2 alpha cut vertex: both incident blocks
+                        # are bridges; keep the two beta neighbours apart
+                        prev = next(w for w in g.adj[c] if w in blocks[i].verts)
+                        here = next(w for w in g.adj[c] if w in block.verts)
+                        sub_pin, sub_col = here, 3 - b[prev]
+                    else:
+                        sub_pin, sub_col = min(block.verts & beta), 1
+                    sub = block.rule.colour(a, sub_pin, sub_col)
+                    for w, col in sub.items():
+                        if w in b and b[w] != col:
+                            raise CaseUnmatched(f"block gluing conflict at {w}")
+                    b.update(sub)
+                    walked.add(j)
+                    nxt.append(j)
+            frontier = nxt
+
+    walk(min(anchor), anchor, colour_root)
+    for v in plan.betas:
+        if plan.home[v] not in walked:
+            walk(v, {v}, lambda block: block.rule.colour(a, v, 1))
+    return b
 
 
 def _orient_opposite_pair(
-    block: Graph,
-    bp: TypedBipartition,
+    block: _Block,
     a: Mapping[int, int],
     v: int,
     y: int,
@@ -366,10 +479,10 @@ def _orient_opposite_pair(
     cycle through it passes both 4-cycle corners).  The result is verified
     before it is returned.
     """
-    b = _color_block(block, bp, a, v, v_colour)
-    if b[y] == v_colour and block.degree(y) == 2:
+    b = block.rule.colour(a, v, v_colour)
+    if b[y] == v_colour and block.graph.degree(y) == 2:
         b[y] = 3 - v_colour
-    if b[y] != v_colour and mono_cycle(block, combine(a, b)) is None:
+    if b[y] != v_colour and mono_cycle(block.graph, combine(a, b)) is None:
         return b
     raise CaseUnmatched(
         f"could not orient beta pair ({v}, {y}) on its 4-cycle"

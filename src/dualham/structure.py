@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import CaseUnmatched, NoCutPath, NotBipartite
 from .ugraph import DEFAULT_CYCLE_CAP, Graph
@@ -115,12 +116,16 @@ class CutPair:
 # --- family membership ---------------------------------------------------
 
 
-def is_multi4(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> bool:
+def is_multi4(
+    g: Graph, cap: int = DEFAULT_CYCLE_CAP, blocks: Iterable[Graph] | None = None
+) -> bool:
     """True iff every simple cycle has length congruent to 0 mod 4."""
-    return multi4_witness(g, cap) is None
+    return multi4_witness(g, cap, blocks) is None
 
 
-def multi4_witness(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[int] | None:
+def multi4_witness(
+    g: Graph, cap: int = DEFAULT_CYCLE_CAP, blocks: Iterable[Graph] | None = None
+) -> list[int] | None:
     """A simple cycle whose length is not 0 mod 4, or None if there is none.
 
     A fast necessary filter runs first: one depth-first pass checks the
@@ -128,15 +133,19 @@ def multi4_witness(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> list[int] | None:
     cycle implies an odd fundamental cycle.  The complete per-block cycle
     enumeration settles the answer, returning its first cycle of bad
     length.  Raises CycleCapExceeded when enumeration passes `cap` cycles.
+
+    `blocks`, when given, are the subgraphs of g's blocks with >= 3
+    vertices, in `g.blocks()` order (the colourer's prepare step passes
+    the ones it built); otherwise they are found and built here, one at a
+    time, after the filter.
     """
     cyc = _bad_fundamental_cycle(g)
     if cyc is not None:
         return cyc
-    blocks, _ = g.blocks()
-    for comp in blocks:
-        if len(comp) < 3:
-            continue
-        sub = g if len(comp) == g.n else g.subgraph(comp)
+    if blocks is None:
+        comps, _ = g.blocks()
+        blocks = (g if len(c) == g.n else g.subgraph(c) for c in comps if len(c) >= 3)
+    for sub in blocks:
         for cyc in sub.simple_cycles(cap=cap):
             if len(cyc) % 4 != 0:
                 return cyc

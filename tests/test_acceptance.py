@@ -103,10 +103,13 @@ def test_criterion_2_coloring_soundness(hgraphs):
     calls = 0
     for g in hgraphs:
         bp = bipartition_typed(g)
+        # one prepare per graph, family check included, then one solve per
+        # (a, pin, colour)
+        plan = colorizer.prepare(g, bp)
         for a in _alpha_colourings(bp, rng):
             for pin in sorted(bp.beta):
                 for colour in (1, 2):
-                    b = colorizer.color_beta(g, bp, a, pin, colour)
+                    b = plan.solve(a, pin, colour)
                     rep = colorizer.verify_coloring(
                         g, bp, colorizer.combine(a, b.colour_of), pin, colour
                     )

@@ -215,8 +215,18 @@ class TestColor:
     def test_missing_alpha(self, capsys, tmp_path):
         p = tmp_path / "noa.json"
         p.write_text(json.dumps({"edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}))
-        code, _, _ = run(capsys, ["color", str(p)])
+        code, _, err = run(capsys, ["color", str(p)])
         assert code == 2
+        assert err == 'error: input JSON must embed the alpha colouring as "a"\n'
+
+    def test_empty_alpha_fails_the_bipartition_check(self, capsys, tmp_path):
+        # an empty "a" is present, so it is checked, not reported missing
+        p = tmp_path / "emptya.json"
+        p.write_text(json.dumps({"edges": [[0, 1], [1, 2], [2, 0]], "a": {}}))
+        code, rows, err = run(capsys, ["color", str(p)])
+        assert code == 2 and not rows
+        assert err == ('error: "a" is not one side of a bipartition: edge 0,1 '
+                       'has neither end in it\n')
 
 
 class TestPartitionAndHamilton:

@@ -17,6 +17,7 @@ from dualham.colorizer import (
     color_beta_4cycle,
     combine,
     mono_cycle,
+    prepare,
     verify_coloring,
 )
 from dualham.embed import EmbeddedGraph
@@ -145,6 +146,35 @@ class TestVerifier:
             g, bp, combine({0: 1, 2: 2}, b.colour_of), min(bp.beta), 2
         )
         assert not rep.pin_ok
+
+
+@st.composite
+def partly_coloured_graphs(draw):
+    """A random graph on 1-10 vertices, often disconnected and with
+    isolated vertices, and a colouring that may leave vertices out."""
+    n = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    colours = draw(st.lists(st.sampled_from([None, 1, 2]), min_size=n, max_size=n))
+    return (Graph.from_edges(edges, range(n)),
+            {v: c for v, c in enumerate(colours) if c is not None})
+
+
+@settings(max_examples=300, deadline=None)
+@given(partly_coloured_graphs())
+def test_mono_cycle_decides_each_colour_class(case):
+    g, colours = case
+    classes = [g.subgraph({v for v in g.adj if colours.get(v) == c}) for c in (1, 2)]
+    # a graph is a forest iff it has (vertices - components) edges
+    forest = [sub.m == sub.n - len(sub.components()) for sub in classes]
+    cyc = mono_cycle(g, colours)
+    if all(forest):
+        assert cyc is None
+        return
+    assert cyc is not None and len(set(cyc)) == len(cyc) >= 3
+    assert all(g.has_edge(cyc[i - 1], cyc[i]) for i in range(len(cyc)))
+    # colour 1's class is searched first
+    assert {colours.get(v) for v in cyc} == {1 if not forest[0] else 2}
 
 
 @settings(max_examples=40, deadline=None)
@@ -334,17 +364,71 @@ def test_colour_maps_unchanged(hgraphs, glued_graphs, ear_grown):
     for g, bp in typed:
         a = alternating(bp)
         graph = f"{g.edges()} alpha {sorted(bp.alpha)}"
+        # one prepare per (graph, typing), then one solve per call
+        plan = prepare(g, bp, check_family=False)
         for pin in sorted(bp.beta):
             for c in (1, 2):
-                record(f"{graph} pin {pin}={c}",
-                       lambda: color_beta(g, bp, a, pin, c, check_family=False).colour_of)
+                record(f"{graph} pin {pin}={c}", lambda: plan.solve(a, pin, c).colour_of)
         for v, y in itertools.combinations(sorted(bp.beta), 2):
             if len(g.adj[v] & g.adj[y]) < 2:
                 continue
             for c in (1, 2):
                 record(f"{graph} pair {v},{y}={c}",
-                       lambda: color_beta_4cycle(g, bp, a, v, y, c).colour_of)
+                       lambda: plan.solve_4cycle(a, v, y, c).colour_of)
     assert (calls, digest.hexdigest()) == (34076, COLOUR_MAPS_SHA256)
+
+
+# --- the prepared colourer: one block forest per graph ----------------------
+
+
+def _blocks_calls(monkeypatch) -> list[int]:
+    """Patch `Graph.blocks` to log the order of each graph it runs on."""
+    real = Graph.blocks
+    calls: list[int] = []
+
+    def counted(self):
+        calls.append(self.n)
+        return real(self)
+
+    monkeypatch.setattr(Graph, "blocks", counted)
+    return calls
+
+
+def test_one_block_forest_per_graph(monkeypatch):
+    g = bridged()
+    bp = bipartition_typed(g)
+    a = alternating(bp)
+    calls = _blocks_calls(monkeypatch)
+    # the family check reads the forest the walk uses
+    color_beta(g, bp, a, min(bp.beta), 1)
+    assert calls == [g.n]
+    calls.clear()
+    color_beta_4cycle(g, bp, a, 1, 3, 2)   # opposite beta corners
+    assert calls == [g.n]
+    calls.clear()
+    plan = prepare(g, bp)
+    for pin in sorted(bp.beta):
+        for colour in (1, 2):
+            plan.solve(a, pin, colour)
+    assert len(bp.beta) == 5 and calls == [g.n]
+
+
+def test_a_split_block_is_prepared_once(monkeypatch):
+    # one block: the squares 0-1-2-3 and 4-5-6-7 joined by the edge 0-4
+    # and the path 2-8-9-6, with branching vertices of both types, so it
+    # splits along a cut pair into a far part that is a graph of its own
+    g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7),
+                          (7, 4), (0, 4), (2, 8), (8, 9), (9, 6)])
+    bp = bipartition_typed(g)
+    a = alternating(bp)
+    calls = _blocks_calls(monkeypatch)
+    plan = prepare(g, bp)
+    assert len(calls) == 2 and calls[0] == g.n
+    for pin in sorted(bp.beta):
+        for colour in (1, 2):
+            b = plan.solve(a, pin, colour).colour_of
+            assert verify_coloring(g, bp, combine(a, b), pin, colour).passed
+    assert len(calls) == 2
 
 
 def square_chain(k: int) -> Graph:
