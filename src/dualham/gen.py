@@ -1,7 +1,8 @@
 """Instance generators.
 
 Bipyramids, exhaustive small even triangulations (vertex splitting with
-McKay's canonical augmentation: a split child gets a canonical form only
+McKay's canonical augmentation: most splits are decided from the parent's
+degrees with no child built, a split child gets a canonical form only
 when its new edge passes a degree-sum test, and each class comes out once,
 canonically labelled), random members of the mod-4 cycle family via a
 sound gluing grammar, and filtered even triangulations whose big-vertex
@@ -11,7 +12,7 @@ graph H = G[B1 u B3] + G[B2 u B3] lies in that family.
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .embed import (
     EmbeddedGraph,
@@ -36,9 +37,10 @@ from .ugraph import Graph
 # `gen_triangulations` returns every class on n vertices, about 9 KB each
 # (max RSS rose 66 MB for the 7,595 at n = 12).  A000109 gives about 2.4 M
 # classes at n = 15 and 17.5 M at n = 16, some 21 GB and 150 GB, so there
-# the limit guards memory.  `gen_even_triangulations` keeps only the even
-# codes, so for it the limit guards time: the search still visits every
-# class, about 20 s at n = 13 and some 7 times longer per further vertex.
+# the limit guards memory.  `gen_even_triangulations` prunes every subtree
+# with no even class and builds only even children at the last level: it
+# takes about 0.2 s at n = 13 and 0.7 s at n = 14.  For it the limit marks
+# the last size with a frozen catalog to check against.
 MAX_TRI_N = 14
 
 
@@ -138,6 +140,15 @@ def gen_triangulations(n: int) -> list[EmbeddedGraph]:
     acceptance rule is invariant under both, so a split that is the image
     of one already tried on this parent is skipped.
 
+    Most of the remaining splits are decided from the parent, with no
+    child built (`_lower_sum_test`).  The new edge of a split of v has
+    degree sum deg v + 4.  A contractible edge xy of the parent that
+    misses v and both shared neighbours keeps its ends' degrees and stays
+    contractible in the child, so if deg x + deg y < deg v + 4 the child
+    has a contractible edge of lower degree sum than its new edge, and
+    `_canonical_reduction` would reject it by its lower-sum shortcut.  At
+    n = 10 this leaves 524 of the 3,212 splits to build.
+
     A parent is the split child itself, unvalidated (`split_vertex`).  An
     output is built once, from its code: the code is a rotation system
     with each vertex named by its BFS label, so `EmbeddedGraph.build`
@@ -148,9 +159,12 @@ def gen_triangulations(n: int) -> list[EmbeddedGraph]:
     return [EmbeddedGraph.build(code) for code in sorted(_triangulation_codes(n))]
 
 
-def _triangulation_codes(n: int) -> Iterator[tuple]:
+def _triangulation_codes(n: int, *, even_only: bool = False) -> Iterator[tuple]:
     """The canonical code of each class on n vertices, in the order the
-    depth-first search of `gen_triangulations` reaches them."""
+    depth-first search of `gen_triangulations` reaches them.  With
+    `even_only`, a child with more than two odd-degree vertices per level
+    left below it is not built (`_odd_after_split`), so the codes are
+    those of the even classes."""
     if not 4 <= n <= MAX_TRI_N:
         raise SizeOutOfRange(f"n must be in [4, {MAX_TRI_N}], got {n}")
     tetrahedron = EmbeddedGraph.build(TETRAHEDRON)
@@ -161,7 +175,10 @@ def _triangulation_codes(n: int) -> Iterator[tuple]:
         if g.n == n:
             yield code
             continue
+        odd = sum(len(nb) % 2 for nb in g.rotation)
+        most_odd = 2 * (n - g.n - 1)    # for a child, when even_only
         autos = _automorphisms(orders)
+        rejects = _lower_sum_test(g)
         tried: set[tuple[int, int, int]] = set()    # (v, a, b) with a < b
         for v, nb in enumerate(g.rotation):
             deg = len(nb)
@@ -169,16 +186,72 @@ def _triangulation_codes(n: int) -> Iterator[tuple]:
             # results, so ordered pairs would double the work
             for i in range(deg):
                 for j in range(i + 1, deg):
+                    if even_only and _odd_after_split(g, odd, v, i, j) > most_odd:
+                        continue
                     a, b = nb[i], nb[j]
                     if ((v, a, b) if a < b else (v, b, a)) in tried:
                         continue
                     for s in autos:
                         x, y = s[a], s[b]
                         tried.add((s[v], x, y) if x < y else (s[v], y, x))
+                    if rejects(v, a, b):
+                        continue
                     h = split_vertex(g, v, i, j)
                     starts = _canonical_reduction(h, v)
                     if starts is not None:
                         stack.append((h, starts))
+
+
+def _lower_sum_test(g: EmbeddedGraph) -> Callable[[int, int, int], bool]:
+    """A test on the parent g that drops splits `_canonical_reduction`
+    would reject by its lower-sum shortcut, before `split_vertex` runs:
+    `rejects(v, a, b)` for the split of v whose shared neighbours are a
+    and b.
+
+    It rejects when g has a contractible edge xy with x, y not in
+    {v, a, b} and deg x + deg y < deg v + 4.  Lemma: the child's new edge
+    has degree sum deg v + 4 for every split of v (its ends get j - i + 2
+    and deg v - (j - i) + 2 neighbours), and the child keeps xy
+    contractible with its degree sum.  Only v, a and b change degree.  A
+    common neighbour z of x and y in the child maps to one in g, z itself
+    or v when z is v or the new vertex, and the map is one-to-one, since
+    x is adjacent to at most one of v and the new vertex (only a and b
+    see both).  So xy has at most two common neighbours in the child, and
+    as an edge of a triangulation it has at least two.
+    """
+    rot = g.rotation
+    around = [set(nb) for nb in rot]
+    lower = sorted((len(nb) + len(rot[y]), x, y) for x, nb in enumerate(rot)
+                   for y in nb if y > x and len(around[x] & around[y]) == 2)
+
+    def rejects(v: int, a: int, b: int) -> bool:
+        least = len(rot[v]) + 4
+        for total, x, y in lower:
+            if total >= least:
+                return False
+            if x != v and x != a and x != b and y != v and y != a and y != b:
+                return True
+        return False
+
+    return rejects
+
+
+def _odd_after_split(g: EmbeddedGraph, odd: int, v: int, i: int, j: int) -> int:
+    """The number of odd-degree vertices of `split_vertex(g, v, i, j)`, from
+    g and its own number `odd`, with no child built.
+
+    Lemma: only v, a = rotation[v][i] and b = rotation[v][j] change
+    degree.  a and b gain one each, so each flips parity.  v's degree k
+    becomes j - i + 2, and the new vertex gets k - (j - i) + 2.  For odd k
+    exactly one of the two is odd, as v was; for even k both are odd iff
+    j - i is odd.  So the count is odd + 2 - 2[a odd] - 2[b odd]
+    + 2[k even and j - i odd].
+    """
+    rot = g.rotation
+    nb = rot[v]
+    k = len(nb)
+    return (odd + 2 - 2 * (len(rot[nb[i]]) % 2) - 2 * (len(rot[nb[j]]) % 2)
+            + (2 if k % 2 == 0 and (j - i) % 2 else 0))
 
 
 def _canonical_reduction(
@@ -227,10 +300,25 @@ def _canonical_reduction(
 
 
 def gen_even_triangulations(n: int) -> Iterator[EmbeddedGraph]:
-    """The even ones of `gen_triangulations(n)`, in its order.  Each row of
-    a code is one vertex's rotation, so only the codes whose rows all have
-    even length are kept and built: no other class is held."""
-    codes = [c for c in _triangulation_codes(n) if all(len(row) % 2 == 0 for row in c)]
+    """The even ones of `gen_triangulations(n)`, in its order.
+
+    The search of `gen_triangulations`, with every subtree that holds no
+    even class left out.  A split changes the number of odd-degree
+    vertices by + 2 - 2[a odd] - 2[b odd] + 2[deg v even and j - i odd]
+    (`_odd_after_split`), so by at least -2.  An even class on n vertices
+    is reached through its canonical parents, so the one on m vertices has
+    at most 2(n - m) odd-degree vertices, and a child with more is never
+    built.  At the last level the bound is 0: the child is even iff the
+    parent's odd-degree vertices are exactly a and b, deg v is even and
+    j - i is even, so only even children are built and canonicalised.
+    The lower-sum test of `gen_triangulations` applies as well.
+
+    Each row of a code is one vertex's rotation, so only the codes whose
+    rows all have even length are kept and built, an output check that
+    the search already ensures: no other class is held.
+    """
+    codes = [c for c in _triangulation_codes(n, even_only=True)
+             if all(len(row) % 2 == 0 for row in c)]
     for code in sorted(codes):
         yield EmbeddedGraph.build(code)
 

@@ -52,9 +52,9 @@ def even10() -> EmbeddedGraph:
 @pytest.fixture(scope="session")
 def catalog12() -> list[EmbeddedGraph]:
     """All eight 12-vertex even triangulations, generated once by
-    `gen_even_triangulations(12)` and frozen (regeneration takes about
-    12 s on one core of a 2-vCPU VM with Python 3.11; test_gen re-derives
-    the smaller sizes live)."""
+    `gen_even_triangulations(12)` and frozen (CI checks the generator's
+    12-vertex output against it; test_gen re-derives the smaller sizes
+    live)."""
     with open(DATA / "even_tri_12.jsonl") as f:
         return list(load_catalog(f))
 
@@ -62,10 +62,9 @@ def catalog12() -> list[EmbeddedGraph]:
 @pytest.fixture(scope="session")
 def catalog13_14() -> dict[int, list[EmbeddedGraph]]:
     """All 8 even triangulations on 13 vertices and all 32 on 14, generated
-    once by the enumeration of `gen_even_triangulations(13)` and `(14)`
-    and frozen (regeneration takes about 2.4 min and 18 min on one core of
-    a 2-vCPU VM with Python 3.11.7, so tier-1 never runs the generator
-    past 12)."""
+    once by an earlier enumeration of `gen_even_triangulations(13)` and
+    `(14)` (2.4 min and 18 min then) and frozen.  The generator is now
+    checked against them: tier-1 at 13 vertices, CI at 14."""
     out = {}
     for n in (13, 14):
         with open(DATA / f"even_tri_{n}.jsonl") as f:

@@ -142,21 +142,67 @@ class TestExhaustiveTriangulations:
         assert outcomes == {("lower sum", False): 4571, ("alone", True): 217,
                             ("tied", True): 545, ("tied", False): 254}
 
+    def test_lower_sum_test_rejects_only_lower_sum_children(self):
+        # every split of every triangulation on up to 9 vertices: a split
+        # the parent-side test rejects is one that McKay's rule rejects
+        # by its lower-sum shortcut
+        rejected = 0
+        for n in range(4, 10):
+            for g in gen_triangulations(n):
+                rejects = gen._lower_sum_test(g)
+                for v, nb in enumerate(g.rotation):
+                    for i in range(len(nb)):
+                        for j in range(i + 1, len(nb)):
+                            if rejects(v, nb[i], nb[j]):
+                                h = split_vertex(g, v, i, j)
+                                assert _brute_force_reduction(h, v) == (False, "lower sum")
+                                rejected += 1
+        # of the 4,571 lower-sum rejections among the 5,587 splits
+        assert rejected == 4466
+
+    def test_odd_count_after_split(self):
+        # every split of every triangulation on up to 11 vertices: the
+        # count from the parent is the child's, so the last-level test
+        # (count 0) passes iff the child has every degree even
+        even = 0
+        for n in range(4, 12):
+            for g in gen_triangulations(n):
+                odd = sum(len(nb) % 2 for nb in g.rotation)
+                for v, nb in enumerate(g.rotation):
+                    for i in range(len(nb)):
+                        for j in range(i + 1, len(nb)):
+                            h = split_vertex(g, v, i, j)
+                            got = gen._odd_after_split(g, odd, v, i, j)
+                            assert got == sum(len(r) % 2 for r in h.rotation)
+                            even += got == 0
+        assert even == 141
+
     def test_one_split_per_automorphism_orbit(self, monkeypatch):
-        # every split of every parent would be 5,587 calls for n = 10;
-        # one per orbit of the parents' automorphism groups is 3,212
+        # every split of every parent would be 5,587 for n = 10; one per
+        # orbit of the parents' automorphism groups is 3,212, each asked
+        # of the lower-sum test, and 524 of them are built
         parents = [g for n in range(4, 10) for g in gen_triangulations(n)]
         assert sum(d * (d - 1) // 2 for g in parents for d in map(len, g.rotation)) == 5587
-        calls = []
-        real = gen.split_vertex
+        asked, calls = [], []
+        real_test, real_split = gen._lower_sum_test, gen.split_vertex
 
-        def counted(g, v, i, j):
+        def counted_test(g):
+            rejects = real_test(g)
+
+            def counted(v, a, b):
+                asked.append(g)
+                return rejects(v, a, b)
+            return counted
+
+        def counted_split(g, v, i, j):
             calls.append(g)
-            return real(g, v, i, j)
+            return real_split(g, v, i, j)
 
-        monkeypatch.setattr(gen, "split_vertex", counted)
+        monkeypatch.setattr(gen, "_lower_sum_test", counted_test)
+        monkeypatch.setattr(gen, "split_vertex", counted_split)
         assert len(gen_triangulations(10)) == 233
-        assert len(calls) == 3212
+        assert len(asked) == 3212
+        assert len(calls) == 524
         # every parent is still split at least once
         assert len({id(g) for g in calls}) == len(parents)
 
@@ -252,6 +298,11 @@ class TestExhaustiveTriangulations:
             assert g.n == 12 and is_even_triangulation(g)
             codes.add(canonical_form(g))
         assert len(codes) == 8
+
+    def test_even_13_is_the_frozen_catalog(self, catalog13_14):
+        # CI checks 14 vertices against its catalog the same way
+        got = sorted(canonical_form(g) for g in gen_even_triangulations(13))
+        assert got == sorted(canonical_form(g) for g in catalog13_14[13])
 
     def test_frozen_catalogs_13_and_14(self, catalog13_14):
         for n, count in ((13, 8), (14, 32)):
