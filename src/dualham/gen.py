@@ -43,12 +43,20 @@ from .ugraph import Graph
 # the last size with a frozen catalog to check against.
 MAX_TRI_N = 14
 
+# A bipyramid's build is quadratic in l: `EmbeddedGraph.build` and
+# `trace_faces` scan the poles' rotations, of length 2l.  On one 2-vCPU
+# Xeon VM l = 2,000 took 0.45 s and l = 4,000 1.4 s; l = 10**5 would take
+# about 15 minutes.
+MAX_BIPYRAMID_L = 2000
+
 
 def gen_bipyramid(l: int) -> EmbeddedGraph:
     """The join of a 2l-cycle with two poles: an even triangulation where
     both poles see the whole equator."""
     if l < 2:
         raise SizeTooSmall(f"bipyramid needs l >= 2, got {l}")
+    if l > MAX_BIPYRAMID_L:
+        raise SizeOutOfRange(f"bipyramid needs l <= {MAX_BIPYRAMID_L}, got {l}")
     k = 2 * l
     a1, a2 = k, k + 1
     rot: list[list[int]] = []

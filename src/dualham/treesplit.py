@@ -157,41 +157,6 @@ def bipyramid_poles(g: EmbeddedGraph) -> tuple[int, int] | None:
     )
 
 
-def _bipyramid_partition(
-    an: Instance, keep_together: tuple[int, int] | None = None
-) -> TreePartition:
-    """Direct two-star (or path plus small tree) partition of the analysed
-    bipyramid, audited as two induced trees before it is returned.
-
-    If `keep_together` is (v, w) with v a pole, both land on the same side;
-    which side is the caller's choice.  If the poles share a big class 1
-    or 2, they must share a side: that side is the poles plus one ring
-    vertex, the other the remaining ring path.
-    """
-    g, cls = an.g, an.tp.class_of
-    p, q = an.poles
-    ring = set(g.rotation[p])   # p sees every vertex but q
-    c = min(ring)
-    if g.degree(p) >= 6 and cls[p] in (1, 2):
-        # both poles forced to one side
-        side = frozenset({p, q, c})
-        other = frozenset(ring - {c})
-        part = TreePartition(side, other) if cls[p] == 1 else TreePartition(other, side)
-    else:
-        # poles on opposite sides, ring split by parity: the ring alternates
-        # the two classes the poles lack
-        even = {u for u in ring if cls[u] == cls[c]}
-        odd = ring - even
-        part = TreePartition(frozenset({p} | even), frozenset({q} | odd))
-        if keep_together is not None:
-            v, w = keep_together
-            if (v in part.s) != (w in part.s):
-                part = TreePartition(frozenset({p} | odd), frozenset({q} | even))
-    if not verify_tree_partition(an.ab, part):
-        raise NotTreePartition("bipyramid sides do not induce two trees")
-    return part
-
-
 # --- fan paths -----------------------------------------------------------
 
 
@@ -570,8 +535,12 @@ def extend_coloring_single_path(
     the small interior alternates classes 1 and 2.  Two shapes: a big y
     is already coloured apart from v by `b`, a small y takes the colour
     opposite v; in both, each interior vertex takes its class as its
-    colour.  If that misses, every colouring of the interior (and of a
-    small y) is tried.
+    colour.  If that misses its audit, only w is added, with v's colour.
+
+    Seed monotonicity: every colouring of the interior (and of a small y)
+    that passes the audit extends b + {w: b[v]}, so a partition extending
+    its seeds extends these, and the complete search finds one, with v and
+    w on one side.
     """
     ab, bs, a = an.ab, an.bs, an.a
     cls = an.tp.class_of
@@ -584,22 +553,9 @@ def extend_coloring_single_path(
     for u in p_w.interior:
         b0[u] = cls[u]
     l_graph = ab.subgraph(bs.big).union(ab.subgraph(set(p_w.path) | p_w.v0))
-
-    def audit(cand: dict[int, int]) -> bool:
-        return cand.get(w) == cand[v] and mono_cycle(l_graph, combine(a, cand)) is None
-
-    if audit(b0):
+    if b0.get(w) == b0[v] and mono_cycle(l_graph, combine(a, b0)) is None:
         return b0
-    # the prescribed rule missed; exhaust the handful of fresh choices
-    free = sorted(set(p_w.interior) | ({y} & bs.small))
-    for bits in itertools.product((1, 2), repeat=len(free)):
-        cand = dict(b)
-        cand.update(dict(zip(free, bits)))
-        if audit(cand):
-            return cand
-    raise ConditionViolated(
-        0, f"no extension over {p_w.path} keeps {w} with {v} cycle-free"
-    )
+    return {**b, w: b[v]}
 
 
 def _mono_path_exists(l_graph: Graph, colours: Mapping[int, int], u: int, w: int) -> bool:
@@ -777,7 +733,15 @@ def tree_partition_with_edge(an: Instance, v: int, w: int) -> TreePartition:
     vertices on the first side, big class-2 on the second, and the edge vw
     kept inside one side (chosen by w's class).  Either order is taken:
     adjacent vertices differ in class, so one end at most is big class 3,
-    and it becomes v."""
+    and it becomes v.
+
+    A big w (already seeded by its class) and any w on a bipyramid, which
+    has no fan paths, get v's colour as their seed.  The bipyramid lemma:
+    with l >= 3, big class-3 poles p, q and the even ring R, {p, q, w} and
+    R - w are two trees if b gives p and q one colour; otherwise each side
+    is a pole and a colour class of R, w's class on v's side.  Other
+    bipyramids have no big class-3 vertex.
+    """
     tp, bs = an.tp, an.bs
     if v not in bs.b_of(3):
         v, w = w, v
@@ -787,19 +751,12 @@ def tree_partition_with_edge(an: Instance, v: int, w: int) -> TreePartition:
         raise BadEdge(f"{v} and {w} are not adjacent")
     # w is adjacent to a class-3 vertex, so it is of class 1 or 2
     target = tp.class_of[w]
-
-    if an.poles is not None:
-        part = _bipyramid_partition(an, keep_together=(v, w))
-        if (v in part.s) != (target == 1):
-            part = TreePartition(part.t, part.s)
-        return _kept_together(part, v, w)
-
     if not an.in_family:
         raise NotInFamilyH("a big-vertex cycle has length not 0 mod 4")
 
     # for a small w, by the pole lemma v is a pole of p_w and the other pole
     # y is of class 3; a big y shares a 4-cycle of H with v, so b puts them apart
-    p_w = None if w in bs.big else _choose_fan_path(an, v, w)
+    p_w = None if w in bs.big or an.poles is not None else _choose_fan_path(an, v, w)
     y = None if p_w is None else min(p_w.v0 - {v})
     if y in bs.big:
         b = next(base_coloring_candidates(an, opposite=(v, y, target)), None)
@@ -808,14 +765,15 @@ def tree_partition_with_edge(an: Instance, v: int, w: int) -> TreePartition:
     if b is None:
         raise CaseUnmatched("the constructed base colouring fails its audit")
     if p_w is None:
-        return _kept_together(tree_partition_solve(an, _seeds(an, b)), v, w)
+        return _kept_together(tree_partition_solve(an, _seeds(an, {**b, w: b[v]})), v, w)
     seeds = _seeds(an, extend_coloring_single_path(an, b, v, w, p_w))
     try:
         part = tree_partition_solve(an, seeds)
     except ConstraintInvalid:
-        # usually a second fan path sharing inner vertices with the chosen
-        # one; the straddle rule only backs the existence argument, not the
-        # solver, so retry without it
+        # a second fan path sharing inner vertices with p_w, or p_w itself
+        # when its prescribed colouring missed and w alone is seeded; the
+        # straddle rule only backs the existence argument, not the solver,
+        # so retry without it
         part = tree_partition_solve(an, seeds, enforce_path_condition=False)
     return _kept_together(part, v, w)
 
@@ -843,6 +801,10 @@ def tree_partition_face_sparse(an: Instance) -> tuple[TreePartition, dict]:
 
     Both hypotheses are checked on entry: they are the opposite-corner
     lemma's.  An audit miss moves on to the next base colouring.
+
+    On a bipyramid the extension takes no step.  The bipyramid lemma
+    (`tree_partition_with_edge`) covers the first colouring; with B3 empty
+    the seeds are at most both poles, extended by {p, q, r} and R - r.
     """
     if not an.in_family:
         raise NotInFamilyH("a big-vertex cycle has length not 0 mod 4")
@@ -850,10 +812,6 @@ def tree_partition_face_sparse(an: Instance) -> tuple[TreePartition, dict]:
         raise HComponentNot2Connected(
             "a multi-vertex component of the big-vertex graph is not 2-connected"
         )
-
-    if an.poles is not None:
-        part = _bipyramid_partition(an)
-        return part, _face_sparse_report(an, part, special="bipyramid")
 
     r, r_hat = families_R(an.bs, an.paths)
     last_err: Exception = CaseUnmatched("no admissible base colouring exists")
@@ -866,14 +824,11 @@ def tree_partition_face_sparse(an: Instance) -> tuple[TreePartition, dict]:
     else:
         raise last_err
     part = tree_partition_solve(an, _seeds(an, bn))
-    return part, _face_sparse_report(an, part, steps=steps)
+    return part, _face_sparse_report(an, part, steps)
 
 
 def _face_sparse_report(
-    an: Instance,
-    part: TreePartition,
-    steps: Sequence[StepInfo] = (),
-    special: str | None = None,
+    an: Instance, part: TreePartition, steps: Sequence[StepInfo]
 ) -> dict:
     """Audit the two per-vertex implications on the final partition."""
     ab, bs, h = an.ab, an.bs, an.h
@@ -899,7 +854,6 @@ def _face_sparse_report(
     return {
         "vertices": rows,
         "all_ok": ok,
-        "special_case": special,
         "steps": [
             {"path": list(s.path), "case": s.case, "fresh": list(s.fresh)}
             for s in steps

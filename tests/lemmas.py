@@ -1,6 +1,6 @@
 """Lemma checkers for graphs whose every cycle has length 0 mod 4, a
-2-connectivity test, and an exhaustive generator of small 2-connected
-members of that family.
+2-connectivity test, an exhaustive generator of small 2-connected
+members of that family, and an exhaustive single-path colouring.
 
 The checkers are falsification targets: the colourer does not call them,
 the tests run them on every member they build.  The generator needs
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 
+from dualham.colorizer import combine, mono_cycle
 from dualham.errors import DualhamError
 from dualham.structure import PathRec, TypedBipartition, is_multi4
 from dualham.ugraph import Graph
@@ -67,6 +68,28 @@ def opposite_corners_check(g: Graph) -> bool:
     (the opposite-corner lemma of `dualham.treesplit`).
     """
     return all((g.degree(u) >= 3) == (g.degree(v) >= 3) for u, v in opposite_pairs(g))
+
+
+def single_path_by_enumeration(an, b, v, w, p_w) -> dict[int, int] | None:
+    """The first colouring, in product order, of the fan path p_w's
+    interior (and of its other pole if small) that extends b, gives w the
+    colour of the pole v, and leaves no monochromatic cycle in the big
+    vertices plus p_w's fan; None if there is none.
+
+    This is the with-edge pipeline's single-path audit, tried on every
+    colouring (2^k for k fresh vertices): one that passes certifies that
+    seeding w alone, with v's colour, can be extended (seed monotonicity,
+    in `extend_coloring_single_path`).
+    """
+    ab, bs, a = an.ab, an.bs, an.a
+    (y,) = p_w.v0 - {v}
+    l_graph = ab.subgraph(bs.big).union(ab.subgraph(set(p_w.path) | p_w.v0))
+    free = sorted(set(p_w.interior) | ({y} & bs.small))
+    for bits in itertools.product((1, 2), repeat=len(free)):
+        cand = {**b, **dict(zip(free, bits))}
+        if cand[w] == cand[v] and mono_cycle(l_graph, combine(a, cand)) is None:
+            return cand
+    return None
 
 
 def is_biconnected(g: Graph) -> bool:

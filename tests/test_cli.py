@@ -144,6 +144,7 @@ class TestCheck:
     (["check", "--family", "multi4"], '{"edges": [["0", true], [1, 2], [2, 3], [3, 0]]}'),
     (["check", "--family", "multi4"], '{"edges": [[0, 1], [1, 2], [2, 3], [3, false]]}'),
     (["gen", "--family", "multi4", "--size", "3"], None),
+    (["gen", "--family", "bipyramid", "--size", "2001"], None),
     (["check", "--family", "even-tri"], b"\xff" + b'{"n": 0, "rotation": []}'),
     (["check", "--family", "even-tri"], "[" * 200000),
     (["color"], '{"edges": ' + "[" * 200000),
@@ -152,7 +153,8 @@ class TestCheck:
 ], ids=["not-an-object", "rotation-not-a-list", "row-not-a-list", "a-not-an-object",
         "a-colour-7", "a-adjacent-alpha", "a-vertex-not-in-graph", "a-adjacent-beta",
         "a-colour-true", "a-vertex-not-an-int", "color-edge-end-float", "edge-end-float", "edge-end-string",
-        "edge-end-string-and-bool", "edge-end-false", "gen-multi4-size-3", "not-utf8",
+        "edge-end-string-and-bool", "edge-end-false", "gen-multi4-size-3",
+        "gen-bipyramid-size-2001", "not-utf8",
         "nested-too-deep", "color-nested-too-deep", "cap-0", "cap-minus-3"])
 def test_malformed_input_exits_2(capsys, tmp_path, command, text):
     """Bad input file (text, or bytes that are not UTF-8), or (text None)

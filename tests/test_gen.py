@@ -58,6 +58,15 @@ class TestBipyramid:
         with pytest.raises(SizeTooSmall):
             gen_bipyramid(1)
 
+    def test_too_large_refused_before_building(self, monkeypatch):
+        # the build is quadratic in l, so the bound is checked first
+        def build(rot):
+            raise AssertionError("built a bipyramid past MAX_BIPYRAMID_L")
+
+        monkeypatch.setattr(gen.EmbeddedGraph, "build", build)
+        with pytest.raises(SizeOutOfRange, match="l <= 2000, got 2001"):
+            gen_bipyramid(gen.MAX_BIPYRAMID_L + 1)
+
     def test_output_check_raises(self, monkeypatch):
         # the check stands without `assert`, so it survives `python -O`
         monkeypatch.setattr(gen, "is_even_triangulation", lambda g: False)
@@ -161,11 +170,12 @@ class TestExhaustiveTriangulations:
         assert rejected == 4466
 
     def test_odd_count_after_split(self):
-        # every split of every triangulation on up to 11 vertices: the
+        # every split of every triangulation on up to 10 vertices: the
         # count from the parent is the child's, so the last-level test
-        # (count 0) passes iff the child has every degree even
+        # (count 0) passes iff the child has every degree even; CI checks
+        # the 11-vertex parents, whose 87 even children bring this to 141
         even = 0
-        for n in range(4, 12):
+        for n in range(4, 11):
             for g in gen_triangulations(n):
                 odd = sum(len(nb) % 2 for nb in g.rotation)
                 for v, nb in enumerate(g.rotation):
@@ -175,7 +185,7 @@ class TestExhaustiveTriangulations:
                             got = gen._odd_after_split(g, odd, v, i, j)
                             assert got == sum(len(r) % 2 for r in h.rotation)
                             even += got == 0
-        assert even == 141
+        assert even == 54
 
     def test_one_split_per_automorphism_orbit(self, monkeypatch):
         # every split of every parent would be 5,587 for n = 10; one per

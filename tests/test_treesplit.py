@@ -1,5 +1,6 @@
 """Two-tree partitions: fan paths, the solver, and both pipelines."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -48,11 +49,12 @@ from dualham.treesplit import (
     tree_partition_with_edge,
     verify_tree_partition,
 )
-from lemmas import opposite_corners_check, opposite_pairs
+from lemmas import opposite_corners_check, opposite_pairs, single_path_by_enumeration
 
 
 GOLDEN = Path(__file__).parent / "data" / "with_edge_golden.jsonl"
 LARGE = Path(__file__).parent.parent / "perfbench" / "data" / "large.jsonl"
+CORPUS12 = LARGE.parent / "corpus12.jsonl"
 
 
 def _poles_by_pair_scan(g):
@@ -331,8 +333,10 @@ class TestBipyramidDetection:
 
 
 def _reference_bipyramid_partition(g, poles, tp, keep_together=None):
-    """Reference for `_bipyramid_partition`: the ring walked by adjacency
-    from its smallest vertex, and a kept pair turned onto the first side."""
+    """Existence certificate for bipyramids: the ring walked by adjacency
+    from its smallest vertex, big class-1/2 poles on one side with one ring
+    vertex, and otherwise each pole with one colour class of the ring, the
+    classes swapped to keep a pole-ring pair together."""
     p, q = poles
     ring = [v for v in range(g.n) if v not in poles]
     order = [ring[0]]
@@ -361,31 +365,35 @@ def _reference_bipyramid_partition(g, poles, tp, keep_together=None):
 
 
 class TestBipyramidPartitionMatchesReference:
+    """Both pipelines send a bipyramid to the seeded search; the reference
+    certifies that a partition of the kind they must find exists."""
+
     def test_same_partitions(self):
         rng = random.Random(8)
         graphs = [gen_bipyramid(l) for l in range(2, 13)]
         graphs += [g.mirror() for g in graphs] + [_relabel(g, rng) for g in graphs]
-        forced = kept = 0
+        pole_classes, kept = Counter(), 0
         for g in graphs:
             tp = tri_partition(g)
             poles = bipyramid_poles(g)
             an = analyse(g)
-            got = treesplit._bipyramid_partition(an)
-            assert got == _reference_bipyramid_partition(g, poles, tp)
-            # big poles of class 1 or 2 share a side, whatever the kept pair
-            shared = tp.class_of[poles[0]] != 3 and g.n >= 8
-            forced += shared
-            for v in poles:
+            b1, b2 = an.bs.b_of(1), an.bs.b_of(2)
+            pole_classes[tp.class_of[poles[0]]] += 1
+            assert verify_tree_partition(an.ab, _reference_bipyramid_partition(g, poles, tp), b1, b2)
+            part, rep = tree_partition_face_sparse(an)
+            assert verify_tree_partition(an.ab, part, b1, b2)
+            assert rep["all_ok"] and rep["steps"] == []
+            for v in sorted(an.bs.b_of(3)):
                 for w in g.rotation[v]:
-                    got = treesplit._bipyramid_partition(an, keep_together=(v, w))
                     want = _reference_bipyramid_partition(g, poles, tp, keep_together=(v, w))
-                    # the same two sides; the with-edge pipeline picks the order
-                    assert {got.s, got.t} == {want.s, want.t}
-                    assert shared or (v in got.s) == (w in got.s)
+                    got = tree_partition_with_edge(an, v, w)
+                    for part in (want, got):
+                        assert verify_tree_partition(an.ab, part) and (v in part.s) == (w in part.s)
                     kept += 1
-        # both branches run: poles of class 3, and big poles of class 1 or 2
-        assert forced and forced < len(graphs)
-        assert kept == 2 * sum(g.n - 2 for g in graphs)
+        # the poles land in all three classes; only class-3 poles have
+        # eligible edges, both poles' 2l each
+        assert pole_classes == {1: 4, 2: 10, 3: 19}
+        assert kept == 588
 
 
 class TestPoleLemma:
@@ -891,6 +899,57 @@ class TestWithEdgePipeline:
             assert len(audited) == 1
 
 
+class TestMissedSinglePathRule:
+    """Where the prescribed single-path colouring misses its audit, the
+    with-edge pipeline seeds w alone, with v's colour.  The enumeration in
+    `lemmas` certifies every such edge: it finds an audited colouring of
+    the fan, and that colouring's seeds contain the pipeline's."""
+
+    def test_enumeration_certifies_seeding_w_alone(self, catalog13_14, monkeypatch):
+        calls = []
+        real = treesplit.extend_coloring_single_path
+
+        def recording(an, b, v, w, p_w):
+            out = real(an, b, v, w, p_w)
+            calls.append((b, p_w, out))
+            return out
+
+        monkeypatch.setattr(treesplit, "extend_coloring_single_path", recording)
+        graphs = []
+        for path in (GOLDEN, CORPUS12, LARGE):
+            with open(path) as f:
+                graphs += [EmbeddedGraph.build(json.loads(line)["rotation"]) for line in f]
+        graphs += [h for g in catalog13_14[13] + catalog13_14[14] for h in (g, g.mirror())]
+        misses = 0
+        digest = hashlib.sha256()
+        for g in graphs:
+            an = analyse(g)
+            if not an.in_family or an.poles is not None:
+                continue
+            for v in sorted(an.bs.b_of(3)):
+                for w in sorted(an.ab.adj[v] & an.bs.small):
+                    calls.clear()
+                    part = tree_partition_with_edge(an, v, w)
+                    ((b, p_w, got),) = calls
+                    fresh = set(p_w.interior) | ((p_w.v0 - {v}) & an.bs.small)
+                    if fresh <= set(got):
+                        continue
+                    misses += 1
+                    assert got == {**b, w: b[v]}
+                    found = single_path_by_enumeration(an, b, v, w, p_w)
+                    assert found is not None, (g.rotation, v, w)
+                    have, want = treesplit._seeds(an, got), treesplit._seeds(an, found)
+                    assert have.x <= want.x and have.y <= want.y
+                    digest.update(json.dumps([v, w, sorted(part.s), sorted(part.t)]).encode())
+        # 16 on the golden rows, 12 on the corpus, 48 on the catalogs; the
+        # digest is of the partitions that seeding the enumeration's
+        # colouring gives
+        assert misses == 76
+        assert digest.hexdigest() == (
+            "a2d922eba658b276e73a662496aa569313531f86ee4b756ae905683292c19a7e"
+        )
+
+
 def _reference_extend_coloring_path_sequence(an, b, paths):
     """The sequence extension with mixed dispatch cases, an uncoloured-scope
     guard in the audit, and a local search over the fresh vertices when a
@@ -1003,7 +1062,8 @@ class TestFaceSparsePipeline:
         for g in (octahedron, bipyramid6):
             part, rep = tree_partition_face_sparse(analyse(g))
             assert verify_tree_partition(g.abstract(), part)
-            assert rep["all_ok"] and rep["special_case"] == "bipyramid"
+            # no fan path, so no extension step
+            assert rep["all_ok"] and rep["steps"] == []
 
     def test_bipyramid_partition_is_audited(self, monkeypatch):
         monkeypatch.setattr(treesplit, "verify_tree_partition", lambda *args: False)
@@ -1062,7 +1122,8 @@ class TestFaceSparsePipeline:
 class TestFrozenOutputs:
     """Partitions frozen from the pair-scan, per-call-recomputing version
     of the pipelines, on every even triangulation with n <= 12 and its
-    mirror; the pipelines must reproduce them exactly."""
+    mirror; the pipelines must reproduce them exactly.  The bipyramid rows
+    hold the seeded search's partitions."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -1114,7 +1175,8 @@ class TestFrozenOutputs:
 
     def test_face_sparse(self, golden):
         assert sum(row["face_sparse"] is not None for row in golden) == 20
-        cases, statuses, special = Counter(), Counter(), Counter()
+        cases, statuses = Counter(), Counter()
+        bipyramids = 0
         for row in golden:
             g = EmbeddedGraph.build(row["rotation"])
             h, _ = big_vertex_graph(g)
@@ -1125,10 +1187,12 @@ class TestFrozenOutputs:
                 assert report["all_ok"]
                 cases.update(step["case"] for step in report["steps"])
                 statuses.update(r["status"] for r in report["vertices"])
-                special[report["special_case"]] += 1
+                if bipyramid_poles(g) is not None:
+                    bipyramids += 1
+                    assert report["steps"] == []
         # the reports are pinned too: a miswired dispatch that happens to
         # land on the same partitions still fails here
-        assert special == {None: 12, "bipyramid": 8}
+        assert bipyramids == 8
         assert cases == {
             "end-pair-branching": 6, "end-pair-degree2-shielded": 1,
             "end-pair-degree2-split": 4, "pole-pair-branching": 2,
@@ -1149,7 +1213,8 @@ class TestCatalogs13And14:
         return graphs + [g.mirror() for g in graphs]
 
     def test_face_sparse(self, orientations):
-        cases, statuses, special, refused = Counter(), Counter(), Counter(), Counter()
+        cases, statuses, refused = Counter(), Counter(), Counter()
+        bipyramids = 0
         for g in orientations:
             h, bs = big_vertex_graph(g)
             if not meets_h_hypothesis(h):
@@ -1160,12 +1225,14 @@ class TestCatalogs13And14:
             part, report = tree_partition_face_sparse(analyse(g))
             assert verify_tree_partition(g.abstract(), part, bs.b_of(1), bs.b_of(2))
             assert report["all_ok"]
-            special[report["special_case"]] += 1
+            if bipyramid_poles(g) is not None:
+                bipyramids += 1
+                assert report["steps"] == []
             cases.update(step["case"] for step in report["steps"])
             statuses.update(r["status"] for r in report["vertices"])
         # 29 of the 80 orientations meet the hypothesis
         assert refused == {"HComponentNot2Connected": 37, "NotInFamilyH": 14}
-        assert special == {None: 27, "bipyramid": 2}
+        assert bipyramids == 2
         assert cases == {
             "end-pair-branching": 24, "end-pair-degree2-shielded": 3,
             "end-pair-degree2-split": 5, "pole-pair-branching": 15,
