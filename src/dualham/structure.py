@@ -134,6 +134,15 @@ def multi4_witness(
     enumeration settles the answer, returning its first cycle of bad
     length.  Raises CycleCapExceeded when enumeration passes `cap` cycles.
 
+    Only blocks with more edges than vertices are enumerated.  Lemma: a
+    2-connected block with as many edges as vertices is one cycle.  The
+    tree path between two vertices of a block stays inside the block, so
+    the DFS forest spans the block with all but one of its edges, and the
+    one non-tree edge closes exactly that cycle as a fundamental cycle,
+    which the filter has checked.  So once the filter passes, no such
+    block holds a bad cycle, and skipping it changes no answer and no
+    witness; a graph whose blocks are all cycles passes under any cap.
+
     `blocks`, when given, are the subgraphs of g's blocks with >= 3
     vertices, in `g.blocks()` order (the colourer's prepare step passes
     the ones it built); otherwise they are found and built here, one at a
@@ -146,6 +155,8 @@ def multi4_witness(
         comps, _ = g.blocks()
         blocks = (g if len(c) == g.n else g.subgraph(c) for c in comps if len(c) >= 3)
     for sub in blocks:
+        if sub.m == sub.n:
+            continue
         for cyc in sub.simple_cycles(cap=cap):
             if len(cyc) % 4 != 0:
                 return cyc

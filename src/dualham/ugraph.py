@@ -51,7 +51,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(len(nb) for nb in self.adj.values()) // 2
+        return sum(map(len, self.adj.values())) // 2
 
     def edges(self) -> list[Edge]:
         return sorted(norm_edge(u, v) for u in self.adj for v in self.adj[u] if u < v)
@@ -257,41 +257,43 @@ class Graph:
         closed walk per pure-cycle component (first == last).  Single edges
         between two anchors are included.
 
-        Anchors are scanned in ascending order and every edge of a walk is
-        marked seen, so each walk is found once, from its smaller anchor,
-        and a closed one leaves through its anchor's smaller neighbour.
+        Anchors are scanned in ascending order, each through its
+        neighbours in ascending order, so each walk is found once, from its
+        smaller anchor, and a closed one leaves through its anchor's
+        smaller neighbour.  Lemma: both edges of a degree-2 vertex are
+        walked together, so the edge from an anchor to a degree-2 vertex s
+        has been walked exactly when s has; a set of walked vertices
+        stands in for a set of walked edges.  A single edge between two
+        anchors is walked from its smaller end.
         """
+        adj = self.adj
         out: list[list[int]] = []
-        deg2 = {v for v in self.adj if self.degree(v) == 2}
-        anchors = set(self.adj) - deg2
-        seen_d2: set[int] = set()
-        seen_edge: set[Edge] = set()
-        for a in sorted(anchors):
-            for s in sorted(self.adj[a]):
-                if norm_edge(a, s) in seen_edge:
+        seen: set[int] = set()   # degree-2 vertices already walked
+        anchors = sorted(v for v, nb in adj.items() if len(nb) != 2)
+        for a in anchors:
+            for s in sorted(adj[a]):
+                if s in seen or (s < a and len(adj[s]) != 2):
                     continue
                 walk = [a, s]
-                seen_edge.add(norm_edge(a, s))
-                while walk[-1] in deg2:
-                    seen_d2.add(walk[-1])
-                    nxt = next(w for w in self.adj[walk[-1]] if w != walk[-2])
-                    seen_edge.add(norm_edge(walk[-1], nxt))
-                    walk.append(nxt)
+                prev, cur = a, s
+                while len(adj[cur]) == 2:
+                    seen.add(cur)
+                    x, y = adj[cur]
+                    prev, cur = cur, y if x == prev else x
+                    walk.append(cur)
                 out.append(walk)
+        if len(anchors) + len(seen) == len(adj):
+            return out   # every degree-2 vertex was walked: no pure cycle
         # pure cycles: components made only of degree-2 vertices
-        for v in sorted(deg2 - seen_d2):
-            if v in seen_d2:
+        for v in sorted(v for v, nb in adj.items() if len(nb) == 2 and v not in seen):
+            if v in seen:
                 continue
-            walk = [v]
-            prev = None
-            cur = v
-            while True:
-                nxt = min(w for w in self.adj[cur] if w != prev) if prev is None \
-                    else next(w for w in self.adj[cur] if w != prev)
-                walk.append(nxt)
-                prev, cur = cur, nxt
-                if cur == v:
-                    break
-            seen_d2.update(walk)
+            prev, cur = v, min(adj[v])
+            walk = [v, cur]
+            while cur != v:
+                seen.add(cur)
+                x, y = adj[cur]
+                prev, cur = cur, y if x == prev else x
+                walk.append(cur)
             out.append(walk)
         return out

@@ -107,6 +107,34 @@ class TestCheck:
         (check,) = rows[-1]["checks"]
         assert sorted(check["witness"]) == [4, 5, 6]
 
+    def test_cactus_passes_at_the_least_cap_with_no_enumeration(self, capsys, tmp_path,
+                                                                monkeypatch):
+        # two 4-cycles at a cut vertex, then a bridge to an 8-cycle: each
+        # block is one cycle, which the depth-first filter checks
+        from dualham.ugraph import Graph
+
+        def refused(self, cap=None):
+            raise AssertionError("simple_cycles ran")
+
+        monkeypatch.setattr(Graph, "simple_cycles", refused)
+        ring = [7, 8, 9, 10, 11, 12, 13, 14]
+        edges = [[0, 1], [1, 2], [2, 3], [3, 0], [0, 4], [4, 5], [5, 6], [6, 0], [2, 7]]
+        edges += [[u, ring[(i + 1) % 8]] for i, u in enumerate(ring)]
+        p = tmp_path / "cactus.json"
+        p.write_text(json.dumps({"edges": edges}))
+        code, rows, _ = run(capsys, ["--cap", "1", "check", str(p), "--family", "multi4"])
+        assert code == 0 and rows[-1]["checks"][0]["passed"]
+
+    def test_theta_of_two_squares_fails_with_its_6_cycle(self, capsys, tmp_path):
+        # two 4-cycles sharing the edge 0-1; only enumeration finds the 6
+        p = tmp_path / "theta.json"
+        p.write_text(json.dumps({"edges": [[0, 1], [0, 2], [2, 3], [3, 1],
+                                           [0, 4], [4, 5], [5, 1]]}))
+        code, rows, _ = run(capsys, ["check", str(p), "--family", "multi4"])
+        assert code == 1
+        (check,) = rows[-1]["checks"]
+        assert sorted(check["witness"]) == [0, 1, 2, 3, 4, 5]
+
     def test_hypothesis_check_reports_an_h_witness(self, capsys, tmp_path, catalog13_14):
         from dualham.gen import big_vertex_graph
 

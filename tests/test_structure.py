@@ -1,13 +1,21 @@
 """Cycle-length-mod-4 structure: membership, cut paths, cut pairs, and
 the lemma checkers of `lemmas.py`."""
 
+import hashlib
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
 from dualham.colorizer import color_beta, combine, verify_coloring
-from dualham.errors import CaseUnmatched, DualhamError, NoCutPath, NotBipartite
+from dualham.errors import (
+    CaseUnmatched,
+    CycleCapExceeded,
+    DualhamError,
+    NoCutPath,
+    NotBipartite,
+)
 from dualham.structure import (
     CutPair,
     PathRec,
@@ -18,6 +26,7 @@ from dualham.structure import (
     cuts_graph,
     is_multi4,
     minimal_determined_side,
+    multi4_witness,
     satisfies_cut_path_condition,
 )
 from dualham.ugraph import Graph
@@ -61,6 +70,105 @@ class TestMembership:
         for g in (cycle(4), cycle(6), cycle(8), k34(), two_squares):
             naive = all(len(c) % 4 == 0 for c in naive_all_cycles(g))
             assert is_multi4(g) == naive
+
+
+def _cactus(seed: int, thetas: bool = True) -> Graph:
+    """Blocks on at most 12 vertices in all, joined at cut vertices and by
+    bridges: 4-, 6- and 8-cycles, and with `thetas` also theta blocks
+    (three paths between two vertices: of lengths 2-2-2, a member, or
+    1-3-3, 2-2-4 and 3-3-3, which are not).  The labels are shuffled, so
+    the depth-first filter meets the blocks in varied orders."""
+    rng = random.Random(seed)
+    edges: list[tuple[int, int]] = []
+    n = 1
+
+    def path(x: int, y: int, length: int) -> None:
+        nonlocal n
+        inner = list(range(n, n + length - 1))
+        n += length - 1
+        vs = [x, *inner, y]
+        edges.extend(zip(vs, vs[1:]))
+
+    for _ in range(8):
+        if thetas and rng.random() < 0.4:
+            lengths = rng.choice(((2, 2, 2), (2, 2, 2), (1, 3, 3), (1, 3, 3), (2, 2, 4), (3, 3, 3)))
+            new = sum(lengths) - 2
+        else:
+            lengths = (rng.choice((4, 4, 6, 8, 8)),)
+            new = lengths[0] - 1
+        bridge = rng.random() < 0.3
+        if n + new + bridge > 12:
+            continue
+        at = rng.randrange(n)
+        if bridge:
+            edges.append((at, n))
+            at, n = n, n + 1
+        if len(lengths) == 1:
+            path(at, at, lengths[0])
+        else:
+            y, n = n, n + 1
+            for length in lengths:
+                path(at, y, length)
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph.from_edges([(label[u], label[v]) for u, v in edges], label)
+
+
+CACTI = [_cactus(seed) for seed in range(60)]
+
+# sha256 of `multi4_witness` on CACTI, one line per graph, taken before
+# single-cycle blocks were skipped; every witness stays the same
+CACTUS_WITNESSES_SHA256 = "f6266e25a73fe18a28d6429713a5bd59d4b5d99bce9c09163f8d1a07d8c8f365"
+
+
+class TestSingleCycleBlocks:
+    def test_witness_agrees_with_naive_enumeration(self):
+        kinds = Counter()
+        for g in CACTI:
+            bad = [c for c in naive_all_cycles(g) if len(c) % 4]
+            cyc = multi4_witness(g)
+            assert (cyc is None) == (not bad), g.edges()
+            if cyc is not None:
+                # one of the oracle's bad cycles, up to rotation and direction
+                assert len(set(cyc)) == len(cyc) >= 3 and len(cyc) % 4, g.edges()
+                assert all(g.has_edge(cyc[i - 1], cyc[i]) for i in range(len(cyc)))
+                assert frozenset(cyc) in {frozenset(c) for c in bad}, g.edges()
+            theta = any(g.subgraph(c).m > len(c) for c in g.blocks()[0] if len(c) >= 3)
+            kinds[cyc is None, theta, _bad_fundamental_cycle(g) is None] += 1
+        # members with and without theta blocks, and non-members caught by
+        # the filter and (on a theta block) only by enumeration
+        assert kinds[True, False, True] and kinds[True, True, True], kinds
+        assert kinds[False, False, False] and kinds[False, True, True], kinds
+
+    def test_witnesses_pinned(self):
+        digest = hashlib.sha256()
+        for g in CACTI:
+            digest.update(f"{g.edges()}: {multi4_witness(g)}\n".encode())
+        assert digest.hexdigest() == CACTUS_WITNESSES_SHA256
+
+    def test_cacti_pass_under_any_cap(self):
+        cacti = [_cactus(seed, thetas=False) for seed in range(60)]
+        members = [g for g in cacti if is_multi4(g)]
+        assert 0 < len(members) < len(cacti)
+        for g in cacti:
+            assert multi4_witness(g, cap=0) == multi4_witness(g), g.edges()
+        assert all(is_multi4(g, cap=0) for g in members)
+
+    def test_theta_over_its_cap_raises(self):
+        # K(2,3): three 4-cycles in one block
+        k23 = Graph.from_edges([(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+        assert is_multi4(k23, cap=3)
+        for cap in (0, 2):
+            with pytest.raises(CycleCapExceeded):
+                is_multi4(k23, cap=cap)
+
+    def test_theta_of_two_squares_rejected_with_its_6_cycle(self):
+        # two 4-cycles sharing the edge 0-1: the filter sees only those two,
+        # and enumeration finds the 6-cycle round both
+        g = Graph.from_edges([(0, 1), (0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 1)])
+        assert _bad_fundamental_cycle(g) is None
+        cyc = multi4_witness(g)
+        assert cyc is not None and sorted(cyc) == [0, 1, 2, 3, 4, 5]
 
 
 def _reference_fundamental_cycles_ok(g: Graph) -> bool:

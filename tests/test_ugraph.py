@@ -1,13 +1,19 @@
 """The one-pass cycle and block walks of `Graph` against the copying
-versions they replaced, kept here as references."""
+versions they replaced, kept here as references; the degree-2 chains by
+their defining properties and a pin."""
 
+import hashlib
+import random
+from collections import Counter
 from typing import Iterator
 
 import pytest
 
+from dualham.colorizer import combine, verify_coloring
 from dualham.errors import CycleCapExceeded
 from dualham.gen import gen_multi4
-from dualham.ugraph import DEFAULT_CYCLE_CAP, Edge, Graph
+from dualham.structure import bipartition_typed
+from dualham.ugraph import DEFAULT_CYCLE_CAP, Edge, Graph, norm_edge
 
 
 def _reference_simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> Iterator[list[int]]:
@@ -143,3 +149,95 @@ def test_blocks_on_disconnected_input():
     assert sorted(map(sorted, blocks)) == [[0, 1, 2, 3], [3, 4], [4, 5], [6], [7, 8],
                                            [9, 10, 11], [11, 12, 13]]
     assert cuts == {3, 4, 11}
+
+
+# --- degree-2 chains -----------------------------------------------------
+
+
+def _chain_graph(seed: int) -> Graph:
+    """A random graph on a few anchors with its edges subdivided, loops
+    from an anchor back to itself, pure-cycle components and isolated
+    vertices, with shuffled labels."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 6)
+    skeleton = [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < 0.5]
+    n = k
+    edges = []
+    for u, v in skeleton:
+        inner = list(range(n, n + rng.choice((0, 0, 1, 2, 3))))
+        n += len(inner)
+        vs = [u, *inner, v]
+        edges += zip(vs, vs[1:])
+    for _ in range(rng.randint(0, 2)):   # loops at an anchor, and pure cycles
+        at = rng.randrange(k) if rng.random() < 0.6 else None
+        length = rng.randint(3, 6)
+        vs = list(range(n, n + length - (at is not None)))
+        n += len(vs)
+        vs = [at, *vs, at] if at is not None else [*vs, vs[0]]
+        edges += zip(vs, vs[1:])
+    n += rng.randint(0, 2)               # isolated vertices
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph.from_edges([(label[u], label[v]) for u, v in edges], label)
+
+
+CHAIN_GRAPHS = [_chain_graph(seed) for seed in range(300)]
+
+# sha256 of `chains()` on CHAIN_GRAPHS and of the `verify_coloring`
+# reports in `test_failing_reports_pinned`, taken before the chain walk
+# kept a set of walked vertices in place of a set of walked edges
+CHAINS_SHA256 = "544105eef94ffb24e5cffc9be504f71772a42cfca35c67634c6c46341fe34775"
+REPORTS_SHA256 = "ff037fb76c035c255ce36a1e14fafb119d0b6402bccd0542779b415386aeb5ff"
+
+
+def test_chains_partition_the_edges():
+    kinds = Counter()
+    for g in CHAIN_GRAPHS:
+        walks = g.chains()
+        steps = Counter(norm_edge(u, v) for w in walks for u, v in zip(w, w[1:]))
+        assert sorted(steps) == g.edges() and set(steps.values()) <= {1}, g.edges()
+        for w in walks:
+            assert all(g.degree(v) == 2 for v in w[1:-1]), (g.edges(), w)
+            closed = w[0] == w[-1]
+            if g.degree(w[0]) == 2:
+                # a pure cycle: closed, and all of its component
+                assert closed and all(g.degree(v) == 2 for v in w), (g.edges(), w)
+                kinds["pure"] += 1
+            else:
+                assert g.degree(w[-1]) != 2, (g.edges(), w)
+                kinds["loop" if closed else "edge" if len(w) == 2 else "path"] += 1
+        kinds.update("isolated" for v in g.adj if not g.adj[v])
+    # every kind of walk occurs, and isolated vertices, which have none
+    assert set(kinds) == {"pure", "loop", "edge", "path", "isolated"}, kinds
+
+
+def test_chains_pinned(multi4_200):
+    digest = hashlib.sha256()
+    for g in CHAIN_GRAPHS + multi4_200:
+        digest.update(f"{g.chains()}\n".encode())
+    assert digest.hexdigest() == CHAINS_SHA256
+
+
+def _failing_reports(graphs: list[Graph]) -> tuple[Counter, str]:
+    """Random colourings of the graphs, pinned at their least beta vertex:
+    the kinds of the failing reports and a sha256 over them, witnesses
+    included."""
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for g in graphs:
+        bp = bipartition_typed(g)
+        for _ in range(4):
+            combined = combine({v: rng.randint(1, 2) for v in bp.alpha},
+                               {v: rng.randint(1, 2) for v in bp.beta})
+            rep = verify_coloring(g, bp, combined, min(bp.beta), rng.randint(1, 2))
+            if not rep.passed:
+                digest.update(f"{g.edges()} {sorted(combined.items())}: {rep}\n".encode())
+                kinds["cycle" if rep.witness_cycle else "path" if rep.witness_path else "pin"] += 1
+    return kinds, digest.hexdigest()
+
+
+def test_failing_reports_pinned(multi4_200):
+    kinds, digest = _failing_reports(multi4_200)
+    assert set(kinds) == {"cycle", "path", "pin"}, kinds
+    assert digest == REPORTS_SHA256
