@@ -278,11 +278,14 @@ def classify_big_small(g: EmbeddedGraph, tp: TriPartition) -> BigSmall:
 def canonical_form(g: EmbeddedGraph) -> tuple:
     """Label-independent code of the embedding, up to reflection.
 
-    Minimum over all root directed edges and both orientations of a BFS
-    relabelling code, found row by row (`_min_starts`).  Every code has n
-    rows (the graph is connected) and codes compare row by row, so keeping
-    only the starts whose row i is least, for i = 0, 1, ..., gives the same
-    minimum as comparing whole codes.
+    Minimum of a BFS relabelling code over the starts `_min_starts` keeps
+    (root directed edges in both orientations, filtered by degrees, which
+    an isomorphism keeps), found row by row.  Every code has n rows (the
+    graph is connected) and codes compare row by row, so keeping only the
+    starts whose row i is least, for i = 0, 1, ..., gives the same minimum
+    as comparing whole codes.  On a triangulation only first neighbours of
+    least degree start; the code equals the minimum over all starts on
+    every triangulation with n <= 13, and is canonical at any n.
     """
     return _min_starts(g.rotation)[0]
 
@@ -292,13 +295,14 @@ def automorphisms(g: EmbeddedGraph) -> list[tuple[int, ...]]:
     vertex map `s` with `s[x]` the image of x; the identity comes first.
 
     The starts that `_min_starts` keeps are exactly the automorphisms: an
-    automorphism keeps degrees, so it maps a winning start to a minimum-
-    degree start with the same code, and two starts with the same code
-    label the rotations alike, so the map `order_s[pos_0[x]]` from the
-    first survivor's labelling to survivor s's is one.  It is a reflection
-    when s uses the other orientation.  On a path or a cycle both
-    orientations of one root edge give the same labelling, so the maps
-    are deduplicated.
+    automorphism keeps degrees, so it maps a winning start to a start that
+    passes the same degree filters (least-degree root and, on a
+    triangulation, least-degree first neighbour) with the same code, and
+    two starts with the same code label the rotations alike, so the map
+    `order_s[pos_0[x]]` from the first survivor's labelling to survivor
+    s's is one.  It is a reflection when s uses the other orientation.  On
+    a path or a cycle both orientations of one root edge give the same
+    labelling, so the maps are deduplicated.
     """
     return _automorphisms(_min_starts(g.rotation)[1])
 
@@ -322,15 +326,45 @@ def _min_starts(rotation: Sequence[Sequence[int]]) -> tuple[tuple, list[list[int
     when its vertex is first reached, so row i is final once that vertex
     is scanned.  Row i of every surviving start is computed, and only the
     starts whose row i is least survive to row i + 1.
+
+    On a triangulation (n >= 4 and degree sum 6n - 12, which for a simple
+    plane graph means every face is a triangle) only first neighbours of
+    least degree among the roots' neighbours start; other graphs keep every
+    start.  Three lemmas:
+
+    - Invariance: restricting the starts by an isomorphism invariant
+      still gives a canonical form.  An automorphism keeps degrees, so it
+      maps kept starts to kept starts, and the starts left at the end are
+      still exactly the automorphisms (as `automorphisms` and the orbit
+      test of `gen._canonical_reduction` need).
+    - Row 1: for a root v of degree d and a first neighbour u whose edge
+      vu lies on no separating triangle, row 1 is (0, d, d + 1, ...,
+      d + deg u - 3, 2): v, the two common neighbours (labels d and 2)
+      and deg u - 3 new vertices.  Among such starts the least deg u
+      wins.  A start whose vu lies on a separating triangle may reach an
+      old label earlier in row 1 and win with a larger deg u, so the
+      restriction is not known to keep the minimum in general.
+    - Same codes: the restricted minimum equals the unrestricted one on
+      every triangulation with n <= 13 (checked exhaustively, both
+      orientations); beyond that the code is canonical by invariance.
+      Off triangulations the restriction would change codes (on 13 of the
+      525 plane graphs left by deleting two edges of a 7-vertex
+      triangulation, a winning start's first neighbour has more than the
+      least degree), hence the gate.
     """
     n = len(rotation)
-    min_deg = min(len(nb) for nb in rotation)
+    deg = [len(nb) for nb in rotation]
+    min_deg = min(deg)
+    roots = [v for v in range(n) if deg[v] == min_deg]
+    tri = n >= 4 and sum(deg) == 6 * n - 12
+    if tri:
+        first_deg = min(deg[u] for v in roots for u in rotation[v])
     starts = []     # (rotation, label, entry, BFS order) per start
     for rot in (rotation, tuple(nb[::-1] for nb in rotation)):
-        for v, nb in enumerate(rot):
-            if len(nb) != min_deg:
-                continue
-            for u in nb:
+        for v in roots:
+            for u in rot[v]:
+                if tri and deg[u] != first_deg:
+                    continue
                 label = [-1] * n
                 entry = [0] * n
                 label[v], label[u] = 0, 1

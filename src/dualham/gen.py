@@ -39,8 +39,9 @@ from .ugraph import Graph
 # classes at n = 15 and 17.5 M at n = 16, some 21 GB and 150 GB, so there
 # the limit guards memory.  `gen_even_triangulations` prunes every subtree
 # with no even class and builds only even children at the last level: it
-# takes about 0.2 s at n = 13 and 0.7 s at n = 14.  For it the limit marks
-# the last size with a frozen catalog to check against.
+# takes about 0.12 s at n = 13 and 0.61 s at n = 14 (medians of 5 fresh
+# processes on a 2-vCPU VM, Python 3.11.7).  For it the limit marks the
+# last size with a frozen catalog to check against.
 MAX_TRI_N = 14
 
 # A bipyramid's build is quadratic in l: `EmbeddedGraph.build` and
@@ -87,9 +88,14 @@ def split_vertex(g: EmbeddedGraph, v: int, i: int, j: int) -> EmbeddedGraph:
     between v and the new vertex gives back g, so the split is a plane
     triangulation on n + 1 vertices.  If a face at v is not a triangle,
     the mate check raises NotTriangulation.
+
+    Only the rows of v, the new vertex, the two shared neighbours and the
+    inner vertices of the far segment change; every other row is g's own
+    tuple, shared with the child.  So g's rows must be tuples, as
+    `EmbeddedGraph.build` makes them.
     """
-    rot = [list(nb) for nb in g.rotation]
-    nb_v = rot[v]
+    rotation = g.rotation
+    nb_v = rotation[v]
     k = len(nb_v)
     if i % k == j % k:
         raise ValueError("segments must both have length >= 1")
@@ -99,20 +105,22 @@ def split_vertex(g: EmbeddedGraph, v: int, i: int, j: int) -> EmbeddedGraph:
     a, b = nb_v[i % k], nb_v[j % k]
     before_a = nb_v[(i - 1) % k]   # neighbour on the far-segment side of a
     after_b = nb_v[(j + 1) % k]    # neighbour on the far-segment side of b
-    rot[v] = seg1 + [new]
-    rot.append(seg2 + [v])
+    rot = list(rotation)
+    rot[v] = (*seg1, new)
+    rot.append((*seg2, v))
     for w in seg2[1:-1]:
-        rot[w][rot[w].index(v)] = new
+        nb = rotation[w]
+        pos = nb.index(v)
+        rot[w] = nb[:pos] + (new,) + nb[pos + 1:]
     for w, mate in ((a, before_a), (b, after_b)):
-        nb = rot[w]
+        nb = rotation[w]
         pos = nb.index(v)
         if nb[(pos + 1) % len(nb)] == mate:
-            nb.insert(pos + 1, new)
-        elif nb[(pos - 1) % len(nb)] == mate:
-            nb.insert(pos, new)
-        else:
+            pos += 1
+        elif nb[(pos - 1) % len(nb)] != mate:
             raise NotTriangulation(f"no triangular face {v}-{w}-{mate}")
-    return EmbeddedGraph(new + 1, tuple(tuple(nb) for nb in rot))
+        rot[w] = nb[:pos] + (new,) + nb[pos:]
+    return EmbeddedGraph(new + 1, tuple(rot))
 
 
 def gen_triangulations(n: int) -> list[EmbeddedGraph]:

@@ -54,7 +54,7 @@ def catalog12() -> list[EmbeddedGraph]:
     """All eight 12-vertex even triangulations, generated once by
     `gen_even_triangulations(12)` and frozen (CI checks the generator's
     12-vertex output against it; test_gen re-derives the smaller sizes
-    live)."""
+    live).  Regenerating them takes about 0.04 s."""
     with open(DATA / "even_tri_12.jsonl") as f:
         return list(load_catalog(f))
 

@@ -1,6 +1,10 @@
 """Rotation systems, face tracing, duals, and canonical forms."""
 
+import hashlib
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,8 @@ from dualham.errors import (
 from dualham import embed
 from dualham.gen import TETRAHEDRON, gen_bipyramid, gen_triangulations, split_vertex
 from dualham.ugraph import norm_edge
+
+ROOT = Path(__file__).parent.parent
 
 
 def test_build_rejects_asymmetric_adjacency():
@@ -357,6 +363,124 @@ def test_gen_triangulations_unchanged_under_reference_dedup():
     for n in range(4, 10):
         for g in gen_triangulations(n):
             assert _reference_canonical_form(g) == g.rotation
+
+
+# sha256 of `_min_starts` (code and surviving BFS orders), one line per
+# rotation, computed before the starts were filtered by first-neighbour
+# degree; the digest helper is `_starts_digest`
+SMALL_STARTS_SHA256 = "2763bdccd5f535877cdb083243c9611aee192c8280a98bd264395f8caeebc616"
+FROZEN_STARTS_SHA256 = "a4134ec519d5f587d08ca0cebf929870dccdc3bcebd28e610a7f7ac6d8006a8b"
+FROZEN_FILES = [ROOT / "tests" / "data" / name for name in (
+    "even_tri_12.jsonl", "even_tri_13.jsonl", "even_tri_14.jsonl", "with_edge_golden.jsonl")
+] + [ROOT / "perfbench" / "data" / name for name in ("corpus12.jsonl", "large.jsonl")]
+
+
+def _starts_digest(rotations) -> str:
+    digest = hashlib.sha256()
+    for rot in rotations:
+        digest.update(f"{embed._min_starts(rot)}\n".encode())
+    return digest.hexdigest()
+
+
+def _mirrored(rot: tuple) -> tuple:
+    return tuple(nb[::-1] for nb in rot)
+
+
+def test_min_starts_pinned_on_small_triangulations():
+    # every triangulation with 4 <= n <= 10 in both orientations, each
+    # also under two seeded relabellings
+    rng = random.Random(36)
+    rotations = []
+    for n in range(4, 11):
+        for g in gen_triangulations(n):
+            for h in (g, g.mirror()):
+                rotations.append(h.rotation)
+                for _ in range(2):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    rotations.append(_permute(h, perm))
+    assert len(rotations) == 6 * 306
+    assert _starts_digest(rotations) == SMALL_STARTS_SHA256
+
+
+def test_min_starts_pinned_on_frozen_instances():
+    # the catalogs, the golden with-edge rows and the benchmark's instances
+    # (read only, n up to 302), each with its mirror
+    rotations = []
+    for path in FROZEN_FILES:
+        with open(path) as f:
+            for line in f:
+                rot = tuple(map(tuple, json.loads(line)["rotation"]))
+                rotations += [rot, _mirrored(rot)]
+    assert len(rotations) == 194
+    assert _starts_digest(rotations) == FROZEN_STARTS_SHA256
+
+
+def _row_one(rot, v: int, u: int) -> tuple[int, ...]:
+    """Row 1 of the BFS code from the start (v, u): u's rotation from v,
+    in labels, v's neighbours labelled 1.. from u round."""
+    nb = rot[v]
+    k = nb.index(u)
+    label = {w: 1 + t for t, w in enumerate(nb[k:] + nb[:k])}
+    label[v] = 0
+    nb = rot[u]
+    k = nb.index(v)
+    row = []
+    for w in nb[k:] + nb[:k]:
+        label.setdefault(w, len(label))
+        row.append(label[w])
+    return tuple(row)
+
+
+def test_row_one_lemma():
+    # a least-degree root v of degree d and a first neighbour u with vu on
+    # no separating triangle give row 1 = (0, d, d + 1, ..., d + deg u - 3,
+    # 2); where every such edge is on none, the least deg u wins
+    lemma_starts = triangle_classes = 0
+    for n in range(4, 11):
+        for g in gen_triangulations(n):
+            d = min(map(len, g.rotation))
+            roots = [v for v in range(n) if g.degree(v) == d]
+            first_deg = min(g.degree(u) for v in roots for u in g.rotation[v])
+            on_triangle = False
+            for rot in (g.rotation, _mirrored(g.rotation)):
+                for v in roots:
+                    for u in rot[v]:
+                        if len(set(rot[v]) & set(rot[u])) > 2:
+                            on_triangle = True
+                            continue
+                        want = (0, d, *range(d + 1, d + len(rot[u]) - 2), 2)
+                        assert _row_one(rot, v, u) == want
+                        lemma_starts += 1
+            if not on_triangle:
+                assert canonical_form(g)[1] == (0, d, *range(d + 1, d + first_deg - 2), 2)
+            triangle_classes += on_triangle
+    # no class on at most 10 vertices has a least-degree root edge on a
+    # separating triangle (the first few come at 11 and 12)
+    assert (lemma_starts, triangle_classes) == (4932, 0)
+
+
+def test_first_neighbour_filter_is_off_for_non_triangulations():
+    # plane graphs with two edges of a 7-vertex triangulation deleted: on
+    # some of them a winning start's first neighbour has more than the least
+    # degree, so the filter would change their codes; they are not
+    # triangulations, so every start is kept and the codes stay
+    checked = wins_off_least = 0
+    for g in gen_triangulations(7):
+        for e, f in itertools.combinations(g.edges(), 2):
+            rot = [list(nb) for nb in g.rotation]
+            for x, y in (e, f):
+                rot[x].remove(y)
+                rot[y].remove(x)
+            h = EmbeddedGraph.build(rot)
+            assert canonical_form(h) == _reference_canonical_form_early_exit(h)
+            d = min(map(len, h.rotation))
+            first_deg = min(h.degree(u) for v in range(h.n) if h.degree(v) == d
+                            for u in h.rotation[v])
+            _, orders = embed._min_starts(h.rotation)
+            wins_off_least += h.degree(orders[0][1]) > first_deg
+            checked += 1
+    assert (checked, wins_off_least) == (525, 13)
 
 
 def _is_cyclic_shift(a: tuple, b: tuple) -> bool:

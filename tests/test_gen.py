@@ -1,5 +1,6 @@
 """Generators: bipyramids, exhaustive triangulations, family members."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -41,6 +42,9 @@ from dualham.structure import is_multi4
 from dualham.treesplit import bipyramid_poles
 from dualham.ugraph import Graph
 from oracles import load_catalog
+
+
+SPLITS_SHA256 = "75ae1fb5183d53fde87dacc7913cb9e6ce4ded291181e05421ab0fd5cc45c726"
 
 
 class TestBipyramid:
@@ -228,6 +232,35 @@ class TestExhaustiveTriangulations:
                     assert all(len(f) == 3 for f in h.faces.faces)
                     checked += 1
         assert checked == 1328
+
+    def test_split_children_pinned(self):
+        # every split (v, i, j) with i != j of every triangulation on at most
+        # 9 vertices, j < i included; the sha256 of the children's
+        # rotations, one per line, was computed when `split_vertex` still
+        # copied every row
+        digest = hashlib.sha256()
+        splits = 0
+        for n in range(4, 10):
+            for g in gen_triangulations(n):
+                for v, nb in enumerate(g.rotation):
+                    for i in range(len(nb)):
+                        for j in range(len(nb)):
+                            if i != j:
+                                digest.update(f"{split_vertex(g, v, i, j).rotation}\n".encode())
+                                splits += 1
+        assert splits == 11174
+        assert digest.hexdigest() == SPLITS_SHA256
+
+    def test_split_shares_the_rows_it_does_not_touch(self, octahedron):
+        # only v, the new vertex, a, b and the far segment's inner vertices
+        # get new rows; splitting 0 at positions 0 and 2 leaves the far
+        # segment nb[2], nb[3], nb[0] to the new vertex 6
+        h = split_vertex(octahedron, 0, 0, 2)
+        nb = octahedron.rotation[0]
+        changed = {0, 6, nb[0], nb[2], nb[3]}
+        for w in range(octahedron.n):
+            assert (h.rotation[w] is octahedron.rotation[w]) == (w not in changed)
+        assert all(type(row) is tuple for row in h.rotation)
 
     def test_counts_match_simplicial_polyhedra(self):
         # numbers of plane triangulations on n vertices (OEIS A000109);
