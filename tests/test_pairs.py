@@ -81,3 +81,21 @@ def test_a_failed_run_is_reported():
              "attempted": 3, "failed": int(side == "change"), "metrics": {"ops_per_s": 1.0}}
             for side in ("parent", "change")]
     assert not pairs.summarise(rows, {"ops_per_s": "higher"})["w"]["all_correct"]
+
+
+def test_a_later_call_adds_its_runs():
+    def row(workload, seed, side, ops):
+        return {"workload": workload, "pair": seed % 2, "seed": seed, "side": side,
+                "correct": True, "attempted": 1, "failed": 0, "metrics": {"ops_per_s": ops}}
+
+    old = [row(w, s, side, 1.0) for w in ("w1", "w2") for s in (1, 2)
+           for side in ("parent", "change")]
+    # seed 2 of w2 again, and a new seed 3
+    new = [row("w2", s, side, 2.0) for s in (2, 3) for side in ("parent", "change")]
+    rows = pairs.merge(old, new)
+    assert len(rows) == 10
+    assert sorted((r["seed"], r["side"]) for r in rows if r["metrics"]["ops_per_s"] == 2.0) == [
+        (2, "change"), (2, "parent"), (3, "change"), (3, "parent")]
+    summary = pairs.summarise(rows, {"ops_per_s": "higher"})
+    assert summary["w1"]["metrics"]["ops_per_s"]["pairs"] == 2
+    assert summary["w2"]["metrics"]["ops_per_s"]["pairs"] == 3

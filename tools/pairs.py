@@ -15,8 +15,10 @@ The file, at the repository root, holds every run, and per workload and
 metric the medians, the parent's quartiles and IQR, the change's wins out
 of N (ties count for neither side) and whether a gain would count: wins
 in at least nine tenths of the pairs and a median better by more than the
-parent's IQR.  It names two
-known artefacts of the benchmark and does not correct for them.
+parent's IQR.  A later call for the same two commits adds its runs to the
+file, replacing any with the same workload, seed and side, and the
+summary covers them all.  The output names two known artefacts of the
+benchmark and does not correct for them.
 """
 
 from __future__ import annotations
@@ -80,13 +82,21 @@ def run_pairs(trees: dict[str, Path], workloads: list[str], pairs: int, seconds:
     return rows
 
 
+def merge(old: list[dict], new: list[dict]) -> list[dict]:
+    """The runs of an earlier file for the same two commits, less those
+    the new runs repeat (same workload, seed and side), then the new ones."""
+    again = {(r["workload"], r["seed"], r["side"]) for r in new}
+    return [r for r in old if (r["workload"], r["seed"], r["side"]) not in again] + new
+
+
 def summarise(rows: list[dict], metrics: dict[str, str]) -> dict:
     """Per workload and metric (`metrics` maps a name to "higher" or
     "lower", the better direction): medians, the parent's quartiles and
-    IQR, and the change's wins over the pairs."""
+    IQR, and the change's wins over the pairs, a pair being the two runs
+    of one seed."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in rows):
-        runs = {(r["pair"], r["side"]): r for r in rows if r["workload"] == workload}
+        runs = {(r["seed"], r["side"]): r for r in rows if r["workload"] == workload}
         pairs = sorted({p for p, _ in runs})
         table = {}
         for name, better in metrics.items():
@@ -146,6 +156,10 @@ def main(argv=None) -> None:
     repo = Path(git("rev-parse", "--show-toplevel"))
     shas = {"change": git("rev-parse", args.change),
             "parent": git("rev-parse", args.parent or f"{args.change}^")}
+    path = repo / f"BENCH_{shas['change'][:7]}.json"
+    old = json.loads(path.read_text()) if path.exists() else None
+    if old and (old["parent"], old["change"]) != (shas["parent"], shas["change"]):
+        ap.error(f"{path.name} holds runs of {old['change']} against {old['parent']}")
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in shas}
         for side, sha in shas.items():
@@ -156,15 +170,14 @@ def main(argv=None) -> None:
         workloads = args.workload or [w["name"] for w in bench["workloads"]]
         metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
         rows = run_pairs(trees, workloads, args.pairs, seconds, args.seed_base, run_perfbench)
+    rows = merge(old["runs"] if old else [], rows)
     summary = summarise(rows, metrics)
     for line in report(summary):
         print(line)
-    path = repo / f"BENCH_{shas['change'][:7]}.json"
     path.write_text(json.dumps({
         "parent": shas["parent"], "change": shas["change"],
         "command": f"perfbench/run.py --seconds {seconds:g} --trace 0",
-        "pairs": args.pairs, "seed_base": args.seed_base,
-        "order": "parent first in even pairs (0, 2, ...), change first in odd ones",
+        "order": "within each call, parent first in even pairs (0, 2, ...), change first in odd ones",
         "artefacts": ARTEFACTS, "summary": summary, "runs": rows,
     }, indent=1) + "\n")
     print(f"wrote {path}")
